@@ -215,13 +215,23 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),  # the 5th-order weights
 )
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+
+
+def _stage_step(y, h, coefs, k):
+    """y + h * sum_j coefs[j] k[j] over the nonzero coefficients, in place."""
+    acc = None
+    for a, kj in zip(coefs, k):
+        if a:
+            acc = a * kj if acc is None else np.add(acc, a * kj, out=acc)
+    acc *= h
+    acc += y
+    return acc
 
 
 def _dopri45(f, y0, t0, t1, rtol=1e-10, atol=1e-12, norm_cap=_EXPLOSION_NORM):
@@ -242,10 +252,9 @@ def _dopri45(f, y0, t0, t1, rtol=1e-10, atol=1e-12, norm_cap=_EXPLOSION_NORM):
     while t < t1 - 1e-14 * span:
         h = min(h, t1 - t)
         for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+            yi = _stage_step(y, h, _DP_A[i], k)
             k[i] = f(t + h * _DP_C[i], yi)
-        y5 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b)
-        y4 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B4) if b)
+        y5, y4 = yi, _stage_step(y, h, _DP_B4, k)  # last stage is taken at y5 (FSAL)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.max(np.abs(y5 - y4) / scale))
         if not math.isfinite(err):
@@ -285,6 +294,17 @@ def _shift_segments_time_to_go(displacement: Displacement | None, tau: float):
     return sorted(out)
 
 
+def _riccati_row(out, quad, lin, sq, b, comp, jump):
+    """out = quad + lin*b + sq*b*b - comp + jump, summed left to right in place."""
+    np.multiply(lin, b, out=out)
+    out += quad
+    sq_b = sq * b
+    sq_b *= b
+    out += sq_b
+    out -= comp
+    out += jump
+
+
 def heston_merton_cf(u, tau: float, params: HestonMertonParams):
     """CF of the raw log return under the affine Heston-Merton model.
 
@@ -311,11 +331,17 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
     quad = -0.5 * (uu * uu + 1j * uu)
     jump_num = np.exp(1j * uu * p.mu_x - 0.5 * uu * uu * p.sigma_x**2)
+    # u-only terms, formed once per call with the operation order of the sums
+    iu = 1j * uu
+    iu_rho_jump = iu * p.rho_jump
+    lin1, lin2 = iu * p.rho1 * p.zeta1 - p.kappa1, iu * p.rho2 * p.zeta2 - p.kappa2
+    comp0, comp1, comp2 = (iu * kbar * c for c in (p.c0, p.c1, p.c2))
+    spot_load = quad - comp1
 
     def transform(b1):
         if p.m_v == 0.0:
             return jump_num
-        denom = 1.0 - p.m_v * (1j * uu * p.rho_jump + b1)
+        denom = 1.0 - p.m_v * (iu_rho_jump + b1)
         if np.min(np.abs(denom)) < _POLE_TOL:
             raise JumpTransformPoleError(
                 "variance-jump transform pole: |1 - m_v(iu rho_jump + B1)| "
@@ -327,22 +353,13 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
         def rhs(s, y):
             a, b1, b2 = y
             j_term = transform(b1) - 1.0
-            db1 = (
-                quad + (1j * uu * p.rho1 * p.zeta1 - p.kappa1) * b1
-                + 0.5 * p.zeta1**2 * b1 * b1
-                - 1j * uu * kbar * p.c1 + p.c1 * j_term
-            )
-            db2 = (
-                quad + (1j * uu * p.rho2 * p.zeta2 - p.kappa2) * b2
-                + 0.5 * p.zeta2**2 * b2 * b2
-                - 1j * uu * kbar * p.c2 + p.c2 * j_term
-            )
-            da = (
-                p.kappa1 * p.theta1 * b1 + p.kappa2 * p.theta2 * b2
-                - 1j * uu * kbar * p.c0 + p.c0 * j_term
-                + phi_level * (quad - 1j * uu * kbar * p.c1 + p.c1 * j_term)
-            )
-            return np.stack([da, db1, db2])
+            jump1 = p.c1 * j_term
+            out = np.empty_like(y)
+            _riccati_row(out[1], quad, lin1, 0.5 * p.zeta1**2, b1, comp1, jump1)
+            _riccati_row(out[2], quad, lin2, 0.5 * p.zeta2**2, b2, comp2, p.c2 * j_term)
+            out[0] = (p.kappa1 * p.theta1 * b1 + p.kappa2 * p.theta2 * b2 - comp0
+                      + p.c0 * j_term + phi_level * (spot_load + jump1))
+            return out
         return rhs
 
     # a smoothly integrated B is bounded by the forcing scale |quad|*tau;
@@ -410,10 +427,11 @@ def _xi_weighted_integral(f_hist, params: RoughHestonParams, tau: float):
     """
     n_steps = f_hist.shape[0] - 1
     h = tau / n_steps
-    ds = np.full(n_steps, h)
     cum = np.empty_like(f_hist)
     cum[0] = 0.0
-    np.cumsum(0.5 * (f_hist[1:] + f_hist[:-1]) * ds[:, None], axis=0, out=cum[1:])
+    # one row at a time: whole-grid temporaries cost more than the arithmetic
+    for i in range(n_steps):
+        np.add(cum[i], 0.5 * (f_hist[i + 1] + f_hist[i]) * h, out=cum[i + 1])
 
     def cum_at(s: float):
         x = min(max(s / h, 0.0), float(n_steps))

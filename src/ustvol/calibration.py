@@ -3,10 +3,11 @@ derivative-free box-constrained optimizer with restarts.
 
 The objective is the nested average of squared implied-vol errors -- per
 tenor first, then across tenors -- rooted and quoted in vol points (x100).
-Market IVs come from mid premiums and are computed once per calibration;
-model IVs are re-priced every evaluation through per-tenor CF caches, so
-the cost per evaluation is one CF grid per tenor plus one root-find per
-quote (contracts within a tenor are evaluated in vectorized batches).
+Market IVs come from mid premiums and are computed once per calibration.
+Every evaluation re-prices each tenor slice once, its strikes as one array
+from one set of CF grids, then inverts model IVs with one root-find per
+quote.  The fit report (RMSE, bucket RMSEs and the bid/ask hit share) comes
+out of that same single pass.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from scipy import optimize
 from .bspp_bootstrap import AtmTermStructure, CalendarArbitrageError, calibrate_shift_from_atm
 from .fourier_pricer import (
     ArbitrageBoundsError,
-    PricingRequest,
     QuadratureConfig,
-    _TenorCache,
+    _checked_slice_calls,
+    _put_from_call,
     implied_vol,
 )
 from .market_data import Surface, bucket_of
@@ -108,11 +109,16 @@ class _SliceView:
     buckets: tuple
 
 
-def _market_view(surface: Surface, rate: float) -> list:
+def _market_view(surface: Surface, rate: float, mid_ivs: bool = True) -> list:
+    """Per-tenor market data; with ``mid_ivs`` false the mid IVs are left NaN
+    instead of inverted (and a mid without one is no error)."""
     views = []
     for sl in surface.slices:
         ivs = []
         for q in sl.quotes:
+            if not mid_ivs:
+                ivs.append(math.nan)
+                continue
             try:
                 ivs.append(implied_vol(
                     q.mid, surface.spot, q.strike, sl.tau, rate, is_call=q.is_call
@@ -141,20 +147,14 @@ def _slice_model_quotes(model, theta, view: _SliceView, spot, rate, quad):
     nearer the price: a far-off parameter vector then scores a large finite
     error instead of poisoning the whole evaluation.
     """
-    sigma0 = model.spot_vol(theta)
-    cache = _TenorCache(
-        lambda u, _t=view.tau: model.cf_standardized(u, _t, theta),
-        sigma0, view.tau, quad,
+    calls = _checked_slice_calls(
+        lambda u: model.cf_standardized(u, view.tau, theta),
+        model.spot_vol(theta), view.tau, spot, rate, view.strikes, quad,
     )
     prices, ivs = [], []
-    for strike, is_call in zip(view.strikes, view.is_call):
-        call = cache.call(PricingRequest(spot=spot, strike=strike, tau=view.tau,
-                                         rate=rate))
+    for strike, is_call, call in zip(view.strikes, view.is_call, calls):
         disc_k = strike * math.exp(-rate * view.tau)
-        if is_call:
-            price = call
-        else:
-            price = min(max(call - spot + disc_k, max(disc_k - spot, 0.0)), disc_k)
+        price = call if is_call else _put_from_call(call, spot, disc_k)
         prices.append(price)
         try:
             ivs.append(implied_vol(price, spot, strike, view.tau, rate, is_call))
@@ -165,15 +165,22 @@ def _slice_model_quotes(model, theta, view: _SliceView, spot, rate, quad):
     return prices, ivs
 
 
-def _rmse_from_views(views, model, theta, spot, rate, quad) -> float:
-    per_tenor = []
-    for view in views:
+def _report(views, model, theta, spot, rate, quad) -> tuple:
+    """One pass that prices every slice once: (vol-points RMSE, bucket RMSEs,
+    share of quotes priced inside their bid/ask)."""
+    per_tenor, cells, hits = [], {}, 0
+    for idx, view in enumerate(views):
         if not view.strikes:
             raise ValueError(f"tenor {view.tau} has no quotes")
-        _, ivs = _slice_model_quotes(model, theta, view, spot, rate, quad)
+        prices, ivs = _slice_model_quotes(model, theta, view, spot, rate, quad)
         err = np.asarray(ivs) - np.asarray(view.market_ivs)
         per_tenor.append(float(np.mean(err * err)))
-    return 100.0 * math.sqrt(float(np.mean(per_tenor)))
+        for iv, miv, bucket in zip(ivs, view.market_ivs, view.buckets):
+            cells.setdefault((idx, bucket), []).append((iv - miv) ** 2)
+        hits += sum(b <= p <= a for p, b, a in zip(prices, view.bids, view.asks))
+    buckets = {key: 100.0 * math.sqrt(float(np.mean(errs))) for key, errs in cells.items()}
+    total = sum(len(view.strikes) for view in views)
+    return 100.0 * math.sqrt(float(np.mean(per_tenor))), buckets, hits / total
 
 
 def _resolve(model, params, tenors):
@@ -198,11 +205,7 @@ def rmse(surface: Surface, model, params, rate: float = 0.0,
     100 x sqrt(mean over tenors of (mean squared IV error within tenor)).
     ``params`` may be the model's native theta or a flat vector.
     """
-    model = _as_model(model)
-    theta = _resolve(model, params, surface.tenors)
-    views = _market_view(surface, rate)
-    return _rmse_from_views(views, model, theta, surface.spot, rate,
-                            quad or QuadratureConfig())
+    return _surface_report(surface, model, params, rate, quad)[0]
 
 
 def bid_ask_fraction(surface: Surface, model, params, rate: float = 0.0,
@@ -213,40 +216,20 @@ def bid_ask_fraction(surface: Surface, model, params, rate: float = 0.0,
     vol still count (they simply score as misses unless the model lands
     inside their spread).
     """
-    model = _as_model(model)
-    theta = _resolve(model, params, surface.tenors)
-    quad = quad or QuadratureConfig()
-    hits = total = 0
-    for sl in surface.slices:
-        view = _SliceView(
-            tau=sl.tau,
-            strikes=tuple(q.strike for q in sl.quotes),
-            is_call=tuple(q.is_call for q in sl.quotes),
-            bids=(), asks=(), market_ivs=(), buckets=(),
-        )
-        prices, _ = _slice_model_quotes(model, theta, view, surface.spot, rate, quad)
-        for price, q in zip(prices, sl.quotes):
-            hits += q.bid <= price <= q.ask
-            total += 1
-    return hits / total
+    return _surface_report(surface, model, params, rate, quad, mid_ivs=False)[2]
 
 
 def bucket_rmse(surface: Surface, model, params, rate: float = 0.0,
                 quad: QuadratureConfig | None = None) -> dict:
     """(tenor index, MoneynessBucket) -> vol-points RMSE over that cell."""
+    return _surface_report(surface, model, params, rate, quad)[1]
+
+
+def _surface_report(surface, model, params, rate, quad, mid_ivs=True) -> tuple:
     model = _as_model(model)
     theta = _resolve(model, params, surface.tenors)
-    quad = quad or QuadratureConfig()
-    views = _market_view(surface, rate)
-    out = {}
-    for idx, view in enumerate(views):
-        _, ivs = _slice_model_quotes(model, theta, view, surface.spot, rate, quad)
-        cells: dict = {}
-        for iv, miv, bucket in zip(ivs, view.market_ivs, view.buckets):
-            cells.setdefault(bucket, []).append((iv - miv) ** 2)
-        for bucket, errs in cells.items():
-            out[(idx, bucket)] = 100.0 * math.sqrt(float(np.mean(errs)))
-    return out
+    return _report(_market_view(surface, rate, mid_ivs), model, theta, surface.spot,
+                   rate, quad or QuadratureConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +309,7 @@ def calibrate(
         evals += 1
         try:
             theta = model.unpack(tuple(float(x) for x in vec), tenors)
-            val = _rmse_from_views(views, model, theta, surface.spot, rate, quad)
+            val = _report(views, model, theta, surface.spot, rate, quad)[0]
         except Exception:
             val = _PENALTY
         if val < best_val:
@@ -371,13 +354,13 @@ def calibrate(
         run_nm(best_vec, max(budget - evals, 50))
 
     theta = model.unpack(tuple(float(x) for x in best_vec), tenors)
-    final_rmse = _rmse_from_views(views, model, theta, surface.spot, rate, quad)
+    final_rmse, cells, fraction = _report(views, model, theta, surface.spot, rate, quad)
     result = CalibrationResult(
         model_id=model_id,
         params=tuple(float(x) for x in best_vec),
         rmse=final_rmse,
-        bucket_rmse=bucket_rmse(surface, model, theta, rate, quad),
-        bid_ask_fraction=bid_ask_fraction(surface, model, theta, rate, quad),
+        bucket_rmse=cells,
+        bid_ask_fraction=fraction,
         iterations=evals,
         wall_time=time.perf_counter() - t_start,
         converged=stagnated or best_val <= _STAGNATION_TOL,

@@ -425,11 +425,12 @@ def cmd_calibrate(args) -> int:
 
     if args.report:
         report = Path(args.report)
-        header = ["bucket"] + [f"tenor_{j}" for j in range(1, 7)]
+        n_tenors = len(surface.tenors)
+        header = ["bucket"] + [f"tenor_{j}" for j in range(1, n_tenors + 1)]
         rows = []
         for bucket in MoneynessBucket:
             cells = [bucket.name]
-            for j in range(6):
+            for j in range(n_tenors):
                 val = res.bucket_rmse.get((j, bucket))
                 cells.append("" if val is None else val)
             rows.append(cells)
@@ -632,17 +633,14 @@ def cmd_termstructure(args) -> int:
             kwargs["budget"] = args.budget
         res = calibrate(surface, mid, **kwargs)
         theta = model.unpack(res.params, tenors=surface.tenors)
-        vols = []
-        for tau in surface.tenors:
-            strike = spot * math.exp(rate * tau)
-            rec = price_surface([(strike, tau)], model, theta, spot,
-                                rate=rate, quad=_quad(args))[0]
+        atm = [(spot * math.exp(rate * tau), tau) for tau in surface.tenors]
+        recs = price_surface(atm, model, theta, spot, rate=rate, quad=_quad(args))
+        for rec in recs:
             if rec["iv"] is None:
                 raise RuntimeError(
-                    f"{mid}: ATM implied vol failed at tau={tau}: {rec['error']}"
+                    f"{mid}: ATM implied vol failed at tau={rec['tau']}: {rec['error']}"
                 )
-            vols.append(rec["iv"])
-        columns[mid] = vols
+        columns[mid] = [rec["iv"] for rec in recs]
 
     out = Path(args.out)
     name = _write_manifest(out, args, inputs, t0)

@@ -418,9 +418,9 @@ def empirical_cf(samples, u_grid):
 
     Returns ``(values, se)`` where values[j] = mean(e^{i u_j Z}) and
     se[j] = sqrt((1 - |values[j]|^2)/N), the standard error of the complex
-    mean (|e^{iuZ}| = 1 pointwise, so the second moment is free).  Uniformly
-    spaced grids use a phase-recurrence so the samples are swept once per
-    frequency without re-exponentiating.
+    mean (|e^{iuZ}| = 1 pointwise, so the second moment is free).  Each run
+    of equally spaced frequencies is swept with a phase recurrence, so the
+    samples are exponentiated twice per run rather than once per frequency.
     """
     z = np.asarray(samples, dtype=float)
     if z.size == 0:
@@ -429,21 +429,21 @@ def empirical_cf(samples, u_grid):
     n = z.size
     sums = np.zeros(u.size, dtype=np.complex128)
 
-    du = np.diff(u)
-    uniform = u.size > 2 and np.allclose(du, du[0], rtol=1e-12, atol=0.0)
+    starts = [0]  # maximal runs of equal spacing
+    for j in range(2, u.size):
+        if not math.isclose(u[j] - u[j - 1], u[starts[-1] + 1] - u[starts[-1]], rel_tol=1e-12):
+            starts.append(j)
     chunk = 4_000_000
     for lo in range(0, n, chunk):
         zc = z[lo:lo + chunk]
-        if uniform:
-            phase = np.exp(1j * u[0] * zc)
-            step = np.exp(1j * du[0] * zc)
-            for j in range(u.size):
+        for start, stop in zip(starts, starts[1:] + [u.size]):
+            phase = np.exp(1j * u[start] * zc)
+            if stop - start > 1:
+                step = np.exp(1j * (u[start + 1] - u[start]) * zc)
+            for j in range(start, stop):
                 sums[j] += phase.sum()
-                if j + 1 < u.size:
+                if j + 1 < stop:
                     phase *= step
-        else:
-            for j in range(u.size):
-                sums[j] += np.exp(1j * u[j] * zc).sum()
     values = sums / n
     se = np.sqrt(np.maximum(0.0, 1.0 - np.abs(values) ** 2) / n)
     if np.ndim(u_grid) == 0:

@@ -97,6 +97,18 @@ def test_rmse_rejects_noninvertible_mid():
         rmse(surf, "bs_pp", (0.2,), quad=QUAD)
 
 
+def test_bid_ask_fraction_without_mid_implied_vol():
+    # both mids sit below the intrinsic S - K = 20, so neither has an
+    # implied vol; the model premium of about 20 lies in the first band only
+    tau = 2.0 / 365.0
+    deep_itm = OptionQuote(80.0, tau, 18.0, 20.5, is_call=True)
+    surf = Surface(100.0, (TenorSlice(tau, 100.0, 0.2, (deep_itm,), (-10.0,)),))
+    assert bid_ask_fraction(surf, "bs_pp", (0.2,), quad=QUAD) == 1.0
+    miss = OptionQuote(80.0, tau, 19.0, 19.5, is_call=True)
+    surf = Surface(100.0, (TenorSlice(tau, 100.0, 0.2, (miss,), (-10.0,)),))
+    assert bid_ask_fraction(surf, "bs_pp", (0.2,), quad=QUAD) == 0.0
+
+
 def test_bid_ask_fraction_trivial_cases():
     surf = _flat_surface()
     assert bid_ask_fraction(surf, "bs_pp", (0.2, 0.0, 0.0), quad=QUAD) == 1.0
@@ -155,8 +167,10 @@ def test_calibrate_reeval_identity_trace_and_determinism():
     assert a.params == b.params
     assert a.rmse == b.rmse
     assert a.trace == b.trace
-    # re-evaluation identity: stored rmse is the objective at the params
+    # re-evaluation identity: the stored report is the one at the params
     assert a.rmse == rmse(surf, "bs_pp", a.params, quad=QUAD)
+    assert a.bucket_rmse == bucket_rmse(surf, "bs_pp", a.params, quad=QUAD)
+    assert a.bid_ask_fraction == bid_ask_fraction(surf, "bs_pp", a.params, quad=QUAD)
     # monotone improvement trace
     assert all(x >= y for x, y in zip(a.trace, a.trace[1:]))
     assert a.iterations > 0 and a.wall_time > 0.0

@@ -150,11 +150,25 @@ def test_calibrate_json_and_report_grid(tmp_path):
     assert 0.0 <= res["bid_ask_fraction"] <= 1.0
 
     header, rows = _read_csv(rep, manifest_name=out.name + ".manifest.json")
-    assert header == ["bucket"] + [f"tenor_{j}" for j in range(1, 7)]
+    assert header == ["bucket"] + [f"tenor_{j}" for j in range(1, 4)]
     assert [r[0] for r in rows] == ["DOTMP", "OTMP", "ATM", "OTMC", "DOTMC"]
-    assert all(len(r) == 7 for r in rows)
+    assert all(len(r) == 4 for r in rows)
     filled = [c for r in rows for c in r[1:] if c != ""]
     assert filled and all(float(c) >= 0.0 for c in filled)
+
+
+def test_calibrate_report_has_a_column_per_tenor(tmp_path):
+    q = tmp_path / "quotes.csv"
+    _write_quotes(q, shifts=(0.01, -0.005, 0.0, 0.005, 0.0, 0.01), days=tuple(range(1, 8)))
+    out = tmp_path / "fit.json"
+    rep = tmp_path / "report.csv"
+    code = main(["calibrate", "--model", "bs_pp", "--surface", str(q),
+                 "--out", str(out), "--report", str(rep), "--max-tenors", "7",
+                 "--budget", "100", "--restarts", "0", "--fourier-nodes", "512"])
+    assert code == 0
+    header, rows = _read_csv(rep, manifest_name=out.name + ".manifest.json")
+    assert header == ["bucket"] + [f"tenor_{j}" for j in range(1, 8)]
+    assert any(r[7] != "" for r in rows)
 
 
 def test_calibrate_missing_quote_file(tmp_path, capsys):

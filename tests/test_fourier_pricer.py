@@ -202,7 +202,20 @@ def test_price_surface_single_contract_matches_call_price():
     res = price_surface([(100.0, TAU)], model, None, 100.0)
     direct = call_price(PricingRequest(100.0, 100.0, TAU), _bs_cf(TAU), 0.2)
     assert res[0]["error"] is None
-    assert res[0]["call"] == pytest.approx(direct, abs=1e-12)
+    assert res[0]["call"] == direct
+
+
+def test_price_surface_slice_matches_call_price_exactly():
+    # a tenor's strikes are priced as one array; each price must still be
+    # the single-contract call_price bit for bit, on both sides of the
+    # forward and with a nonzero rate
+    model = _ShimModel(BS_PARAMS)
+    strikes = [80.0, 95.0, 99.5, 100.0, 100.25, 103.0, 120.0]
+    res = price_surface([(k, TAU) for k in strikes], model, None, 100.0, rate=0.03)
+    cf = lambda u: model.cf_standardized(u, TAU, None)
+    for k, r in zip(strikes, res):
+        assert r["error"] is None and r["iv"] is not None
+        assert r["call"] == call_price(PricingRequest(100.0, k, TAU, rate=0.03), cf, 0.2)
 
 
 def test_price_surface_duplicates_identical():
@@ -231,6 +244,9 @@ def test_price_surface_18_contracts_full_model():
     assert len(res) == 18
     assert all(r["error"] is None for r in res)
     assert all(r["iv"] > 0 for r in res)
+    for r in res:
+        cf = lambda u, _t=r["tau"]: model.cf_standardized(u, _t, None)
+        assert r["call"] == call_price(PricingRequest(100.0, r["strike"], r["tau"]), cf, 0.2)
 
 
 def test_price_surface_collects_errors_per_contract():
@@ -240,3 +256,4 @@ def test_price_surface_collects_errors_per_contract():
     assert res[0]["error"] is None
     assert res[1]["error"] is not None and "strike" in res[1]["error"]
     assert res[2]["error"] is None
+    assert res[0]["call"] == price_surface([(100.0, TAU)], model, None, 100.0)[0]["call"]
