@@ -46,8 +46,6 @@ from .calibration import (
 from .cf_edgeworth import (
     Displacement,
     EdgeworthParams,
-    TenorMatrices,
-    build_tenor_matrices,
     psi_c_no_shift,
     psi_c_piecewise,
     psi_c_quadrature,

@@ -270,8 +270,9 @@ def calibrate(
     Nelder-Mead under the parameter box, restarted ``restarts`` times from
     seeded perturbations of the incumbent; when restarts stagnate with
     budget left, a seeded differential-evolution sweep followed by a final
-    polish spends the remainder.  Evaluations that raise (invalid
-    parameters, CF blow-ups) score a large penalty.  Deterministic for
+    polish spends the remainder.  Evaluations that raise ValueError,
+    ArithmeticError or RuntimeError (invalid parameters, CF blow-ups) score
+    a large penalty; any other exception propagates.  Deterministic for
     fixed inputs and ``rng_seed``.  If the evaluation budget runs out while
     the objective is still improving, the best-so-far vector is returned
     with ``converged=False``.
@@ -310,7 +311,7 @@ def calibrate(
         try:
             theta = model.unpack(tuple(float(x) for x in vec), tenors)
             val = _report(views, model, theta, surface.spot, rate, quad)[0]
-        except Exception:
+        except (ValueError, ArithmeticError, RuntimeError):
             val = _PENALTY
         if val < best_val:
             best_val = val

@@ -12,14 +12,15 @@ deterministic piecewise-constant displacement phi(t) added to the volatility
 path.  Price jumps are compound Poisson with Gaussian sizes and enter as a
 multiplicative factor.
 
-Three evaluation routes are provided and kept deliberately independent:
+Every route shares one second-order bracket, a function of eight nested
+integrals of phi_tilde(s) = 1 + phi(s)/sigma0 over [0, tau]; the routes differ
+only in how those integrals are obtained:
 
-* :func:`psi_c_no_shift` -- closed form, no displacement.
-* :func:`psi_c_piecewise` -- closed form in the inner products between powers
-  of the shifted-volatility ratio and tenor-power increments.
-* :func:`psi_c_quadrature` -- direct numerical quadrature of every nested
-  integral of phi_tilde(s) = 1 + phi(s)/sigma0; supports arbitrary bounded
-  displacements and serves as the oracle for the closed forms.
+* :func:`psi_c_no_shift` and :func:`psi_c_piecewise` -- exact segment
+  recursion for a piecewise-constant phi_tilde (a single segment at level 1
+  when there is no displacement), O(segments) with no grid.
+* :func:`psi_c_quadrature` -- composite trapezoid on a dense grid; supports
+  arbitrary bounded displacements and serves as the oracle for the recursion.
 
 All operations are pure functions, vectorized over the frequency argument, and
 accept complex frequencies (needed by the Fourier pricer's shifted argument).
@@ -36,8 +37,6 @@ import numpy as np
 __all__ = [
     "EdgeworthParams",
     "Displacement",
-    "TenorMatrices",
-    "build_tenor_matrices",
     "psi_c_no_shift",
     "psi_c_piecewise",
     "psi_c_quadrature",
@@ -189,18 +188,6 @@ class Displacement:
         return cls(tenors=tuple(d["tenors"]), shifts=tuple(d["shifts"]))
 
 
-@dataclass(frozen=True, eq=False)
-class TenorMatrices:
-    """Power matrices of a displacement grid.
-
-    ``delta_t[j-1, k]`` holds tau_{k+1}^j - tau_k^j and ``phi_tilde[j-1, k]``
-    holds (1 + a_k/sigma0)^j, for j = 1..m and k = 0..n-1 (tau_0 = a_0 = 0).
-    """
-
-    delta_t: np.ndarray
-    phi_tilde: np.ndarray
-
-
 def _phi_tilde_column(seg_levels, sigma0: float) -> np.ndarray:
     col = 1.0 + np.asarray(seg_levels) / sigma0
     if np.any(col <= 0.0):
@@ -210,25 +197,6 @@ def _phi_tilde_column(seg_levels, sigma0: float) -> np.ndarray:
             f"non-positive for sigma0={sigma0}"
         )
     return col
-
-
-def build_tenor_matrices(
-    displacement: Displacement, sigma0: float, max_power: int = 4
-) -> TenorMatrices:
-    """Build the m x n tenor-power and shift-power matrices of a displacement.
-
-    Rows are powers j = 1..max_power; columns are grid segments.  Requires
-    sigma0 > 0 and a displacement whose shifted volatility stays positive.
-    """
-    if not sigma0 > 0.0:
-        raise ValueError(f"sigma0 must be > 0, got {sigma0}")
-    if max_power < 1:
-        raise ValueError(f"max_power must be >= 1, got {max_power}")
-    taus = np.concatenate([[0.0], np.asarray(displacement.tenors)])
-    j = np.arange(1, max_power + 1)[:, None]
-    delta_t = taus[None, 1:] ** j - taus[None, :-1] ** j
-    phi_tilde = _phi_tilde_column(displacement.levels, sigma0)[None, :] ** j
-    return TenorMatrices(delta_t=delta_t, phi_tilde=phi_tilde)
 
 
 def _as_freq(u):
@@ -246,6 +214,70 @@ def _damped(lead_exponent: np.ndarray, bracket: np.ndarray, scalar: bool):
     return complex(out[0]) if scalar else out
 
 
+def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals):
+    """The second-order expansion of the standardized continuous-return CF.
+
+    ``integrals`` holds the eight nested integrals of phi_tilde over [0, tau]
+    (F, G, H, K1 and M as defined in :func:`psi_c_quadrature`)::
+
+        i_var = int phi_tilde^2      i_skew = H(tau)   i_delta = G(tau)
+        i_alpha = K1(tau)            i_eta = int G     i_b3 = M(tau)
+        i_m1 = int phi_tilde * K1    i_m2 = int phi_tilde * M
+
+    The leading Gaussian factor uses the shift-weighted variance i_var/tau
+    and the bracket is 1 + c2 u^2 - i c3 u^3 + c4 u^4 + c6 u^6.  The drift
+    split uses alpha0 = delta0 = alpha_prime0; vb and vp weight the
+    vol-of-vol loadings on the price and the orthogonal Brownian.
+    """
+    i_var, i_skew, i_delta, i_alpha, i_eta, i_b3, i_m1, i_m2 = integrals
+    s0 = params.sigma0
+    a0 = d0 = params.alpha_prime0
+    t = tau
+    vb = params.beta0**2 / (8.0 * s0 * s0 * t)
+    vp = params.beta0_perp**2 / (2.0 * s0 * s0 * t)
+    c2 = -(d0 * i_delta + a0 * i_alpha) / (s0 * t) - (2.0 * vb + 0.5 * vp) * t * t
+    c3 = params.beta0 * i_skew / (s0 * t**1.5)
+    c4 = (params.eta0 * i_eta / (s0 * t * t)
+          - vb * (4.0 * i_skew - (24.0 * i_b3 + 12.0 * i_m1) / t)
+          + 2.0 * vp * i_m1 / t)
+    c6 = -24.0 * vb * i_m2 / (t * t)
+
+    uu, scalar = _as_freq(u)
+    u2 = uu * uu
+    bracket = 1.0 + u2 * (c2 - 1j * c3 * uu + u2 * (c4 + c6 * u2))
+    return _damped(-0.5 * u2 * (i_var / t), bracket, scalar)
+
+
+def _segment_integrals(bounds, levels) -> tuple:
+    """Exact bracket integrals of a piecewise-constant phi_tilde.
+
+    ``levels[k]`` applies on [bounds[k-1], bounds[k]) with bounds[-1] := 0.
+    On each segment every running integral (F, G, H, K1, M) is a polynomial
+    in the offset from the segment start, so it is carried across the
+    breakpoint in closed form; the totals read the running values at the
+    segment start and are therefore updated first.
+    """
+    F = G = H = K1 = M = 0.0
+    i_var = i_eta = i_m1 = i_m2 = 0.0
+    a = 0.0
+    for b, c in zip(np.asarray(bounds, dtype=float).tolist(),
+                    np.asarray(levels, dtype=float).tolist()):
+        h = b - a
+        h2 = h * h
+        h3 = h2 * h
+        i_var += c * c * h
+        i_eta += G * h + F * h2 / 2.0 + c * h3 / 6.0
+        i_m1 += c * (K1 * h + c * (a * h2 / 2.0 + h3 / 6.0))
+        i_m2 += c * (M * h + c * (H * h2 / 2.0 + c * F * h3 / 6.0 + c * c * h3 * h / 24.0))
+        M += c * (H * h + c * F * h2 / 2.0 + c * c * h3 / 6.0)
+        K1 += c * (a * h + h2 / 2.0)
+        H += c * (F * h + c * h2 / 2.0)
+        G += F * h + c * h2 / 2.0
+        F += c * h
+        a = b
+    return i_var, H, G, K1, i_eta, M, i_m1, i_m2
+
+
 def psi_c_no_shift(u, tau: float, params: EdgeworthParams):
     """Characteristic function of the standardized continuous return, no shift.
 
@@ -256,91 +288,29 @@ def psi_c_no_shift(u, tau: float, params: EdgeworthParams):
                        + (beta_tilde0^2/24sigma0^2) u^2 (4u^2 - rho0^2 u^2 (3u^2-8)) tau
                        + (eta0/6sigma0) u^4 tau )
 
-    with alpha0 + delta0 = 2*alpha_prime0.  Accepts scalar or array ``u``,
-    real or complex.
+    with alpha0 + delta0 = 2*alpha_prime0, evaluated as the shared bracket on
+    the single segment [0, tau] at level phi_tilde = 1.  Accepts scalar or
+    array ``u``, real or complex.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    uu, scalar = _as_freq(u)
-    u2 = uu * uu
-    u4 = u2 * u2
-    s0 = params.sigma0
-    bt = params.beta_tilde0
-    rho = params.rho0
-    bracket = (
-        1.0
-        - 1j * u2 * uu * (bt * rho / (2.0 * s0)) * math.sqrt(tau)
-        - u2 * (params.alpha_prime0 / s0 + bt * bt / (4.0 * s0 * s0)) * tau
-        + (bt * bt / (24.0 * s0 * s0)) * u2 * (4.0 * u2 - rho * rho * u2 * (3.0 * u2 - 8.0)) * tau
-        + (params.eta0 / (6.0 * s0)) * u4 * tau
-    )
-    return _damped(-0.5 * u2, bracket, scalar)
+    return _psi_from_integrals(u, tau, params, _segment_integrals((tau,), (1.0,)))
 
 
-def _inner_products(bounds: np.ndarray, seg_levels: np.ndarray, sigma0: float) -> np.ndarray:
-    """4x4 matrix of inner products ip[p-1, j-1] = <Phi_tilde_p, DeltaT_j>."""
-    taus = np.concatenate([[0.0], bounds])
-    j = np.arange(1, 5)[:, None]
-    dt = taus[None, 1:] ** j - taus[None, :-1] ** j
-    ph = _phi_tilde_column(seg_levels, sigma0)[None, :] ** j
-    return ph @ dt.T
-
-
-def psi_c_piecewise(
-    u,
-    tau_k: float,
-    params: EdgeworthParams,
-    displacement: Displacement,
-    strict_grid: bool = False,
-):
+def psi_c_piecewise(u, tau_k: float, params: EdgeworthParams, displacement: Displacement):
     """Closed-form characteristic function under a piecewise-constant shift.
 
-    The leading Gaussian factor uses the shift-weighted variance
-    <Phi_tilde_2, DeltaT_1>/tau_k and the bracket collects the skew, drift,
-    eta and vol-of-vol corrections through inner products of shift powers
-    with tenor-power increments, truncated to the segments below tau_k.
-
-    tau_k is normally one of the displacement tenors.  Off-grid tau is
-    evaluated by inserting tau as an extra breakpoint carrying the prevailing
-    level (the displacement is constant on each segment); pass
-    ``strict_grid=True`` to reject off-grid tenors instead.
+    phi_tilde = 1 + phi/sigma0 is constant on each segment of
+    ``displacement.segments_to(tau_k)``, so the eight nested integrals of the
+    bracket follow exactly from a recursion over those segments.  tau_k is
+    normally one of the displacement tenors; off-grid tau is evaluated by
+    inserting tau as an extra breakpoint carrying the prevailing level.
+    Raises ValueError when a shift level below tau_k makes the shifted
+    volatility non-positive.
     """
-    if not tau_k > 0.0:
-        raise ValueError(f"tau must be > 0, got {tau_k}")
-    if strict_grid and not any(
-        math.isclose(tau_k, t, rel_tol=1e-12) for t in displacement.tenors
-    ):
-        raise ValueError(f"tau={tau_k} is not on the displacement grid")
     bounds, seg = displacement.segments_to(tau_k)
-    ip = _inner_products(bounds, seg, params.sigma0)
-
-    uu, scalar = _as_freq(u)
-    u2 = uu * uu
-    u4 = u2 * u2
-    s0 = params.sigma0
-    bt = params.beta_tilde0
-    rho = params.rho0
-    t = tau_k
-
-    lead = -0.5 * u2 * (ip[1, 0] / t)
-    bracket = (
-        1.0
-        - 1j * u2 * uu * (bt * rho / (2.0 * s0 * t**1.5)) * ip[1, 1]
-        - u2 * (params.alpha_prime0 / (s0 * t)) * ip[0, 1]
-        + u4 * (params.eta0 / (6.0 * s0 * t * t)) * ip[0, 2]
-        - (bt * bt * rho * rho / (8.0 * s0 * s0 * t))
-        * u2
-        * (
-            2.0 * t * t
-            + 2.0 * u2 * ip[1, 1]
-            - (4.0 * u2 / t) * ip[1, 2]
-            - (12.0 * u2 / t) * (ip[1, 2] / 6.0 - (u2 / (12.0 * t)) * ip[3, 3])
-        )
-        - (bt * bt * (1.0 - rho * rho) / (2.0 * s0 * s0 * t))
-        * u2
-        * (0.5 * t * t - (u2 / (3.0 * t)) * ip[1, 2])
-    )
-    return _damped(lead, bracket, scalar)
+    levels = _phi_tilde_column(seg, params.sigma0)
+    return _psi_from_integrals(u, tau_k, params, _segment_integrals(bounds, levels))
 
 
 def _sample_phi_tilde(
@@ -373,8 +343,8 @@ def psi_c_quadrature(
     integral of phi_tilde(s) = 1 + phi(s)/sigma0 is computed by a composite
     trapezoid rule with running cumulative sums on a uniform grid whose node
     set includes all supplied breakpoints (each inserted twice so that jump
-    discontinuities are integrated exactly).  The drift split uses
-    alpha0 = delta0 = alpha_prime0.
+    discontinuities are integrated exactly); the eight integrals feed the
+    same bracket as the closed forms.
 
     Parameters
     ----------
@@ -419,40 +389,9 @@ def psi_c_quadrature(
     K1 = cum(s * v)       # int_0^s s1 * phi_tilde
     M = cum(v * H)        # int_0^s phi_tilde * H
 
-    i_var = cum(v * v)[-1]
-    i_skew = H[-1]
-    i_delta = G[-1]
-    i_alpha = K1[-1]
-    i_eta = cum(G)[-1]
-    i_b3 = M[-1]
-    i_m1 = cum(v * K1)[-1]
-    i_m2 = cum(v * M)[-1]
-
-    uu, scalar = _as_freq(u)
-    u2 = uu * uu
-    s0 = params.sigma0
-    b0 = params.beta0
-    b0p = params.beta0_perp
-    a0 = d0 = params.alpha_prime0
-    t = tau
-
-    lead = -0.5 * u2 * (i_var / t)
-    bracket = (
-        1.0
-        - 1j * u2 * uu * (b0 / (s0 * t**1.5)) * i_skew
-        - u2 * (d0 / (s0 * t)) * i_delta
-        - u2 * (a0 / (s0 * t)) * i_alpha
-        + u2 * u2 * (params.eta0 / (s0 * t * t)) * i_eta
-        - (b0 * b0 * u2 / (8.0 * s0 * s0 * t))
-        * (
-            2.0 * t * t
-            + 4.0 * u2 * i_skew
-            - (24.0 * u2 / t) * i_b3
-            - (12.0 * u2 / t) * (i_m1 - (2.0 * u2 / t) * i_m2)
-        )
-        - (b0p * b0p * u2 / (2.0 * s0 * s0 * t)) * (0.5 * t * t - (2.0 * u2 / t) * i_m1)
-    )
-    return _damped(lead, bracket, scalar)
+    integrals = (cum(v * v)[-1], H[-1], G[-1], K1[-1], cum(G)[-1], M[-1],
+                 cum(v * K1)[-1], cum(v * M)[-1])
+    return _psi_from_integrals(u, tau, params, integrals)
 
 
 def psi_jump(u, tau: float, params: EdgeworthParams):

@@ -126,7 +126,7 @@ def _adaptive_u_max(cf: Callable, shift: complex) -> float:
         chunk = _PROBES[lo:lo + 8]
         try:
             vals = np.abs(np.atleast_1d(cf(chunk + shift)))
-        except Exception:
+        except (ValueError, ArithmeticError, RuntimeError):
             break
         finite = np.isfinite(vals)
         stop = chunk.size if finite.all() else int(np.argmin(finite))

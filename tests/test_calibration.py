@@ -1,10 +1,13 @@
 """Calibration tests: the nested RMSE objective, fit diagnostics, and the
 optimizer's determinism, trace monotonicity and round-trip recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+from ustvol import calibration
 
 from ustvol.bspp_bootstrap import shift_weighted_variance
 from ustvol.calibration import (
@@ -211,6 +214,22 @@ def test_calibrate_input_validation():
         calibrate(surf, "svi")
     with pytest.raises(ValueError, match="seed_params"):
         calibrate(surf, "bs_pp", seed_params=(0.2,))
+
+
+def test_calibrate_propagates_programming_errors(monkeypatch):
+    # a TypeError is a bug, not an infeasible parameter vector: it must reach
+    # the caller instead of being scored as a penalty
+    calls = []
+
+    def broken_cf(u, tau, theta):
+        calls.append(tau)
+        raise TypeError("broken characteristic function")
+
+    spec = dataclasses.replace(calibration.get_model("bs_pp"), _cf=broken_cf)
+    monkeypatch.setattr(calibration, "get_model", lambda model_id: spec)
+    with pytest.raises(TypeError, match="broken characteristic function"):
+        calibrate(_flat_surface(), "bs_pp", quad=QUAD, budget=60, restarts=0)
+    assert len(calls) == 1  # raised by the first objective evaluation
 
 
 def test_calibration_result_validation():

@@ -1,4 +1,4 @@
-"""Tests for the continuous-part CF expansion, tenor matrices and jump factor."""
+"""Tests for the continuous-part CF expansion, its displacement and the jump factor."""
 
 import math
 
@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ustvol.cf_edgeworth import (
     Displacement,
     EdgeworthParams,
-    build_tenor_matrices,
     psi_c_no_shift,
     psi_c_piecewise,
     psi_c_quadrature,
     psi_full,
     psi_jump,
 )
+from ustvol.mc_oracle import SimConfig, empirical_cf, simulate_edgeworth_submodel
 
 # Frozen from tests/oracles.py (independent 50-digit polynomial evaluation):
 # cf_expansion_highprec(2, 5.5/(24*365), 0.2, 0.4, -0.7, 0.1, 0)
@@ -31,53 +31,6 @@ TAU_55H = 5.5 / (24.0 * 365.0)
 
 def _u_grid():
     return np.linspace(-50.0, 50.0, 201)
-
-
-# ---------------------------------------------------------------------------
-# build_tenor_matrices
-# ---------------------------------------------------------------------------
-
-def test_matrices_single_tenor_no_shift():
-    tm = build_tenor_matrices(Displacement(tenors=(1.0,), shifts=()), 0.2)
-    np.testing.assert_array_equal(tm.delta_t, np.ones((4, 1)))
-    np.testing.assert_array_equal(tm.phi_tilde, np.ones((4, 1)))
-
-
-def test_matrices_integer_grid_zero_shift():
-    tm = build_tenor_matrices(Displacement(tenors=(1.0, 2.0), shifts=(0.0,)), 0.37)
-    np.testing.assert_array_equal(tm.delta_t, [[1, 1], [1, 3], [1, 7], [1, 15]])
-    np.testing.assert_array_equal(tm.phi_tilde, np.ones((4, 2)))
-
-
-def test_matrices_shift_power_column():
-    # (1 + 0.1/0.2)^j = 1.5^j
-    tm = build_tenor_matrices(Displacement(tenors=(0.5, 1.0), shifts=(0.1,)), 0.2)
-    np.testing.assert_allclose(tm.phi_tilde[:, 1], [1.5, 2.25, 3.375, 5.0625], rtol=0, atol=0)
-
-
-@given(
-    st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6).map(
-        lambda xs: tuple(np.cumsum(xs))
-    )
-)
-def test_delta_t_first_row_telescopes(tenors):
-    d = Displacement(tenors=tenors, shifts=(0.0,) * (len(tenors) - 1))
-    tm = build_tenor_matrices(d, 0.2)
-    assert math.isclose(tm.delta_t[0].sum(), tenors[-1], rel_tol=1e-12)
-
-
-def test_matrices_validation_errors():
-    with pytest.raises(ValueError):
-        Displacement(tenors=(1.0, 0.5), shifts=(0.1,))
-    with pytest.raises(ValueError):
-        Displacement(tenors=(-1.0, 0.5), shifts=(0.1,))
-    with pytest.raises(ValueError):
-        Displacement(tenors=(0.5, 1.0), shifts=())
-    with pytest.raises(ValueError):
-        build_tenor_matrices(Displacement(tenors=(1.0,), shifts=()), -0.2)
-    with pytest.raises(ValueError):
-        # shift drives 1 + a/sigma0 negative
-        build_tenor_matrices(Displacement(tenors=(0.5, 1.0), shifts=(-0.3,)), 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +55,39 @@ def test_no_shift_matches_high_precision_oracle():
     assert abs(val - CF_NOSHIFT_ORACLE) < 1e-13
 
 
+def _no_shift_reference(u, tau, p):
+    """The psi_c_no_shift docstring formula, written in beta_tilde0 and rho0.
+
+    The code evaluates the shared bracket of nested integrals instead, so
+    this literal form checks the bracket independently."""
+    s0, bt, rho = p.sigma0, p.beta_tilde0, p.rho0
+    u2 = u * u
+    return np.exp(-u2 / 2.0) * (
+        1.0
+        - 1j * u2 * u * (bt * rho / (2.0 * s0)) * math.sqrt(tau)
+        - u2 * (2.0 * p.alpha_prime0 / (2.0 * s0) + bt**2 / (4.0 * s0**2)) * tau
+        + (bt**2 / (24.0 * s0**2)) * u2 * (4.0 * u2 - rho**2 * u2 * (3.0 * u2 - 8.0)) * tau
+        + (p.eta0 / (6.0 * s0)) * u2 * u2 * tau
+    )
+
+
+def test_no_shift_matches_literal_formula():
+    # every loading active, alpha_prime0 and eta0 included; real frequencies
+    # and the pricer's shifted argument u - i*sigma0*sqrt(tau)
+    rng = np.random.default_rng(44)
+    u = _u_grid()
+    worst = 0.0
+    for _ in range(500):
+        p = EdgeworthParams(sigma0=rng.uniform(0.05, 0.6), beta_tilde0=rng.uniform(0.0, 2.0),
+                            rho0=rng.uniform(-1.0, 1.0), eta0=rng.uniform(-2.0, 2.0),
+                            alpha_prime0=rng.uniform(-2.0, 2.0))
+        tau = rng.uniform(0.3 / 365, 7 / 365)
+        for uu in (u, u - 1j * p.sigma0 * math.sqrt(tau)):
+            worst = max(worst, float(np.abs(psi_c_no_shift(uu, tau, p)
+                                            - _no_shift_reference(uu, tau, p)).max()))
+    assert worst < 1e-13
+
+
 def test_no_shift_rejects_bad_tau():
     p = EdgeworthParams(sigma0=0.2)
     with pytest.raises(ValueError):
@@ -113,6 +99,8 @@ def test_no_shift_rejects_bad_tau():
 def test_params_validation():
     with pytest.raises(ValueError):
         EdgeworthParams(sigma0=0.0)
+    with pytest.raises(ValueError):
+        EdgeworthParams(sigma0=-0.2)
     with pytest.raises(ValueError):
         EdgeworthParams(sigma0=0.2, rho0=-1.2)
     with pytest.raises(ValueError):
@@ -131,7 +119,7 @@ def test_params_validation():
 
 def test_piecewise_zero_shift_collapse_exact():
     """With all shifts zero the piecewise form must equal the no-shift form
-    to machine precision (inner products collapse to powers of tau)."""
+    to machine precision (the segment integrals collapse to powers of tau)."""
     p = EdgeworthParams(sigma0=0.25, beta_tilde0=0.6, rho0=-0.5, eta0=0.2, alpha_prime0=-0.1)
     d = Displacement(tenors=(1 / 365, 2 / 365, 5 / 365), shifts=(0.0, 0.0))
     u = _u_grid()
@@ -142,19 +130,17 @@ def test_piecewise_zero_shift_collapse_exact():
 
 def test_piecewise_hand_value():
     # beta=eta=alpha'=0 leaves only the leading factor:
-    # exp(-0.5 * <Phi2, dT1> / tau) = exp(-0.5*(0.5 + 2.25*0.5)) = exp(-0.8125)
+    # exp(-0.5 * int phi_tilde^2 / tau) = exp(-0.5*(0.5 + 2.25*0.5)) = exp(-0.8125)
     p = EdgeworthParams(sigma0=0.2)
     d = Displacement(tenors=(0.5, 1.0), shifts=(0.1,))
     val = psi_c_piecewise(1.0, 1.0, p, d)
     assert val == pytest.approx(math.exp(-0.8125), rel=1e-14)
 
 
-def test_piecewise_strict_grid_rejects_offgrid_tau():
+def test_piecewise_offgrid_tau_inserts_breakpoint():
     p = EdgeworthParams(sigma0=0.2)
     d = Displacement(tenors=(1 / 365, 2 / 365), shifts=(0.05,))
-    with pytest.raises(ValueError, match="not on the displacement grid"):
-        psi_c_piecewise(1.0, 1.5 / 365, p, d, strict_grid=True)
-    # non-strict evaluation inserts tau as a breakpoint with the prevailing level
+    # off-grid evaluation inserts tau as a breakpoint with the prevailing level
     val = psi_c_piecewise(1.0, 1.5 / 365, p, d)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
@@ -171,7 +157,7 @@ def test_piecewise_offgrid_first_segment_matches_quadrature():
 
 def test_piecewise_variance_factor_exact_multisegment():
     # With beta=eta=alpha'=0 only the shift-weighted variance factor remains,
-    # and its inner product is exact for any number of segments.
+    # and the trapezoid integrates it exactly for any number of segments.
     p = EdgeworthParams(sigma0=0.2)
     tau = 1 / 104
     d = Displacement(tenors=(tau / 3, 2 * tau / 3, tau), shifts=(0.05, -0.03))
@@ -180,25 +166,49 @@ def test_piecewise_variance_factor_exact_multisegment():
     assert diff.max() < 1e-12
 
 
-def test_piecewise_and_quadrature_disagree_beyond_one_shifted_segment():
-    """Known structural gap between the two closed-form routes.
-
-    The piecewise form evaluates nested cross-segment integrals
-    segment-locally, which differs from the true nested integrals whenever
-    more than one segment carries a nonzero shift and any of the vol-of-vol /
-    drift / eta loadings is active.  psi_c_quadrature integrates the nested
-    integrals directly and is the ground truth.  This test pins the measured
-    gap so any silent change to either route is caught.
-    """
+def test_piecewise_and_quadrature_agree_beyond_one_shifted_segment():
+    """The segment recursion gives the nested integrals exactly, so the
+    closed form matches the quadrature oracle with every loading active and
+    two segments carrying different nonzero shifts."""
     p = EdgeworthParams(sigma0=0.2, beta_tilde0=0.4, rho0=-0.7, eta0=0.1, alpha_prime0=0.05)
     tau = 1 / 104
     d = Displacement(tenors=(tau / 3, 2 * tau / 3, tau), shifts=(0.05, -0.03))
     u = _u_grid()
     gap = np.abs(psi_c_piecewise(u, tau, p, d) - psi_c_quadrature(u, tau, p, d)).max()
-    assert 1e-3 < gap < 1e-2  # measured 2.55e-3 at this fixture
-    # the quadrature route itself is converged far below the gap
+    assert gap < 1e-9  # measured 8.2e-11 at this fixture
+    # the quadrature route itself is converged to the same level
     ref = psi_c_quadrature(u, tau, p, d, node_count=80_000)
     assert np.abs(psi_c_quadrature(u, tau, p, d) - ref).max() < 1e-9
+
+
+def test_piecewise_mc_expansion_order_displaced():
+    # displaced counterpart of the gate's MC order check: the exact sampler
+    # of the rho0 = -1 sub-model with two shifted segments on a (1, 2, 4)-day
+    # grid scaled to end at 4, 2 and 1 days; the CF error must decay faster
+    # than tau^1.2 (measured exponents 1.43 and 1.51; the old segment-local
+    # closed form gave about 0.9)
+    p = EdgeworthParams(sigma0=0.2, beta_tilde0=0.8, rho0=-1.0)
+    u = np.linspace(-4.0, 4.0, 33)
+    u = u[np.abs(u) > 1e-12]
+    errs = []
+    for days in (4, 2, 1):
+        tau = days / 365
+        d = Displacement(tenors=(tau / 4, tau / 2, tau), shifts=(0.08, -0.06))
+        cfg = SimConfig(paths=10**6, steps_per_tenor=1, rng_seed=5)
+        sim = simulate_edgeworth_submodel(p, d, tau, cfg, exact=True)
+        emp, _ = empirical_cf(sim.z_continuous, u)
+        errs.append(float(np.max(np.abs(emp - psi_c_piecewise(u, tau, p, d)))))
+    exps = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
+    assert min(exps) >= 1.2, (errs, exps)
+
+
+def test_piecewise_rejects_non_positive_shifted_vol():
+    p = EdgeworthParams(sigma0=0.2)
+    d = Displacement(tenors=(0.5, 1.0), shifts=(-0.3,))  # 1 + a/sigma0 = -0.5
+    with pytest.raises(ValueError, match="non-positive"):
+        psi_c_piecewise(1.0, 1.0, p, d)
+    # below the offending segment the displacement is still admissible
+    assert np.isfinite(abs(psi_c_piecewise(1.0, 0.25, p, d)))
 
 
 @given(st.floats(-30.0, 30.0))
@@ -346,6 +356,19 @@ def test_complex_frequency_supported():
                lambda u: psi_c_quadrature(u, 2 / 365, p, d)):
         v = fn(1.0 + shift)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+
+def test_displacement_validation_errors():
+    with pytest.raises(ValueError):
+        Displacement(tenors=(1.0, 0.5), shifts=(0.1,))
+    with pytest.raises(ValueError):
+        Displacement(tenors=(-1.0, 0.5), shifts=(0.1,))
+    with pytest.raises(ValueError):
+        Displacement(tenors=(0.5, 1.0), shifts=())
+    with pytest.raises(ValueError):
+        Displacement(tenors=(), shifts=())
+    with pytest.raises(ValueError):
+        Displacement(tenors=(1.0,), shifts=()).segments_to(0.0)
 
 
 def test_displacement_phi_lookup():

@@ -13,6 +13,7 @@ from ustvol.fourier_pricer import (
     NegativePriceError,
     PricingRequest,
     QuadratureConfig,
+    _adaptive_u_max,
     bs_price,
     call_price,
     implied_vol,
@@ -93,6 +94,21 @@ def test_cf_normalization_error():
     dead_cf = lambda u: np.zeros_like(np.asarray(u, dtype=complex))
     with pytest.raises(CFNormalizationError):
         call_price(PricingRequest(100.0, 100.0, TAU), dead_cf, 0.2)
+
+
+def test_u_max_probe_truncates_only_numerical_failures():
+    # a CF solver failing far out truncates the probe scan; a TypeError is a
+    # bug and must propagate
+    def non_decaying_cf(exc):
+        def cf(u):
+            if np.max(np.abs(u)) > 50.0:
+                raise exc("far-out failure")
+            return np.ones_like(u)
+        return cf
+
+    assert 5.0 <= _adaptive_u_max(non_decaying_cf(RuntimeError), 0j) <= 50.0
+    with pytest.raises(TypeError):
+        _adaptive_u_max(non_decaying_cf(TypeError), 0j)
 
 
 def test_negative_price_error_on_misconfigured_quadrature():
