@@ -5,8 +5,8 @@ The objective is the nested average of squared implied-vol errors -- per
 tenor first, then across tenors -- rooted and quoted in vol points (x100).
 Market IVs come from mid premiums and are computed once per calibration.
 Every evaluation re-prices each tenor slice once, its strikes as one array
-from one set of CF grids, then inverts model IVs with one root-find per
-quote.  The fit report (RMSE, bucket RMSEs and the bid/ask hit share) comes
+from one set of CF grids, then inverts the slice's model IVs in one array
+solve.  The fit report (RMSE, bucket RMSEs and the bid/ask hit share) comes
 out of that same single pass.
 """
 
@@ -23,7 +23,9 @@ from .bspp_bootstrap import AtmTermStructure, CalendarArbitrageError, calibrate_
 from .fourier_pricer import (
     ArbitrageBoundsError,
     QuadratureConfig,
+    _IV_BRACKET,
     _checked_slice_calls,
+    _implied_vols,
     _put_from_call,
     implied_vol,
 )
@@ -40,7 +42,6 @@ __all__ = [
 ]
 
 _PENALTY = 1e6
-_IV_BRACKET = (1e-6, 10.0)
 _STAGNATION_TOL = 1e-4  # vol points
 
 
@@ -110,24 +111,22 @@ class _SliceView:
 
 
 def _market_view(surface: Surface, rate: float, mid_ivs: bool = True) -> list:
-    """Per-tenor market data; with ``mid_ivs`` false the mid IVs are left NaN
-    instead of inverted (and a mid without one is no error)."""
+    """Per-tenor market data; with ``mid_ivs`` false a mid without an
+    implied vol is no error and its IV is left NaN."""
     views = []
     for sl in surface.slices:
-        ivs = []
-        for q in sl.quotes:
-            if not mid_ivs:
-                ivs.append(math.nan)
-                continue
-            try:
-                ivs.append(implied_vol(
-                    q.mid, surface.spot, q.strike, sl.tau, rate, is_call=q.is_call
-                ))
-            except ArbitrageBoundsError as exc:
-                raise ValueError(
-                    f"quote K={q.strike} tau={sl.tau} has no finite mid "
-                    f"implied vol: {exc}"
-                ) from exc
+        ivs = _implied_vols([q.mid for q in sl.quotes], surface.spot,
+                            [q.strike for q in sl.quotes], sl.tau, rate,
+                            [q.is_call for q in sl.quotes])
+        try:  # the scalar inversion of the first mid without an IV raises and says why
+            for q, iv in zip(sl.quotes, ivs):
+                if mid_ivs and math.isnan(iv):
+                    implied_vol(q.mid, surface.spot, q.strike, sl.tau, rate, is_call=q.is_call)
+        except ArbitrageBoundsError as exc:
+            raise ValueError(
+                f"quote K={q.strike} tau={sl.tau} has no finite mid "
+                f"implied vol: {exc}"
+            ) from exc
         views.append(_SliceView(
             tau=sl.tau,
             strikes=tuple(q.strike for q in sl.quotes),
@@ -151,18 +150,12 @@ def _slice_model_quotes(model, theta, view: _SliceView, spot, rate, quad):
         lambda u: model.cf_standardized(u, view.tau, theta),
         model.spot_vol(theta), view.tau, spot, rate, view.strikes, quad,
     )
-    prices, ivs = [], []
-    for strike, is_call, call in zip(view.strikes, view.is_call, calls):
-        disc_k = strike * math.exp(-rate * view.tau)
-        price = call if is_call else _put_from_call(call, spot, disc_k)
-        prices.append(price)
-        try:
-            ivs.append(implied_vol(price, spot, strike, view.tau, rate, is_call))
-        except ArbitrageBoundsError:
-            intrinsic = max(spot - disc_k, 0.0) if is_call else max(disc_k - spot, 0.0)
-            near_floor = abs(price - intrinsic) < abs(price - (spot if is_call else disc_k))
-            ivs.append(_IV_BRACKET[0] if near_floor else _IV_BRACKET[1])
-    return prices, ivs
+    disc_k = np.multiply(view.strikes, math.exp(-rate * view.tau))
+    prices = np.where(view.is_call, calls, _put_from_call(calls, spot, disc_k))
+    ivs = _implied_vols(prices, spot, view.strikes, view.tau, rate, view.is_call)
+    intrinsic = np.maximum(np.where(view.is_call, spot - disc_k, disc_k - spot), 0.0)
+    near_floor = np.abs(prices - intrinsic) < np.abs(prices - np.where(view.is_call, spot, disc_k))
+    return prices, np.where(np.isnan(ivs), np.where(near_floor, *_IV_BRACKET), ivs)
 
 
 def _report(views, model, theta, spot, rate, quad) -> tuple:

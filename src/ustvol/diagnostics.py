@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf_edgeworth import EdgeworthParams, psi_c_no_shift
-from .fourier_pricer import QuadratureConfig, _checked_slice_calls, _put_from_call, implied_vol
+from .fourier_pricer import QuadratureConfig, _checked_slice_calls, _implied_vols, _put_from_call
 from .registry import get_model
 
 __all__ = [
@@ -126,14 +126,12 @@ def verify_smile_against_pricer(
     out = []
     for tau in tau_list:
         h = 0.01 * params.sigma0 * math.sqrt(tau)
-        strikes = [spot * math.exp(x) for x in (-h, 0.0, h)]
+        strikes = np.array([spot * math.exp(x) for x in (-h, 0.0, h)])
         calls = _checked_slice_calls(lambda u: psi_c_no_shift(u, tau, params),
                                      params.sigma0, tau, spot, 0.0, strikes, quad)
-        ivs = [
-            implied_vol(call, spot, k, tau, 0.0, is_call=True) if k >= spot
-            else implied_vol(_put_from_call(call, spot, k), spot, k, tau, 0.0, is_call=False)
-            for k, call in zip(strikes, calls)
-        ]
+        otm_call = strikes >= spot
+        ivs = _implied_vols(np.where(otm_call, calls, _put_from_call(calls, spot, strikes)),
+                            spot, strikes, tau, 0.0, otm_call).tolist()
         level = ivs[1]
         skew = (ivs[2] - ivs[0]) / (2.0 * h)
         convexity = (ivs[2] - 2.0 * ivs[1] + ivs[0]) / (h * h)
@@ -200,17 +198,16 @@ def _price_tenors(model, theta, tenors, spot: float, quad: QuadratureConfig) -> 
     """Price the 3-contract cross-section of each tenor; returns a checksum
     so the work cannot be optimized away."""
     sigma0 = model.spot_vol(theta)
-    strikes = (spot,
-               spot * math.exp(-_BENCH_LOG_MONEYNESS),
-               spot * math.exp(_BENCH_LOG_MONEYNESS))
+    strikes = np.array([spot,
+                        spot * math.exp(-_BENCH_LOG_MONEYNESS),
+                        spot * math.exp(_BENCH_LOG_MONEYNESS)])
     total = 0.0
     for tau in tenors:
         calls = _checked_slice_calls(lambda u: model.cf_standardized(u, tau, theta),
                                      sigma0, tau, spot, 0.0, strikes, quad)
         # puts at and below spot via parity, matching the fixture's
         # ATM-put / OTM-put / OTM-call mix at identical cost
-        total += sum(call if strike > spot else _put_from_call(call, spot, strike)
-                     for strike, call in zip(strikes, calls))
+        total += float(np.where(strikes > spot, calls, _put_from_call(calls, spot, strikes)).sum())
     return total
 
 

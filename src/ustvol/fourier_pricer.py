@@ -14,8 +14,7 @@ Integrals are discretized by a composite trapezoid on [u_min, u_max] with
 u_min = 1e−8 and u_max adaptive (smallest U where |Ψ(U − iσ₀√τ)|/U drops
 below 1e−12, capped at 2000).  Every caller prices through one kernel per
 tenor slice: CF grids once per tenor, then the trapezoid over (strikes × nodes)
-blocks.  Implied vols take one root-find per contract.  Puts come from put/call
-parity.
+blocks.  Implied vols of a slice take one array solve.  Puts come from parity.
 Plain Black–Scholes pricing and a bracketed implied-vol inversion live here
 as well, since every consumer of the pricer needs them.
 """
@@ -27,15 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def _norm_cdf(x: float) -> float:
-    # scalar-fast standard normal CDF; calibration inverts thousands of
-    # quotes per objective evaluation through this in a brentq loop
-    return 0.5 * math.erfc(-x / _SQRT2)
+from scipy.special import ndtr
 
 __all__ = [
     "PricingRequest",
@@ -63,6 +54,9 @@ _NEGATIVE_TOL = 1e-4
 # 40-strike slice in one block took 10-30% longer than one strike at a time,
 # and ~10% less in blocks of this size
 _BLOCK_POINTS = 16_384
+# implied vols are sought on this bracket; a price outside its BS image has none
+_IV_BRACKET = (1e-6, 10.0)
+_NO_IV = "price {:.6g} outside its arbitrage bounds or the BS image of [1e-06, 10] (K={}, tau={})"
 
 
 class CFNormalizationError(ValueError):
@@ -181,10 +175,10 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
         )
         for j in np.flatnonzero(raw < -_NEGATIVE_TOL * spot)
     }
-    return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot).tolist(), negative
+    return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot), negative
 
 
-def _checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad) -> list:
+def _checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad) -> np.ndarray:
     """:func:`_slice_calls` for callers without per-contract errors: the
     first negative raw price raises."""
     calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad)
@@ -193,9 +187,9 @@ def _checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad) -> list:
     return calls
 
 
-def _put_from_call(call: float, spot: float, disc_k: float) -> float:
+def _put_from_call(call, spot: float, disc_k):
     """Put/call parity, floored at intrinsic and capped at Ke^{−rτ}."""
-    return min(max(call - spot + disc_k, max(disc_k - spot, 0.0)), disc_k)
+    return np.minimum(np.maximum(call - spot + disc_k, np.maximum(disc_k - spot, 0.0)), disc_k)
 
 
 def call_price(
@@ -223,8 +217,8 @@ def call_price(
     :class:`NegativePriceError`; a degenerate normalizer raises
     :class:`CFNormalizationError`.
     """
-    return _checked_slice_calls(cf, sigma0, req.tau, req.spot, req.rate, [req.strike],
-                                quad or QuadratureConfig())[0]
+    return float(_checked_slice_calls(cf, sigma0, req.tau, req.spot, req.rate, [req.strike],
+                                      quad or QuadratureConfig())[0])
 
 
 def put_price(
@@ -235,7 +229,15 @@ def put_price(
 ) -> float:
     """European put via put/call parity, floored at intrinsic and capped at Ke^{−rτ}."""
     call = call_price(req, cf, sigma0, quad)
-    return _put_from_call(call, req.spot, req.strike * math.exp(-req.rate * req.tau))
+    return float(_put_from_call(call, req.spot, req.strike * math.exp(-req.rate * req.tau)))
+
+
+def _bs_prices(spot: float, strikes, tau: float, rate: float, vol, sign) -> tuple:
+    """Black–Scholes prices (``sign`` +1 calls, −1 puts) and d₁ at vols > 0."""
+    sq = vol * math.sqrt(tau)
+    d1 = (np.log(spot / strikes) + (rate + 0.5 * vol * vol) * tau) / sq
+    disc_k = strikes * math.exp(-rate * tau)
+    return sign * (spot * ndtr(sign * d1) - disc_k * ndtr(sign * (d1 - sq))), d1
 
 
 def bs_price(
@@ -246,16 +248,48 @@ def bs_price(
         raise ValueError("spot, strike and tau must be > 0")
     if vol < 0.0:
         raise ValueError(f"vol must be >= 0, got {vol}")
-    disc_k = strike * math.exp(-rate * tau)
     if vol == 0.0:
-        intrinsic = spot - disc_k
+        intrinsic = spot - strike * math.exp(-rate * tau)
         return max(intrinsic, 0.0) if is_call else max(-intrinsic, 0.0)
-    sq = vol * math.sqrt(tau)
-    d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * tau) / sq
-    d2 = d1 - sq
-    if is_call:
-        return spot * _norm_cdf(d1) - disc_k * _norm_cdf(d2)
-    return disc_k * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
+    return float(_bs_prices(spot, strike, tau, rate, vol, 1.0 if is_call else -1.0)[0])
+
+
+def _implied_vols(prices, spot: float, strikes, tau: float, rate: float, is_call) -> np.ndarray:
+    """Black–Scholes implied vols of same-shaped arrays of quotes at one tenor.
+
+    NaN where a quote has none: a price at or below intrinsic, at or above
+    S₀ (calls) or Ke^{−rτ} (puts), or outside the bracket's Black–Scholes
+    prices.  The out-of-the-money time value, price − intrinsic, is inverted
+    by Newton steps from the Manaster–Koehler inflection point
+    sqrt(2|log(F/K)|/τ), each kept inside its quote's bracket by bisection.
+    """
+    prices, strikes = np.asarray(prices, dtype=float), np.asarray(strikes, dtype=float)
+    lo, hi = _IV_BRACKET
+    sign = np.where(is_call, 1.0, -1.0)
+    disc_k = strikes * math.exp(-rate * tau)
+    intrinsic = np.maximum(sign * (spot - disc_k), 0.0)
+    ok = ((prices > intrinsic) & (prices < np.where(is_call, spot, disc_k))
+          & (_bs_prices(spot, strikes, tau, rate, lo, sign)[0] <= prices)
+          & (_bs_prices(spot, strikes, tau, rate, hi, sign)[0] >= prices))
+    otm_sign = np.where(disc_k >= spot, 1.0, -1.0)[ok]
+    strikes, target = strikes[ok], (prices - intrinsic)[ok]
+    vol = np.clip(np.sqrt(2.0 * np.abs(np.log(spot / strikes) + rate * tau) / tau), lo, hi)
+    below, above = np.full(vol.shape, lo), np.full(vol.shape, hi)
+    # Newton from the inflection point converges monotonically and quadratically:
+    # after a step below 1e-12 only rounding noise is left; bisection needs ~45 steps
+    for _ in range(100):
+        gap, d1 = _bs_prices(spot, strikes, tau, rate, vol, otm_sign)
+        gap -= target
+        below, above = np.where(gap < 0.0, vol, below), np.where(gap > 0.0, vol, above)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = vol - gap / (spot * math.sqrt(tau / (2.0 * math.pi)) * np.exp(-0.5 * d1 * d1))
+        step = np.where((step >= below) & (step <= above), step, 0.5 * (below + above))
+        vol, prev = step, vol
+        if np.all(np.abs(vol - prev) <= 1e-12):
+            break
+    out = np.full(prices.shape, np.nan)
+    out[ok] = vol
+    return out
 
 
 def implied_vol(
@@ -267,36 +301,10 @@ def implied_vol(
     model-free bounds (or below the bracket's smallest representable time
     value); ingestion relies on this to drop bad quotes.
     """
-    disc_k = strike * math.exp(-rate * tau)
-    intrinsic = max(spot - disc_k, 0.0) if is_call else max(disc_k - spot, 0.0)
-    upper = spot if is_call else disc_k
-    if price <= intrinsic or price >= upper:
-        raise ArbitrageBoundsError(
-            f"price {price:.6g} outside arbitrage bounds ({intrinsic:.6g}, {upper:.6g}) "
-            f"for K={strike}, tau={tau}"
-        )
-    lo, hi = 1e-6, 10.0
-    f_lo = bs_price(spot, strike, tau, rate, lo, is_call) - price
-    f_hi = bs_price(spot, strike, tau, rate, hi, is_call) - price
-    if f_lo > 0.0:
-        raise ArbitrageBoundsError(
-            f"price {price:.6g} below the vol={lo} Black–Scholes value; "
-            "no implied volatility in bracket"
-        )
-    if f_hi < 0.0:
-        raise ArbitrageBoundsError(
-            f"price {price:.6g} above the vol={hi} Black–Scholes value; "
-            "no implied volatility in bracket"
-        )
-    return float(
-        brentq(
-            lambda v: bs_price(spot, strike, tau, rate, v, is_call) - price,
-            lo,
-            hi,
-            xtol=1e-14,
-            rtol=8.9e-16,
-        )
-    )
+    vol = float(_implied_vols(price, spot, strike, tau, rate, is_call)[()])
+    if math.isnan(vol):
+        raise ArbitrageBoundsError(_NO_IV.format(price, strike, tau))
+    return vol
 
 
 def price_surface(
@@ -311,11 +319,11 @@ def price_surface(
 
     ``model`` is any object exposing ``cf_standardized(u, tau, params)`` and
     ``spot_vol(params)`` (the registry model bundles do).  The strikes of
-    each tenor are priced as one array from a single set of CF grids; each
-    IV is then one root-find per contract.  Per-contract failures are
-    collected in the result's ``error`` field, not raised: an invalid
-    contract or a negative raw price fails that contract alone, a CF failure
-    the contracts of its tenor.
+    each tenor are priced as one array from a single set of CF grids, then
+    inverted by one array solve.  Per-contract failures are collected in the
+    result's ``error`` field: an invalid contract, a negative raw price or a
+    price without an IV fails that contract alone, a numerical CF failure
+    the contracts of its tenor; a programming error (TypeError) propagates.
 
     Returns a list of dicts: strike, tau, call (call price), iv (inverted on
     the out-of-the-money side for conditioning), error (None on success).
@@ -334,25 +342,26 @@ def price_surface(
             rec["error"] = f"{type(exc).__name__}: {exc}"
 
     for tau, recs in slices.items():
+        strikes = np.array([rec["strike"] for rec in recs], dtype=float)
         try:
             calls, errors = _slice_calls(
                 lambda u: model.cf_standardized(u, tau, params),
-                sigma0, tau, spot, rate, [rec["strike"] for rec in recs], quad,
+                sigma0, tau, spot, rate, strikes, quad,
             )
-        except Exception as exc:  # a failed tenor fails its own contracts only
-            calls, errors = [None] * len(recs), dict.fromkeys(range(len(recs)), exc)
-        for j, (rec, call) in enumerate(zip(recs, calls)):
-            try:
-                if j in errors:
-                    raise errors[j]
-                rec["call"] = call
-                strike = rec["strike"]
-                if strike >= spot * math.exp(rate * tau):
-                    rec["iv"] = implied_vol(call, spot, strike, tau, rate, is_call=True)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:  # fails its tenor only
+            calls, errors = np.full(strikes.size, np.nan), dict.fromkeys(range(strikes.size), exc)
+        otm_call = strikes >= spot * math.exp(rate * tau)
+        puts = _put_from_call(calls, spot, strikes * math.exp(-rate * tau))
+        prices = np.where(otm_call, calls, puts)
+        ivs = _implied_vols(prices, spot, strikes, tau, rate, otm_call)
+        for j, rec in enumerate(recs):
+            if j not in errors:
+                rec["call"] = float(calls[j])
+                if np.isnan(ivs[j]):
+                    errors[j] = ArbitrageBoundsError(_NO_IV.format(prices[j], rec["strike"], tau))
                 else:
-                    put = _put_from_call(call, spot, strike * math.exp(-rate * tau))
-                    rec["iv"] = implied_vol(put, spot, strike, tau, rate, is_call=False)
-            except Exception as exc:  # per-contract errors collected, not fatal
-                rec["error"] = f"{type(exc).__name__}: {exc}"
+                    rec["iv"] = float(ivs[j])
+            if j in errors:
+                rec["error"] = f"{type(errors[j]).__name__}: {errors[j]}"
 
     return [dict(results[(k, t)]) for k, t in surface_grid]

@@ -237,3 +237,30 @@ def test_calibration_result_validation():
         CalibrationResult("bs_pp", (0.2,), -1.0, {})
     with pytest.raises(ValueError, match="bid_ask_fraction"):
         CalibrationResult("bs_pp", (0.2,), 1.0, {}, bid_ask_fraction=1.5)
+
+
+def test_model_iv_clamps_to_bracket_edges():
+    # a model price floored at its intrinsic value has no IV and scores the
+    # bracket's low edge; one above the vol=10 Black-Scholes value scores the
+    # high edge; either way the RMSE stays finite
+    tau = 2.0 / 365.0
+    quotes = []
+    for k in (100.0, 116.0):  # ATM and z ~ +10 at sigma0 = 0.2
+        p = bs_price(100.0, k, tau, 0.0, 0.5)
+        quotes.append(OptionQuote(k, tau, p, p, is_call=True))
+    surf = Surface(100.0, (TenorSlice(tau, 100.0, 0.5, tuple(quotes), (0.0, 4.0)),))
+    view = calibration._market_view(surf, 0.0)[0]
+    model = calibration.get_model("bs_pp")
+    low, high = calibration._IV_BRACKET
+    assert (low, high) == (1e-6, 10.0)
+
+    prices, ivs = calibration._slice_model_quotes(model, model.unpack((0.2,), (tau,)),
+                                                  view, 100.0, 0.0, QUAD)
+    assert prices[1] == 0.0 and ivs[1] == low
+    assert abs(ivs[0] - 0.2) < 1e-4
+    _, ivs = calibration._slice_model_quotes(model, model.unpack((60.0,), (tau,)),
+                                             view, 100.0, 0.0, QUAD)
+    assert list(ivs) == [high, high]
+
+    assert math.isfinite(rmse(surf, "bs_pp", (0.2,), quad=QUAD))
+    assert rmse(surf, "bs_pp", (60.0,), quad=QUAD) == pytest.approx(100.0 * (high - 0.5), rel=1e-9)

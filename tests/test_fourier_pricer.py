@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import bs_price_highprec
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, psi_c_no_shift, psi_full
+from ustvol.diagnostics import BENCH_TENORS
 from ustvol.fourier_pricer import (
     ArbitrageBoundsError,
     CFNormalizationError,
@@ -14,6 +16,7 @@ from ustvol.fourier_pricer import (
     PricingRequest,
     QuadratureConfig,
     _adaptive_u_max,
+    _implied_vols,
     bs_price,
     call_price,
     implied_vol,
@@ -162,6 +165,23 @@ def test_bs_input_validation():
 def test_implied_vol_round_trip():
     price = bs_price(100.0, 103.0, 2.0 / 365.0, 0.0, 0.2)
     assert abs(implied_vol(price, 100.0, 103.0, 2.0 / 365.0, 0.0) - 0.2) < 1e-8
+    # 50-digit prices over the ingestion window's z in [-8, 5] at the
+    # shortest and longest bench tenors: the OTM side recovers the vol, the
+    # ITM side (whose time value is a residual of the intrinsic) the price
+    spot, rate = 100.0, 0.03
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        for vol in (0.1, 0.4):
+            strikes = spot * np.exp(np.linspace(-8.0, 5.0, 27) * vol * math.sqrt(tau))
+            otm_call = strikes >= spot * math.exp(rate * tau)
+            for otm, is_call in ((True, otm_call), (False, ~otm_call)):
+                prices = np.array([float(bs_price_highprec(spot, k, rate, tau, vol, c))
+                                   for k, c in zip(strikes, is_call)])
+                ivs = _implied_vols(prices, spot, strikes, tau, rate, is_call)
+                if otm:
+                    assert np.max(np.abs(ivs - vol)) <= 1e-12
+                else:
+                    back = [bs_price(spot, k, tau, rate, v, c) for k, v, c in zip(strikes, ivs, is_call)]
+                    assert np.max(np.abs(np.array(back) - prices)) <= 1e-12 * spot
 
 
 def test_implied_vol_residual_tolerance():
@@ -171,12 +191,16 @@ def test_implied_vol_residual_tolerance():
 
 
 def test_implied_vol_bound_violations():
-    with pytest.raises(ArbitrageBoundsError):
-        implied_vol(19.9, 100.0, 80.0, TAU, 0.0)  # below intrinsic S-K=20
-    with pytest.raises(ArbitrageBoundsError):
-        implied_vol(100.5, 100.0, 80.0, TAU, 0.0)  # above spot cap
-    with pytest.raises(ArbitrageBoundsError):
-        implied_vol(-0.5, 100.0, 120.0, TAU, 0.0)
+    # below intrinsic S-K=20, above the spot cap, below the vol=1e-6 value
+    # (about 1.2e-5 at the money) and above the vol=10 value (about 85 there)
+    prices = [19.9, 100.5, 1e-6, 99.0, -0.5]
+    strikes = [80.0, 80.0, 100.0, 100.0, 120.0]
+    for price, strike in zip(prices, strikes):
+        with pytest.raises(ArbitrageBoundsError):
+            implied_vol(price, 100.0, strike, TAU, 0.0)
+    ivs = _implied_vols(prices + [BS_ATM_CALL_1_12], 100.0, strikes + [100.0], TAU, 0.0, True)
+    assert np.isnan(ivs[:-1]).all()
+    assert abs(ivs[-1] - 0.2) < 1e-12
 
 
 @given(
@@ -263,6 +287,16 @@ def test_price_surface_18_contracts_full_model():
     for r in res:
         cf = lambda u, _t=r["tau"]: model.cf_standardized(u, _t, None)
         assert r["call"] == call_price(PricingRequest(100.0, r["strike"], r["tau"]), cf, 0.2)
+
+
+def test_price_surface_propagates_programming_errors():
+    # a TypeError from the CF is a bug, not a per-contract pricing failure
+    class BrokenModel(_ShimModel):
+        def cf_standardized(self, u, tau, params):
+            raise TypeError("bug in cf")
+
+    with pytest.raises(TypeError, match="bug in cf"):
+        price_surface([(100.0, TAU), (105.0, TAU)], BrokenModel(BS_PARAMS), None, 100.0)
 
 
 def test_price_surface_collects_errors_per_contract():
