@@ -13,6 +13,17 @@ Dormand-Prince 5(4) pair, vectorized across the whole frequency grid with a
 shared adaptive step.  The rough CF solves the fractional Riccati equation
 D^alpha psi = F(u, psi), alpha = H + 1/2, with the Adams
 predictor-corrector, then integrates F against the forward-variance curve.
+
+The Adams step is a weighted sum over the whole F history, so the solver is
+bound by reading that history.  Frequencies do not interact, so the rough
+grid is solved in blocks whose history fits in L2, and the weights, which
+are real, multiply the float view of the history: one real (2, n+1) matrix
+gives the predictor and corrector sums in one product.  The forward-variance
+integral is one more real product, with row weights, on the same block.
+Solving the whole grid at once, with two complex products per step (the
+weights cast to complex), streamed an 8 MB history from L3 twice per step at
+2000 frequencies and took about twice as long; the real product and the
+blocks each account for about half of the difference.
 """
 
 from __future__ import annotations
@@ -377,23 +388,91 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
 # Rough Heston CF (fractional Adams predictor-corrector)
 # ---------------------------------------------------------------------------
 
-def _fractional_adams(outer, linear, quad_coef, alpha: float, tau: float, n_steps: int):
-    """Solve D^alpha psi = P + L psi + Q psi^2, psi(0) = 0, vectorized over u.
+# frequencies per Adams block are chosen so that a block's F history, n_steps + 1
+# rows of complex128, takes at most this many bytes (382 frequencies at 256
+# steps) and each step reads it from L2.  Measured on a 2-core Xeon with 2 MB
+# of L2 per core (4 MB in all).  The blocks pay on their own: with the same
+# real-weight product, six 2048-point rough CF calls took 390-435 ms in blocks
+# and 586-631 ms as one whole-grid solve.  The size is pinned only to the
+# 1-3 MB range: three 2048-point calls took 180-235 ms in 1 MB blocks,
+# 165-210 ms in 1.5 MB and 180-210 ms in 3 MB, ranges that overlap
+_HISTORY_BYTES = 1536 * 1024
 
-    Returns F values f_j = F(u, psi(s_j)) on the uniform grid s_j = j h,
-    which is all the CF integral needs.  P=outer, L=linear, Q=quad_coef are
-    arrays over the frequency grid.
+
+def _adams_weights(alpha: float, n_steps: int):
+    """Real weights of every step, shape (n_steps, 2, n_steps + 1).
+
+    Step n uses [n, :, :n + 1] over the F history rows j = 0..n: row 0 holds
+    the predictor weights b_{n-j}, row 1 the corrector history weights (the
+    boundary weight at j = 0, c_{n-j} for j >= 1).
+    """
+    m = np.arange(n_steps + 1, dtype=float)
+    b_w = (m + 1.0) ** alpha - m ** alpha
+    c_w = (m + 2.0) ** (alpha + 1.0) + m ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
+    lag = np.subtract.outer(np.arange(n_steps), np.arange(n_steps + 1))  # n - j
+    past = lag >= 0
+    weights = np.zeros((n_steps, 2, n_steps + 1))
+    weights[:, 0][past] = b_w[lag[past]]
+    weights[:, 1][past] = c_w[lag[past]]
+    n = m[:-1]
+    weights[:, 1, 0] = n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha
+    return weights
+
+
+def _xi_row_weights(params: RoughHestonParams, tau: float, n_steps: int):
+    """Real row weights omega with omega · F = ∫₀^τ F(u, psi(s)) xi0(tau - s) ds.
+
+    The cumulative trapezoid of F on the solver grid, linearly interpolated
+    at the xi segment boundaries (F is continuous; xi0 is the
+    piecewise-constant factor), is linear in the rows of F; omega collects
+    its row weights over the segments.
     """
     h = tau / n_steps
-    n_u = outer.shape[0]
-    f_hist = np.empty((n_steps + 1, n_u), dtype=np.complex128)
-    f_hist[0] = outer  # psi(0) = 0
 
-    m = np.arange(n_steps + 1, dtype=float)
-    b_w = (m + 1.0) ** alpha - m ** alpha                    # predictor weights
-    c_w = (m + 2.0) ** (alpha + 1.0) + m ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
-    pred_scale = h**alpha / gamma(alpha + 1.0)
-    corr_scale = h**alpha / gamma(alpha + 2.0)
+    def cum(j: int):
+        # trapezoid weights of ∫₀^{jh} F ds
+        row = np.zeros(n_steps + 1)
+        row[: j + 1] = h
+        row[0] -= 0.5 * h
+        row[j] -= 0.5 * h
+        return row
+
+    def cum_at(s: float):
+        x = min(max(s / h, 0.0), float(n_steps))
+        j = min(int(x), n_steps - 1)
+        frac = x - j
+        return cum(j) + frac * (cum(j + 1) - cum(j))
+
+    # xi segments on [0, tau] in forward time t, then mapped to s = tau - t
+    bounds = [t for t in params.xi_tenors if t < tau] + [tau]
+    levels = list(params.xi_levels[: len(bounds)])
+    if len(levels) < len(bounds):
+        levels += [params.xi_levels[-1]] * (len(bounds) - len(levels))
+    omega = np.zeros(n_steps + 1)
+    t_lo = 0.0
+    for t_hi, lev in zip(bounds, levels):
+        omega += lev * (cum_at(tau - t_lo) - cum_at(tau - t_hi))
+        t_lo = t_hi
+    return omega
+
+
+def _fractional_adams(outer, linear, quad_coef: float, weights, scales: tuple):
+    """Solve D^alpha psi = P + L psi + Q psi^2, psi(0) = 0, for one block of u.
+
+    P=outer and L=linear are arrays over the block, Q=quad_coef a scalar,
+    ``weights`` come from :func:`_adams_weights` and ``scales`` are the
+    predictor and corrector factors h^alpha/Γ(alpha+1), h^alpha/Γ(alpha+2).
+    Returns (f, None) with the F values f_j = F(u, psi(s_j)) on the uniform
+    grid s_j = j h, which is all the CF integral needs, or (None, k) when
+    psi first turns non-finite at step k.
+    """
+    n_steps = len(weights)
+    pred_scale, corr_scale = scales
+    f_hist = np.empty((n_steps + 1, outer.shape[0]), dtype=np.complex128)
+    f_hist[0] = outer  # psi(0) = 0
+    # real weights on the float view: one dgemm gives the predictor sum and
+    # the corrector history sum from one pass over the block's history
+    f_flat = f_hist.view(np.float64)
 
     def f_of(psi):
         return outer + linear * psi + quad_coef * psi * psi
@@ -402,54 +481,12 @@ def _fractional_adams(outer, linear, quad_coef, alpha: float, tau: float, n_step
     # guard below and reported as divergence; silence the raw numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            # predictor: weights b_{n-j} for j = 0..n
-            psi_p = pred_scale * (b_w[n::-1] @ f_hist[: n + 1])
-            # corrector history: j = 0 gets the boundary weight, j >= 1 get c_{n-j}
-            w0 = n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha
-            hist = w0 * f_hist[0]
-            if n >= 1:
-                hist = hist + c_w[n - 1 :: -1] @ f_hist[1 : n + 1]
-            psi_next = corr_scale * (f_of(psi_p) + hist)
-            if not np.all(np.isfinite(psi_next)):
-                raise RuntimeError(
-                    f"fractional Riccati solver diverged at step {n + 1}/{n_steps}"
-                )
+            sums = (weights[n, :, : n + 1] @ f_flat[: n + 1]).view(np.complex128)
+            psi_next = corr_scale * (f_of(pred_scale * sums[0]) + sums[1])
+            if not np.isfinite(psi_next).all():
+                return None, n + 1
             f_hist[n + 1] = f_of(psi_next)
-    return f_hist
-
-
-def _xi_weighted_integral(f_hist, params: RoughHestonParams, tau: float):
-    """∫₀^τ F(u, psi(s)) xi0(tau - s) ds, exact per xi segment.
-
-    Uses the cumulative trapezoid of F on the solver grid with linear
-    interpolation at segment boundaries (F is continuous; xi0 is the
-    piecewise-constant factor).
-    """
-    n_steps = f_hist.shape[0] - 1
-    h = tau / n_steps
-    cum = np.empty_like(f_hist)
-    cum[0] = 0.0
-    # one row at a time: whole-grid temporaries cost more than the arithmetic
-    for i in range(n_steps):
-        np.add(cum[i], 0.5 * (f_hist[i + 1] + f_hist[i]) * h, out=cum[i + 1])
-
-    def cum_at(s: float):
-        x = min(max(s / h, 0.0), float(n_steps))
-        j = min(int(x), n_steps - 1)
-        frac = x - j
-        return cum[j] + frac * (cum[j + 1] - cum[j])
-
-    # xi segments on [0, tau] in forward time t, then mapped to s = tau - t
-    bounds = [t for t in params.xi_tenors if t < tau] + [tau]
-    levels = list(params.xi_levels[: len(bounds)])
-    if len(levels) < len(bounds):
-        levels += [params.xi_levels[-1]] * (len(bounds) - len(levels))
-    total = np.zeros(f_hist.shape[1], dtype=np.complex128)
-    t_lo = 0.0
-    for t_hi, lev in zip(bounds, levels):
-        total += lev * (cum_at(tau - t_lo) - cum_at(tau - t_hi))
-        t_lo = t_hi
-    return total
+    return f_hist, None
 
 
 def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256):
@@ -459,6 +496,13 @@ def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256
     alpha = hurst + 1/2, and returns exp(∫ F(u, psi(s)) xi0(tau - s) ds),
     times the compensated Merton factor when jumps are configured.  At
     hurst = 0.5 this is classical Heston with zero variance drift.
+
+    The frequencies are independent, so the grid is solved in blocks whose
+    F history fits in L2 (``_HISTORY_BYTES``).  Each Adams step reads that
+    history once, in one real-weight product on its float view, and the xi
+    integral is one more such product at the end of the block, so no
+    whole-grid array beyond the result is allocated.  Raises
+    ``RuntimeError`` with the first step at which any frequency diverges.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -471,9 +515,25 @@ def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256
     alpha = p.hurst + 0.5
     outer = -0.5 * (uu * uu + 1j * uu)
     linear = 1j * uu * p.rho * p.nu
-    quad_coef = 0.5 * p.nu * p.nu * np.ones_like(uu)
-    f_hist = _fractional_adams(outer, linear, quad_coef, alpha, tau, n_steps)
-    exponent = _xi_weighted_integral(f_hist, p, tau)
+    quad_coef = 0.5 * p.nu * p.nu
+    h = tau / n_steps
+    weights = _adams_weights(alpha, n_steps)
+    scales = (h**alpha / gamma(alpha + 1.0), h**alpha / gamma(alpha + 2.0))
+    omega = _xi_row_weights(p, tau, n_steps)
+    width = max(1, _HISTORY_BYTES // (16 * (n_steps + 1)))
+    exponent = np.empty_like(uu)
+    diverged = []
+    for lo in range(0, uu.size, width):
+        blk = slice(lo, lo + width)
+        f_hist, step = _fractional_adams(outer[blk], linear[blk], quad_coef, weights, scales)
+        if step is not None:
+            diverged.append(step)
+        elif not diverged:
+            exponent[blk] = (omega @ f_hist.view(np.float64)).view(np.complex128)
+    if diverged:
+        raise RuntimeError(
+            f"fractional Riccati solver diverged at step {min(diverged)}/{n_steps}"
+        )
 
     if p.lambda_j > 0.0:
         kbar = math.exp(p.mu_j + 0.5 * p.sigma_j**2) - 1.0

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import heston_k0_cf
+from oracles import heston_k0_cf, rough_heston_cf_unblocked
 from ustvol.benchmarks import (
+    _HISTORY_BYTES,
     HestonMertonParams,
     JumpTransformPoleError,
     RiccatiExplosionError,
@@ -15,6 +16,9 @@ from ustvol.benchmarks import (
     rough_heston_cf,
 )
 from ustvol.cf_edgeworth import Displacement
+from ustvol.diagnostics import BENCH_TENORS
+from ustvol.fourier_pricer import _PROBES, _adaptive_u_max
+from ustvol.registry import get_model
 
 TAU = 2.0 / 365.0
 U = np.array([0.5, 1.0, 3.0, 10.0, 30.0])
@@ -173,6 +177,22 @@ def test_jump_transform_pole_error():
         heston_merton_cf(-1.2j, 1.0, p)
 
 
+def test_affine_1f_matches_heston_closed_form_times_merton():
+    # heston_merton_1f has constant jump intensity and no variance jumps
+    # (m_v = 0), so its CF is classical Heston times the Merton factor
+    m = get_model("heston_merton_1f")
+    p = m.unpack(m.default_start(BENCH_TENORS), tenors=BENCH_TENORS)
+    assert p.m_v == 0.0 and p.c1 == 0.0 and p.c0 > 0.0 and p.kappa1 > 0.0
+    kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) - 1.0
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        u = np.linspace(-40.0, 40.0, 161) / math.sqrt(p.v1_0 * tau)
+        for w in (u, u - 1j):
+            merton = np.exp(tau * p.c0 * (
+                np.exp(1j * w * p.mu_x - 0.5 * w * w * p.sigma_x**2) - 1.0 - 1j * w * kbar))
+            want = heston_k0_cf(w, tau, p.v1_0, p.zeta1, p.rho1, p.kappa1, p.theta1) * merton
+            assert np.max(np.abs(heston_merton_cf(w, tau, p) - want)) < 1e-12
+
+
 def test_affine_rejects_bad_tau():
     p = _full_2f()
     with pytest.raises(ValueError):
@@ -249,3 +269,77 @@ def test_rough_xi_lookup_and_spot_variance():
     np.testing.assert_allclose(p.xi(np.array([0.0, 0.5, 1.0, 1.5, 2.5])),
                                [0.04, 0.04, 0.09, 0.09, 0.09])
     assert p.spot_variance == 0.04
+
+
+# ---------------------------------------------------------------------------
+# rough CF: frequency blocks against the whole-grid solve
+# ---------------------------------------------------------------------------
+
+_BLOCK = _HISTORY_BYTES // (16 * 257)  # frequencies per block at 256 steps
+_XI_TENORS = (1 / 365, 2 / 365, 3 / 365)
+_XI_LEVELS = (0.04, 0.05, 0.035)
+_TAU_PAST_CURVE = 5 / 365
+
+
+def _rough_grid():
+    # spans at least three blocks, with a partial last block
+    return np.linspace(-150.0, 150.0, 3 * _BLOCK + 17)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+@pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
+def test_rough_blocked_matches_unblocked_oracle(hurst, shift):
+    p = RoughHestonParams(hurst=hurst, nu=0.4, rho=-0.65,
+                          xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
+    u = _rough_grid() + shift
+    assert u.size >= 3 * _BLOCK
+    got = rough_heston_cf(u, _TAU_PAST_CURVE, p)
+    want = rough_heston_cf_unblocked(u, _TAU_PAST_CURVE, p)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def test_rough_value_does_not_depend_on_its_block():
+    p = RoughHestonParams(hurst=0.1, nu=0.4, rho=-0.65,
+                          xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
+    u = _rough_grid() - 1j
+    grid = rough_heston_cf(u, _TAU_PAST_CURVE, p)
+    edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5, 3 * _BLOCK, u.size - 1]
+    for k in edges + list(range(7, u.size, 61)):
+        alone = rough_heston_cf(u[k:k + 1], _TAU_PAST_CURVE, p)[0]
+        assert abs(alone - grid[k]) <= 1e-14 * abs(grid[k])
+
+
+def _divergence_message(fn, *args):
+    with pytest.raises(RuntimeError, match=r"diverged at step \d+/256") as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_rough_divergence_reports_the_first_diverging_step():
+    # nu = 1, tau = 1: the explicit scheme diverges from the 16th pricer
+    # probe frequency on, at an earlier step the higher the frequency
+    p = RoughHestonParams(hurst=0.1, nu=1.0, rho=-0.7, xi_tenors=(0.5,), xi_levels=(0.04,))
+    slow, fast = _PROBES[15] - 0.5j, _PROBES[39] - 0.5j
+    healthy = np.linspace(0.5, 20.0, 3 * _BLOCK) - 0.5j
+    for u in (np.array([slow]), np.append(healthy, slow),
+              np.concatenate([[slow], healthy, [fast]]),
+              np.concatenate([[fast], healthy, [slow]])):
+        got = _divergence_message(rough_heston_cf, u, 1.0, p)
+        assert got == _divergence_message(rough_heston_cf_unblocked, u, 1.0, p)
+    assert _divergence_message(rough_heston_cf, slow, 1.0, p) != _divergence_message(
+        rough_heston_cf, fast, 1.0, p)
+
+
+def test_u_max_probe_truncates_rough_divergence_at_last_healthy_probe():
+    p = RoughHestonParams(hurst=0.1, nu=1.0, rho=-0.7, xi_tenors=(0.5,), xi_levels=(0.04,))
+    cf = lambda w: rough_heston_cf(w, 1.0, p)  # noqa: E731
+    shift = -0.5j
+    first_bad = None
+    for k, probe in enumerate(_PROBES):
+        try:
+            assert abs(cf(probe + shift)) / probe >= 1e-12  # no decay before the failure
+        except RuntimeError:
+            first_bad = k
+            break
+    assert first_bad is not None and first_bad >= 8
+    assert _adaptive_u_max(cf, shift) == _PROBES[8 * (first_bad // 8) - 1]

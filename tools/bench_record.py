@@ -1,0 +1,40 @@
+"""Record a checkout's end-to-end benchmark metrics in one BENCH_<label>.json.
+
+    python3 tools/bench_record.py BENCH_<label>.json [--root CHECKOUT]
+
+Runs the checkout's unchanged ``perfbench/run.py`` (untraced, ``run_seconds``
+of its BENCHMARK.json) once per workload and seed 1-3, reads the result JSON
+on its last line and the fingerprint and ``metric`` lines of its report, and
+writes per workload the median and 95% half-width (Student t) over the seeds
+of every end-to-end metric, plus the median of each numeric report metric.
+"""
+import argparse, json, statistics, subprocess, sys  # noqa: E401
+from pathlib import Path
+
+from scipy.stats import t as student_t
+
+SEEDS = (1, 2, 3)
+p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+p.add_argument("out", type=Path)
+p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+args = p.parse_args()
+bench = json.loads((args.root / "BENCHMARK.json").read_text())
+record = {"seconds": bench["run_seconds"], "seeds": list(SEEDS), "workloads": {}}
+for name in (w["name"] for w in bench["workloads"]):
+    runs, report = [], {}
+    for seed in SEEDS:
+        cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+        lines = subprocess.run(cmd, cwd=args.root, capture_output=True, text=True, check=True).stdout.splitlines()
+        record["fingerprint"] = json.loads(next(ln for ln in lines if ln.startswith("fingerprint "))[12:])
+        for key, value in (ln[7:].split(" = ")[:2] for ln in lines if ln.startswith("metric ")):
+            report.setdefault(key, []).append(value.split()[0])
+        runs.append(json.loads(lines[-1]))
+    t = student_t.ppf(0.975, len(runs) - 1) / len(runs) ** 0.5
+    end = {m["name"]: [r["metrics"][m["name"]]["value"] for r in runs] for m in bench["end_to_end"]}
+    record["workloads"][name] = {
+        "correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs),
+        "end_to_end": {k: {"median": statistics.median(v), "half_width_95": t * statistics.stdev(v),
+                           "runs": v} for k, v in end.items()},
+        "report_median": {k: statistics.median(map(float, v)) for k, v in report.items() if "n/a" not in v}}
+args.out.write_text(json.dumps(record, indent=1) + "\n")
