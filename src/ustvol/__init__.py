@@ -8,14 +8,14 @@ affine stochastic-volatility models with self-exciting jumps and a rough
 
 Submodules
 ----------
-cf_edgeworth     expansion characteristic functions (closed form + quadrature)
+cf_edgeworth     expansion characteristic functions (closed-form segment integrals)
 bspp_bootstrap   displaced-lognormal ATM term-structure bootstrap
 benchmarks       affine and rough-volatility benchmark CFs
 registry         flat-vector parameter layout shared by all models
-fourier_pricer   Fourier call/put pricing, implied vol, surface pricing
+fourier_pricer   Fourier pricing by tenor slice, implied vol, surface pricing
 market_data      quote ingestion, filtering, moneyness bucketing
 calibration      RMSE objective and bounded Nelder-Mead fitting
-diagnostics      smile asymptotics checks and the pricing speed bench
+diagnostics      smile expansion coefficients and the pricing speed bench
 mc_oracle        Monte Carlo simulators and empirical CF utilities
 cli              command-line interface (`ustvol` console script)
 """
@@ -48,34 +48,25 @@ from .cf_edgeworth import (
     EdgeworthParams,
     psi_c_no_shift,
     psi_c_piecewise,
-    psi_c_quadrature,
     psi_full,
     psi_jump,
 )
 from .diagnostics import (
     BENCH_TENORS,
-    SmileCheck,
     SmileExpansion,
     TimingReport,
     TimingRow,
-    affine_small_time_skew,
-    expansion_iv,
-    sample_cumulants,
     smile_expansion,
     timing_bench,
-    verify_smile_against_pricer,
 )
 from .fourier_pricer import (
     ArbitrageBoundsError,
     CFNormalizationError,
     NegativePriceError,
-    PricingRequest,
     QuadratureConfig,
     bs_price,
-    call_price,
     implied_vol,
     price_surface,
-    put_price,
 )
 from .market_data import (
     IngestConfig,

@@ -12,15 +12,13 @@ deterministic piecewise-constant displacement phi(t) added to the volatility
 path.  Price jumps are compound Poisson with Gaussian sizes and enter as a
 multiplicative factor.
 
-Every route shares one second-order bracket, a function of eight nested
-integrals of phi_tilde(s) = 1 + phi(s)/sigma0 over [0, tau]; the routes differ
-only in how those integrals are obtained:
-
-* :func:`psi_c_no_shift` and :func:`psi_c_piecewise` -- exact segment
-  recursion for a piecewise-constant phi_tilde (a single segment at level 1
-  when there is no displacement), O(segments) with no grid.
-* :func:`psi_c_quadrature` -- composite trapezoid on a dense grid; supports
-  arbitrary bounded displacements and serves as the oracle for the recursion.
+Both routes share one second-order bracket, a function of eight nested
+integrals of phi_tilde(s) = 1 + phi(s)/sigma0 over [0, tau]:
+:func:`psi_c_no_shift` evaluates it on the single segment [0, tau] at level
+1, and :func:`psi_c_piecewise` by an exact recursion over the segments of a
+piecewise-constant phi_tilde, O(segments) with no grid.  Three of the eight
+integrals are powers of F = int phi_tilde and one is tau*F - int s*phi_tilde,
+so the recursion carries five running moments.
 
 All operations are pure functions, vectorized over the frequency argument, and
 accept complex frequencies (needed by the Fourier pricer's shifted argument).
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +36,6 @@ __all__ = [
     "Displacement",
     "psi_c_no_shift",
     "psi_c_piecewise",
-    "psi_c_quadrature",
     "psi_jump",
     "psi_full",
 ]
@@ -217,8 +213,10 @@ def _damped(lead_exponent: np.ndarray, bracket: np.ndarray, scalar: bool):
 def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals):
     """The second-order expansion of the standardized continuous-return CF.
 
-    ``integrals`` holds the eight nested integrals of phi_tilde over [0, tau]
-    (F, G, H, K1 and M as defined in :func:`psi_c_quadrature`)::
+    ``integrals`` holds the eight nested integrals of phi_tilde over [0, tau],
+    built from the running integrals F(s) = int_0^s phi_tilde,
+    G(s) = int_0^s F, H(s) = int_0^s phi_tilde F, K1(s) = int_0^s s1 phi_tilde
+    and M(s) = int_0^s phi_tilde H::
 
         i_var = int phi_tilde^2      i_skew = H(tau)   i_delta = G(tau)
         i_alpha = K1(tau)            i_eta = int G     i_b3 = M(tau)
@@ -252,13 +250,13 @@ def _segment_integrals(bounds, levels) -> tuple:
     """Exact bracket integrals of a piecewise-constant phi_tilde.
 
     ``levels[k]`` applies on [bounds[k-1], bounds[k]) with bounds[-1] := 0.
-    On each segment every running integral (F, G, H, K1, M) is a polynomial
-    in the offset from the segment start, so it is carried across the
-    breakpoint in closed form; the totals read the running values at the
-    segment start and are therefore updated first.
+    Only five moments are carried across the breakpoints: F, K1, i_var,
+    i_eta and i_m1.  The rest follow from F and K1 for any phi_tilde:
+    H = F^2/2, M = F^3/6, i_m2 = F^4/24 and, by parts, G(s) = s F - K1.
+    The totals read the running values at the segment start, so they are
+    updated first.
     """
-    F = G = H = K1 = M = 0.0
-    i_var = i_eta = i_m1 = i_m2 = 0.0
+    F = K1 = i_var = i_eta = i_m1 = 0.0
     a = 0.0
     for b, c in zip(np.asarray(bounds, dtype=float).tolist(),
                     np.asarray(levels, dtype=float).tolist()):
@@ -266,16 +264,13 @@ def _segment_integrals(bounds, levels) -> tuple:
         h2 = h * h
         h3 = h2 * h
         i_var += c * c * h
-        i_eta += G * h + F * h2 / 2.0 + c * h3 / 6.0
+        i_eta += (a * F - K1) * h + F * h2 / 2.0 + c * h3 / 6.0
         i_m1 += c * (K1 * h + c * (a * h2 / 2.0 + h3 / 6.0))
-        i_m2 += c * (M * h + c * (H * h2 / 2.0 + c * F * h3 / 6.0 + c * c * h3 * h / 24.0))
-        M += c * (H * h + c * F * h2 / 2.0 + c * c * h3 / 6.0)
         K1 += c * (a * h + h2 / 2.0)
-        H += c * (F * h + c * h2 / 2.0)
-        G += F * h + c * h2 / 2.0
         F += c * h
         a = b
-    return i_var, H, G, K1, i_eta, M, i_m1, i_m2
+    F2 = F * F
+    return i_var, F2 / 2.0, a * F - K1, K1, i_eta, F2 * F / 6.0, i_m1, F2 * F2 / 24.0
 
 
 def psi_c_no_shift(u, tau: float, params: EdgeworthParams):
@@ -311,87 +306,6 @@ def psi_c_piecewise(u, tau_k: float, params: EdgeworthParams, displacement: Disp
     bounds, seg = displacement.segments_to(tau_k)
     levels = _phi_tilde_column(seg, params.sigma0)
     return _psi_from_integrals(u, tau_k, params, _segment_integrals(bounds, levels))
-
-
-def _sample_phi_tilde(
-    fn: Callable, s: np.ndarray, first_dup: np.ndarray, eps: float, sigma0: float
-) -> np.ndarray:
-    """phi_tilde on the doubled grid, taking left limits at duplicated nodes."""
-    vals = np.asarray(fn(s), dtype=float)
-    if vals.shape != s.shape:  # plain scalar callable
-        vals = np.array([float(fn(x)) for x in s])
-    if first_dup.size:
-        left = np.array([float(fn(x - eps)) for x in s[first_dup]])
-        vals = vals.copy()
-        vals[first_dup] = left
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("displacement function produced non-finite samples")
-    return 1.0 + vals / sigma0
-
-
-def psi_c_quadrature(
-    u,
-    tau: float,
-    params: EdgeworthParams,
-    phi,
-    node_count: int = 20_000,
-    breakpoints: Sequence[float] = (),
-):
-    """Quadrature oracle for the standardized continuous-return CF.
-
-    Evaluates the general-displacement expansion directly: every nested
-    integral of phi_tilde(s) = 1 + phi(s)/sigma0 is computed by a composite
-    trapezoid rule with running cumulative sums on a uniform grid whose node
-    set includes all supplied breakpoints (each inserted twice so that jump
-    discontinuities are integrated exactly); the eight integrals feed the
-    same bracket as the closed forms.
-
-    Parameters
-    ----------
-    phi : callable or Displacement
-        Deterministic displacement with phi(0) = 0.  Passing a
-        :class:`Displacement` supplies its own breakpoints.
-    node_count : int
-        Uniform base-grid size (the two per-breakpoint duplicates are extra).
-    breakpoints : sequence of float
-        Known jump locations of a callable ``phi``; ignored outside (0, tau).
-    """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if node_count < 2:
-        raise ValueError("node_count must be >= 2")
-    if isinstance(phi, Displacement):
-        breakpoints = phi.tenors
-        fn = phi.phi
-    else:
-        fn = phi
-
-    base = np.linspace(0.0, tau, node_count)
-    brk = np.asarray([b for b in breakpoints if 0.0 < b < tau], dtype=float)
-    s = np.sort(np.concatenate([base, brk, brk]))
-    # First occurrence of each duplicated breakpoint closes the left segment,
-    # so it must carry the left limit of phi_tilde.
-    first_dup = np.searchsorted(s, brk, side="left") if brk.size else np.array([], dtype=int)
-    eps = tau / (8.0 * (node_count - 1))
-    v = _sample_phi_tilde(fn, s, first_dup, eps, params.sigma0)
-
-    ds = np.diff(s)
-
-    def cum(f: np.ndarray) -> np.ndarray:
-        out = np.empty_like(f)
-        out[0] = 0.0
-        np.cumsum(0.5 * (f[1:] + f[:-1]) * ds, out=out[1:])
-        return out
-
-    F = cum(v)            # int_0^s phi_tilde
-    G = cum(F)            # int_0^s F
-    H = cum(v * F)        # int_0^s phi_tilde * F
-    K1 = cum(s * v)       # int_0^s s1 * phi_tilde
-    M = cum(v * H)        # int_0^s phi_tilde * H
-
-    integrals = (cum(v * v)[-1], H[-1], G[-1], K1[-1], cum(G)[-1], M[-1],
-                 cum(v * K1)[-1], cum(v * M)[-1])
-    return _psi_from_integrals(u, tau, params, integrals)
 
 
 def psi_jump(u, tau: float, params: EdgeworthParams):

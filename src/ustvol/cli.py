@@ -12,9 +12,6 @@ lives only in the manifest.  (The one exception is ``bench``, whose data
 Exit codes: 0 success, 2 validation failure (bad flags, malformed JSON,
 missing files, unknown model ids, arbitrage-violating inputs), 1 numerical
 failure.  Failures emit one machine-parsable JSON object on stderr.
-
-Library imports happen inside the command handlers so that ``--threads``
-can pin the BLAS/OpenMP pool sizes before numpy is first loaded.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,17 +27,9 @@ from pathlib import Path
 
 _FORMAT_VERSION = 1
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
 # config-file keys are coerced with these before landing in the namespace
 _CONFIG_TYPES = {
     "seed": int,
-    "threads": int,
     "fourier_nodes": int,
     "fourier_umax": float,
     "budget": int,
@@ -167,8 +155,6 @@ def _float_list(text: str):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="pin BLAS/OpenMP thread-pool sizes")
     common.add_argument("--fourier-nodes", type=int, default=None, dest="fourier_nodes",
                         help="quadrature node count override")
     common.add_argument("--fourier-umax", type=float, default=None, dest="fourier_umax",
@@ -678,11 +664,6 @@ def main(argv=None) -> int:
 
     try:
         _apply_config(args)
-        if getattr(args, "threads", None):
-            if args.threads < 1:
-                raise ValueError(f"--threads must be >= 1, got {args.threads}")
-            for var in _THREAD_VARS:
-                os.environ[var] = str(args.threads)
         return _DISPATCH[args.cmd](args)
     except (ValueError, KeyError, OSError) as exc:
         # includes JSON decode errors, unknown models, missing files,

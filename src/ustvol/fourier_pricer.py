@@ -29,13 +29,10 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "PricingRequest",
     "QuadratureConfig",
     "CFNormalizationError",
     "NegativePriceError",
     "ArbitrageBoundsError",
-    "call_price",
-    "put_price",
     "bs_price",
     "implied_vol",
     "price_surface",
@@ -69,25 +66,6 @@ class NegativePriceError(RuntimeError):
 
 class ArbitrageBoundsError(ValueError):
     """Option price outside its model-free no-arbitrage bounds."""
-
-
-@dataclass(frozen=True)
-class PricingRequest:
-    """One European option contract: spot S₀, strike K, tenor τ (years), r₀."""
-
-    spot: float
-    strike: float
-    tau: float
-    rate: float = 0.0
-    is_call: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.spot > 0.0:
-            raise ValueError(f"spot must be > 0, got {self.spot}")
-        if not self.strike > 0.0:
-            raise ValueError(f"strike must be > 0, got {self.strike}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -190,46 +168,6 @@ def _checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad) -> np.ndarr
 def _put_from_call(call, spot: float, disc_k):
     """Put/call parity, floored at intrinsic and capped at Ke^{−rτ}."""
     return np.minimum(np.maximum(call - spot + disc_k, np.maximum(disc_k - spot, 0.0)), disc_k)
-
-
-def call_price(
-    req: PricingRequest,
-    cf: Callable,
-    sigma0: float,
-    quad: QuadratureConfig | None = None,
-) -> float:
-    """Price a European call by Fourier inversion of a standardized-return CF.
-
-    Parameters
-    ----------
-    req : PricingRequest
-        Contract terms (``is_call`` is ignored; this op always prices the call).
-    cf : callable
-        Ψ(u, τ) for this tenor: maps a (possibly complex) frequency array to
-        CF values of the standardized return.
-    sigma0 : float
-        The model's annualized spot volatility, anchoring the
-        standardization and the call-leg argument shift.
-    quad : QuadratureConfig, optional
-
-    The raw quadrature value is floored at intrinsic max(S₀ − Ke^{−rτ}, 0)
-    and capped at S₀.  A raw value below −1e−4·S₀ raises
-    :class:`NegativePriceError`; a degenerate normalizer raises
-    :class:`CFNormalizationError`.
-    """
-    return float(_checked_slice_calls(cf, sigma0, req.tau, req.spot, req.rate, [req.strike],
-                                      quad or QuadratureConfig())[0])
-
-
-def put_price(
-    req: PricingRequest,
-    cf: Callable,
-    sigma0: float,
-    quad: QuadratureConfig | None = None,
-) -> float:
-    """European put via put/call parity, floored at intrinsic and capped at Ke^{−rτ}."""
-    call = call_price(req, cf, sigma0, quad)
-    return float(_put_from_call(call, req.spot, req.strike * math.exp(-req.rate * req.tau)))
 
 
 def _bs_prices(spot: float, strikes, tau: float, rate: float, vol, sign) -> tuple:
@@ -336,7 +274,9 @@ def price_surface(
     slices: dict = {}
     for rec in results.values():
         try:
-            PricingRequest(spot=spot, strike=rec["strike"], tau=rec["tau"], rate=rate)
+            for name, value in (("spot", spot), ("strike", rec["strike"]), ("tau", rec["tau"])):
+                if not value > 0.0:
+                    raise ValueError(f"{name} must be > 0, got {value}")
             slices.setdefault(rec["tau"], []).append(rec)
         except (TypeError, ValueError) as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"

@@ -115,9 +115,6 @@ class Surface:
     def tenors(self) -> tuple:
         return tuple(s.tau for s in self.slices)
 
-    def all_quotes(self) -> list:
-        return [q for s in self.slices for q in s.quotes]
-
 
 @dataclass(frozen=True)
 class IngestConfig:

@@ -3,18 +3,27 @@
 Every non-trivial expected value in the test suite is produced here by a
 route independent of the library implementation (arbitrary-precision
 arithmetic, brute-force Monte Carlo, classical closed forms, or dense
-quadrature written from scratch).  Run directly to reprint all frozen values:
+quadrature written from scratch).  The test-only references live here too:
+the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
+finite-difference smile check and sample cumulants.  Run directly from the
+repository root to reprint all frozen values:
 
-    python3 tests/oracles.py
+    PYTHONPATH=src python3 tests/oracles.py
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from math import gamma
 
 import mpmath as mp
 import numpy as np
+
+from ustvol.cf_edgeworth import Displacement, EdgeworthParams, _psi_from_integrals
+from ustvol.diagnostics import smile_expansion
+from ustvol.fourier_pricer import QuadratureConfig, price_surface
+from ustvol.registry import get_model
 
 mp.mp.dps = 50
 
@@ -41,6 +50,120 @@ def cf_expansion_highprec(u, tau, sigma0, beta_tilde0, rho0, eta0, alpha_prime0)
         + (eta / (6 * s0)) * u2 * u2 * tau
     )
     return mp.e ** (-u2 / 2) * bracket
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-expansion CF under a general displacement: dense-grid quadrature
+# of all eight bracket integrals
+# ---------------------------------------------------------------------------
+
+def _sample_phi_tilde(fn, s: np.ndarray, first_dup: np.ndarray, eps: float,
+                      sigma0: float) -> np.ndarray:
+    """phi_tilde on the doubled grid, taking left limits at duplicated nodes."""
+    vals = np.asarray(fn(s), dtype=float)
+    if vals.shape != s.shape:  # plain scalar callable
+        vals = np.array([float(fn(x)) for x in s])
+    if first_dup.size:
+        left = np.array([float(fn(x - eps)) for x in s[first_dup]])
+        vals = vals.copy()
+        vals[first_dup] = left
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("displacement function produced non-finite samples")
+    return 1.0 + vals / sigma0
+
+
+def psi_c_quadrature(u, tau: float, params: EdgeworthParams, phi,
+                     node_count: int = 20_000, breakpoints=()):
+    """Quadrature route to the standardized continuous-return CF.
+
+    Evaluates the general-displacement expansion directly: every nested
+    integral of phi_tilde(s) = 1 + phi(s)/sigma0 is computed by a composite
+    trapezoid rule with running cumulative sums on a uniform grid whose node
+    set includes all supplied breakpoints (each inserted twice so that jump
+    discontinuities are integrated exactly); the eight integrals feed the
+    library's bracket.  None of them uses the identities the segment
+    recursion relies on (H = F^2/2, M = F^3/6, int phi_tilde M = F^4/24,
+    G = tau F - K1), so agreement checks those too.
+
+    ``phi`` is a callable with phi(0) = 0 or a :class:`Displacement`, which
+    supplies its own breakpoints; ``breakpoints`` lists the known jump
+    locations of a callable (ignored outside (0, tau)); ``node_count`` is the
+    uniform base-grid size (the per-breakpoint duplicates are extra).
+    """
+    if not tau > 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    if node_count < 2:
+        raise ValueError("node_count must be >= 2")
+    if isinstance(phi, Displacement):
+        breakpoints = phi.tenors
+        fn = phi.phi
+    else:
+        fn = phi
+
+    base = np.linspace(0.0, tau, node_count)
+    brk = np.asarray([b for b in breakpoints if 0.0 < b < tau], dtype=float)
+    s = np.sort(np.concatenate([base, brk, brk]))
+    # First occurrence of each duplicated breakpoint closes the left segment,
+    # so it must carry the left limit of phi_tilde.
+    first_dup = np.searchsorted(s, brk, side="left") if brk.size else np.array([], dtype=int)
+    eps = tau / (8.0 * (node_count - 1))
+    v = _sample_phi_tilde(fn, s, first_dup, eps, params.sigma0)
+
+    ds = np.diff(s)
+
+    def cum(f: np.ndarray) -> np.ndarray:
+        out = np.empty_like(f)
+        out[0] = 0.0
+        np.cumsum(0.5 * (f[1:] + f[:-1]) * ds, out=out[1:])
+        return out
+
+    F = cum(v)            # int_0^s phi_tilde
+    G = cum(F)            # int_0^s F
+    H = cum(v * F)        # int_0^s phi_tilde * F
+    K1 = cum(s * v)       # int_0^s s1 * phi_tilde
+    M = cum(v * H)        # int_0^s phi_tilde * H
+
+    integrals = (cum(v * v)[-1], H[-1], G[-1], K1[-1], cum(G)[-1], M[-1],
+                 cum(v * K1)[-1], cum(v * M)[-1])
+    return _psi_from_integrals(u, tau, params, integrals)
+
+
+# ---------------------------------------------------------------------------
+# Exact CF of the rho0 = +-1 sub-model (eta0 = alpha_prime0 = 0)
+# ---------------------------------------------------------------------------
+
+def psi_c_rho_one_exact(u, tau, params: EdgeworthParams, displacement=None):
+    """Exact CF of the standardized continuous return when the vol Brownian
+    is the price one (rho0 = +-1, eta0 = alpha_prime0 = 0).
+
+    The return is then Z = L/sqrt(tau) + g (x^2 - 1), with L = int phi_tilde dW,
+    x = W_tau/sqrt(tau) and g = beta0 sqrt(tau)/(2 sigma0): the law that
+    ``simulate_edgeworth_submodel(..., exact=True)`` samples.  (L, W_tau) is
+    Gaussian with Var L = V = int phi_tilde^2 and Cov(L, W_tau) = F =
+    int phi_tilde, so L/sqrt(tau) = a x + R with a = F/tau and R independent,
+    N(0, V/tau - a^2).  Integrating over x gives
+
+        Psi(u) = e^{-iug} (1 - 2iug)^{-1/2} exp(-u^2 a^2 / (2 (1 - 2iug)))
+                 exp(-u^2 (V/tau - a^2) / 2).
+
+    V and F are summed over the displacement segments directly.
+    """
+    if params.beta0_perp != 0.0 or params.eta0 != 0.0 or params.alpha_prime0 != 0.0:
+        raise ValueError("the exact law needs rho0 = +-1 (or beta_tilde0 = 0), "
+                         "eta0 = 0 and alpha_prime0 = 0")
+    if displacement is None:
+        widths, phit = np.array([tau]), np.array([1.0])
+    else:
+        bounds, seg = displacement.segments_to(tau)
+        widths = np.diff(np.concatenate([[0.0], bounds]))
+        phit = 1.0 + np.asarray(seg) / params.sigma0
+    var, f = float(np.sum(phit * phit * widths)), float(np.sum(phit * widths))
+    a = f / tau
+    g = params.beta0 * math.sqrt(tau) / (2.0 * params.sigma0)
+    uu = np.asarray(u, dtype=np.complex128)
+    q = 1.0 - 2j * uu * g
+    return (np.exp(-1j * uu * g - uu * uu * a * a / (2.0 * q)
+                   - 0.5 * uu * uu * (var / tau - a * a)) / np.sqrt(q))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +339,98 @@ def rough_heston_cf_unblocked(u, tau, params, n_steps=256):
 
 
 # ---------------------------------------------------------------------------
+# Smile asymptotics: finite differences of priced IVs, an independently
+# written affine skew, and sample cumulants
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SmileCheck:
+    """Finite-difference smile derivatives at one tenor vs the expansion."""
+
+    tau: float
+    level_fd: float
+    skew_fd: float
+    convexity_fd: float
+    level_dev: float
+    skew_dev: float
+    convexity_dev: float
+
+
+def _deviation(measured: float, target: float) -> float:
+    """Relative deviation, degrading to absolute for a vanishing target."""
+    if target == 0.0:
+        return abs(measured)
+    return abs(measured - target) / abs(target)
+
+
+def verify_smile_against_pricer(params: EdgeworthParams, tau_list, spot=100.0,
+                                node_count=200_000) -> list:
+    """Finite-difference the priced ATM smile and compare with the expansion.
+
+    For each tenor, the contracts at raw log-moneyness {-h, 0, +h} with
+    h = 0.01 sigma0 sqrt(tau) are priced by ``price_surface`` under the
+    registry's ``edgeworth`` model, whose IVs are differenced into
+    level/skew/convexity.  Deviations are relative to the expansion targets
+    (falling back to absolute where a target vanishes, e.g. the skew in the
+    BS limit).
+
+    The expansion describes the continuous model only, so jumps must be
+    switched off (the jump factor is then exactly one); tenors above 1/52
+    defeat the small-tenor premise.
+    """
+    if params.lambda0 != 0.0:
+        raise ValueError("smile expansion verification requires lambda0 = 0")
+    if any(t > 1.0 / 52.0 for t in tau_list):
+        raise ValueError("smile expansion verification needs tenors <= 1/52")
+    target = smile_expansion(params)
+    model = get_model("edgeworth")
+    quad = QuadratureConfig(node_count=node_count)
+    out = []
+    for tau in tau_list:
+        h = 0.01 * params.sigma0 * math.sqrt(tau)
+        rows = price_surface([(spot * math.exp(x), tau) for x in (-h, 0.0, h)],
+                             model, params, spot, quad=quad)
+        for row in rows:
+            if row["error"] is not None:
+                raise RuntimeError(row["error"])
+        lo, mid, hi = (row["iv"] for row in rows)
+        skew = (hi - lo) / (2.0 * h)
+        convexity = (hi - 2.0 * mid + lo) / (h * h)
+        out.append(SmileCheck(
+            tau=tau,
+            level_fd=mid,
+            skew_fd=skew,
+            convexity_fd=convexity,
+            level_dev=_deviation(mid, target.iv_level),
+            skew_dev=_deviation(skew, target.iv_skew),
+            convexity_dev=_deviation(convexity, target.iv_convexity),
+        ))
+    return out
+
+
+def affine_small_time_skew(v0: float, zeta: float, rho: float) -> float:
+    """Hand-coded one-factor affine short-time ATM skew, rho*zeta/(4*sqrt(v0)).
+
+    Kept deliberately independent of ``smile_expansion`` so the
+    specialization beta_tilde0 = zeta/2, rho0 = rho, eta0 = 0 can be checked
+    as an identity between two separately written formulas.
+    """
+    if not v0 > 0.0:
+        raise ValueError(f"v0 must be > 0, got {v0}")
+    return rho * zeta / (4.0 * math.sqrt(v0))
+
+
+def sample_cumulants(samples) -> tuple:
+    """(kappa2, kappa3, kappa4) from central moments of a sample."""
+    z = np.asarray(samples, dtype=float)
+    c = z - z.mean()
+    m2 = float(np.mean(c**2))
+    m3 = float(np.mean(c**3))
+    m4 = float(np.mean(c**4))
+    return m2, m3, m4 - 3.0 * m2 * m2
+
+
+# ---------------------------------------------------------------------------
 # Black-Scholes: arbitrary-precision closed form
 # ---------------------------------------------------------------------------
 
@@ -250,7 +465,7 @@ if __name__ == "__main__":
 
     print("== heston_k0_cf closed form vs ODE route (v0=0.04 nu=0.3 rho=-0.65 tau=2/365) ==")
     for uu in (1.0, 3.0, 10.0, 30.0, -7.5):
-        a = complex(heston_k0_cf(uu, 2.0 / 365.0, 0.04, 0.3, -0.65))
+        a = complex(heston_k0_cf(uu, 2.0 / 365.0, 0.04, 0.3, -0.65)[0])
         b = heston_k0_cf_ode(uu, 2.0 / 365.0, 0.04, 0.3, -0.65)
         print(f"  u={uu}: closed={a!r}  |closed-ode|={abs(a - b):.3e}")
 

@@ -34,22 +34,14 @@ from ustvol.cf_edgeworth import (
     EdgeworthParams,
     psi_c_no_shift,
     psi_c_piecewise,
-    psi_c_quadrature,
 )
-from ustvol.diagnostics import (
-    BENCH_TENORS,
-    affine_small_time_skew,
-    smile_expansion,
-    timing_bench,
-    verify_smile_against_pricer,
-)
+from ustvol.diagnostics import BENCH_TENORS, smile_expansion, timing_bench
 from ustvol.fourier_pricer import (
-    PricingRequest,
     QuadratureConfig,
+    _checked_slice_calls,
+    _put_from_call,
     bs_price,
-    call_price,
     price_surface,
-    put_price,
 )
 from ustvol.market_data import OptionQuote, Surface, TenorSlice, log_moneyness
 from ustvol.mc_oracle import (
@@ -87,10 +79,11 @@ def test_bs_reduction():
     worst = 0.0
     for tau in GATE_TENORS:
         cf = lambda u, _t=tau: psi_c_no_shift(u, _t, p)
-        for m in np.linspace(-5.0, 5.0, 21):
-            strike = SPOT * math.exp(m * p.sigma0 * math.sqrt(tau))
-            got = call_price(PricingRequest(spot=SPOT, strike=strike, tau=tau,
-                                            rate=0.0), cf, p.sigma0)
+        strikes = [SPOT * math.exp(m * p.sigma0 * math.sqrt(tau))
+                   for m in np.linspace(-5.0, 5.0, 21)]
+        calls = _checked_slice_calls(cf, p.sigma0, tau, SPOT, 0.0, strikes,
+                                     QuadratureConfig())
+        for strike, got in zip(strikes, calls):
             worst = max(worst, abs(got - bs_price(SPOT, strike, tau, 0.0, p.sigma0)))
     ok, line = _verdict(1, "black-scholes reduction", worst <= 1e-4,
                         f"worst |dC| {worst:.3e} tol 1e-4", time.time() - t0, 5.0)
@@ -114,7 +107,7 @@ def test_piecewise_vs_quadrature():
         shifts = tuple(float(a) for a in rng.uniform(-sig / 2, sig / 2, max(n - 1, 0)))
         d = Displacement(tenors=taus, shifts=shifts)
         diff = np.abs(psi_c_piecewise(u, taus[-1], p, d)
-                      - psi_c_quadrature(u, taus[-1], p, d))
+                      - oracles.psi_c_quadrature(u, taus[-1], p, d))
         worst = max(worst, float(diff.max()))
     ok, line = _verdict(2, "piecewise vs quadrature CF", worst <= 1e-8,
                         f"sup gap {worst:.3e} tol 1e-8", time.time() - t0, 60.0)
@@ -206,13 +199,13 @@ def test_smile_asymptotics():
     t0 = time.time()
     p = EdgeworthParams(sigma0=0.2, beta_tilde0=0.5, rho0=-0.6, eta0=0.15,
                         alpha_prime0=0.05)
-    chk = verify_smile_against_pricer(p, [1 / 1008])[0]
+    chk = oracles.verify_smile_against_pricer(p, [1 / 1008])[0]
     devs = (chk.level_dev, chk.skew_dev, chk.convexity_dev)
 
     v0, zeta, rho = 0.04, 0.5, -0.7
     spec = smile_expansion(EdgeworthParams(sigma0=math.sqrt(v0),
                                            beta_tilde0=zeta / 2.0, rho0=rho))
-    indep = affine_small_time_skew(v0, zeta, rho)
+    indep = oracles.affine_small_time_skew(v0, zeta, rho)
     affine_gap = abs(spec.iv_skew - indep)
     ok, line = _verdict(
         6, "smile asymptotics", max(devs) <= 0.03 and affine_gap <= 1e-15 * abs(indep),
@@ -376,15 +369,13 @@ def test_martingale_and_parity():
         theta = m.unpack(m.default_start(BENCH_TENORS), tenors=BENCH_TENORS)
         sig0 = m.spot_vol(theta)
         for tg in (BENCH_TENORS[0], 2 / 365):
-            calls = []
-            for k in np.linspace(97.0, 103.0, 25):
-                req = PricingRequest(spot=SPOT, strike=float(k), tau=tg, rate=rate)
-                cf = lambda u, _t=tg: m.cf_standardized(u, _t, theta)
-                c = call_price(req, cf, sig0, quad)
-                p = put_price(req, cf, sig0, quad)
-                parity_worst = max(parity_worst,
-                                   abs(c - p - SPOT + k * math.exp(-rate * tg)))
-                calls.append(c)
+            strikes = np.linspace(97.0, 103.0, 25)
+            cf = lambda u, _t=tg: m.cf_standardized(u, _t, theta)
+            calls = _checked_slice_calls(cf, sig0, tg, SPOT, rate, strikes, quad)
+            disc_k = strikes * math.exp(-rate * tg)
+            puts = _put_from_call(calls, SPOT, disc_k)
+            parity_worst = max(parity_worst,
+                               float(np.abs(calls - puts - SPOT + disc_k).max()))
             mono_worst = max(mono_worst, float(np.diff(calls).max()))
             convex_worst = min(convex_worst, float(np.diff(calls, 2).min()))
     ok, line = _verdict(

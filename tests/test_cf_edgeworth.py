@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import psi_c_quadrature, psi_c_rho_one_exact
 from ustvol.cf_edgeworth import (
     Displacement,
     EdgeworthParams,
     psi_c_no_shift,
     psi_c_piecewise,
-    psi_c_quadrature,
     psi_full,
     psi_jump,
 )
@@ -202,6 +202,37 @@ def test_piecewise_mc_expansion_order_displaced():
     assert min(exps) >= 1.2, (errs, exps)
 
 
+def test_no_shift_expansion_order_against_exact_rho_one_law():
+    # rho0 = -1 with eta0 = alpha_prime0 = 0 has a closed-form CF
+    # (oracles.psi_c_rho_one_exact), so the truncation error is measured
+    # without sampling noise at tenors far below the MC gate's; it must
+    # decay like tau^1.5 (measured 1.504 and 1.502), and an O(tau) error in
+    # any bracket coefficient pulls the exponent down to about 1
+    p = EdgeworthParams(sigma0=0.2, beta_tilde0=0.8, rho0=-1.0)
+    u = np.linspace(-3.0, 3.0, 61)
+    errs = [float(np.abs(psi_c_no_shift(u, tau, p) - psi_c_rho_one_exact(u, tau, p)).max())
+            for tau in (0.08 / 365, 0.04 / 365, 0.02 / 365)]
+    exps = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
+    assert min(exps) >= 1.4, (errs, exps)
+
+
+def test_exact_rho_one_law_matches_exact_sampler():
+    # the closed-form reference and the exact sampler are two routes to the
+    # same law: they agree within sampling noise under a displacement
+    # (measured at most 1.7 standard errors), where the expansion is
+    # 3-20 standard errors off at this 2-day tenor
+    p = EdgeworthParams(sigma0=0.2, beta_tilde0=0.8, rho0=-1.0)
+    tau = 2 / 365
+    d = Displacement(tenors=(tau / 4, tau / 2, tau), shifts=(0.1, 0.1))
+    u = np.array([-1.5, 0.5, 1.0, 2.0, 3.0])
+    sim = simulate_edgeworth_submodel(p, d, tau, SimConfig(paths=10**6, steps_per_tenor=1,
+                                                           rng_seed=5), exact=True)
+    emp, se = empirical_cf(sim.z_continuous, u)
+    assert np.all(np.abs(emp - psi_c_rho_one_exact(u, tau, p, d)) <= 4.0 * se)
+    with pytest.raises(ValueError, match="alpha_prime0"):
+        psi_c_rho_one_exact(u, tau, EdgeworthParams(sigma0=0.2, rho0=-0.5, beta_tilde0=0.8))
+
+
 def test_piecewise_rejects_non_positive_shifted_vol():
     p = EdgeworthParams(sigma0=0.2)
     d = Displacement(tenors=(0.5, 1.0), shifts=(-0.3,))  # 1 + a/sigma0 = -0.5
@@ -221,7 +252,7 @@ def test_piecewise_conjugate_symmetry(u):
 
 
 # ---------------------------------------------------------------------------
-# psi_c_quadrature
+# the quadrature oracle (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_quadrature_zero_phi_matches_no_shift():

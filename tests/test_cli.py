@@ -4,7 +4,6 @@ byte-identity and the stderr error contract."""
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -331,17 +330,6 @@ def test_config_file_bad_line(tmp_path, capsys):
                  "--config", str(cfg), "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "key=value" in _stderr_error(capsys)["message"]
-
-
-def test_threads_flag_sets_env(tmp_path, monkeypatch):
-    monkeypatch.setitem(os.environ, "OMP_NUM_THREADS", "1")
-    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
-    out = tmp_path / "p.csv"
-    assert main(["price", "--model", "edgeworth", "--params", BS_VEC,
-                 "--tenors", f"{1 / 365}", "--strikes", "100",
-                 "--threads", "2", "--out", str(out)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_no_subcommand_and_bad_flag(capsys):

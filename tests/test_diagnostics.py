@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import affine_small_time_skew, sample_cumulants, verify_smile_against_pricer
 from ustvol.cf_edgeworth import EdgeworthParams
-from ustvol.diagnostics import (
-    BENCH_TENORS,
-    affine_small_time_skew,
-    expansion_iv,
-    sample_cumulants,
-    smile_expansion,
-    timing_bench,
-    verify_smile_against_pricer,
-)
+from ustvol.diagnostics import BENCH_TENORS, smile_expansion, timing_bench
 from ustvol.mc_oracle import SimConfig, simulate_edgeworth_submodel
 
 
@@ -55,9 +48,9 @@ def test_zero_correlation_kills_skew():
 
 
 def test_bs_limit_is_flat():
-    p = _params(beta_tilde0=0.0, eta0=0.0)
+    e = smile_expansion(_params(beta_tilde0=0.0, eta0=0.0))
     for x in (-0.05, -0.01, 0.0, 0.01, 0.05):
-        assert expansion_iv(p, x) == 0.2
+        assert e.iv_level + e.iv_skew * x + 0.5 * e.iv_convexity * x * x == 0.2
 
 
 @given(

@@ -13,15 +13,14 @@ from ustvol.fourier_pricer import (
     ArbitrageBoundsError,
     CFNormalizationError,
     NegativePriceError,
-    PricingRequest,
     QuadratureConfig,
     _adaptive_u_max,
+    _checked_slice_calls,
     _implied_vols,
+    _put_from_call,
     bs_price,
-    call_price,
     implied_vol,
     price_surface,
-    put_price,
 )
 
 # Frozen from tests/oracles.py bs_price_highprec (50-digit closed form):
@@ -38,57 +37,59 @@ def _bs_cf(tau):
     return lambda u: psi_c_no_shift(u, tau, BS_PARAMS)
 
 
+def _calls(strikes, cf=None, rate=0.0, quad=None):
+    """Calls of one TAU slice (spot 100, sigma0 0.2) through the kernel that
+    ``price_surface`` runs."""
+    return _checked_slice_calls(cf or _bs_cf(TAU), 0.2, TAU, 100.0, rate,
+                                np.asarray(strikes, dtype=float), quad or QuadratureConfig())
+
+
+def _puts(strikes, rate=0.0):
+    strikes = np.asarray(strikes, dtype=float)
+    return _put_from_call(_calls(strikes, rate=rate), 100.0, strikes * math.exp(-rate * TAU))
+
+
 # ---------------------------------------------------------------------------
-# call_price / put_price against the closed-form oracle
+# slice calls and parity puts against the closed-form oracle
 # ---------------------------------------------------------------------------
 
 def test_call_bs_reduction_atm():
-    c = call_price(PricingRequest(100.0, 100.0, TAU), _bs_cf(TAU), 0.2)
+    c = _calls([100.0])[0]
     assert abs(c - BS_ATM_CALL_1_12) < 1e-4
 
 
 def test_call_bs_reduction_otm():
-    c = call_price(PricingRequest(100.0, 120.0, TAU), _bs_cf(TAU), 0.2)
+    c = _calls([120.0])[0]
     assert abs(c - BS_OTM_CALL_K120) < 1e-4
     assert abs(c - BS_OTM_CALL_K120) < 1e-6  # actual quadrature accuracy
 
 
 def test_deep_itm_call_tends_to_spot():
-    c = call_price(PricingRequest(100.0, 1e-6, TAU), _bs_cf(TAU), 0.2)
+    c = _calls([1e-6])[0]
     assert abs(c - 100.0) <= 1e-6 * 100.0
 
 
 def test_atm_put_equals_atm_call_at_zero_rate():
-    req = PricingRequest(100.0, 100.0, TAU)
-    c = call_price(req, _bs_cf(TAU), 0.2)
-    p = put_price(req, _bs_cf(TAU), 0.2)
-    assert abs(c - p) < 1e-12
+    assert abs(_calls([100.0])[0] - _puts([100.0])[0]) < 1e-12
 
 
 def test_deep_otm_put_tends_to_zero():
-    p = put_price(PricingRequest(100.0, 1e-8, TAU), _bs_cf(TAU), 0.2)
-    assert p <= 1e-8 * 100.0
+    assert _puts([1e-8])[0] <= 1e-8 * 100.0
 
 
 def test_put_bs_reduction_k80():
-    p = put_price(PricingRequest(100.0, 80.0, TAU), _bs_cf(TAU), 0.2)
-    assert abs(p - BS_OTM_PUT_K80) < 1e-6
+    assert abs(_puts([80.0])[0] - BS_OTM_PUT_K80) < 1e-6
 
 
 def test_parity_residual_structural():
-    req = PricingRequest(100.0, 93.0, TAU, rate=0.03)
-    c = call_price(req, _bs_cf(TAU), 0.2)
-    p = put_price(req, _bs_cf(TAU), 0.2)
+    c = _calls([93.0], rate=0.03)[0]
+    p = _puts([93.0], rate=0.03)[0]
     resid = c - p - 100.0 + 93.0 * math.exp(-0.03 * TAU)
     assert abs(resid) < 1e-10 * 100.0
 
 
 def test_call_monotone_and_convex_in_strike():
-    cf = _bs_cf(TAU)
-    strikes = np.linspace(85.0, 115.0, 31)
-    prices = np.array(
-        [call_price(PricingRequest(100.0, float(k), TAU), cf, 0.2) for k in strikes]
-    )
+    prices = _calls(np.linspace(85.0, 115.0, 31))
     assert np.all(np.diff(prices) <= 1e-8 * 100.0)
     assert np.all(np.diff(prices, 2) >= -1e-7 * 100.0)
 
@@ -96,7 +97,7 @@ def test_call_monotone_and_convex_in_strike():
 def test_cf_normalization_error():
     dead_cf = lambda u: np.zeros_like(np.asarray(u, dtype=complex))
     with pytest.raises(CFNormalizationError):
-        call_price(PricingRequest(100.0, 100.0, TAU), dead_cf, 0.2)
+        _calls([100.0], cf=dead_cf)
 
 
 def test_u_max_probe_truncates_only_numerical_failures():
@@ -117,16 +118,18 @@ def test_u_max_probe_truncates_only_numerical_failures():
 def test_negative_price_error_on_misconfigured_quadrature():
     quad = QuadratureConfig(node_count=100, u_max=0.2)
     with pytest.raises(NegativePriceError):
-        call_price(PricingRequest(100.0, 130.0, TAU), _bs_cf(TAU), 0.2, quad)
+        _calls([130.0], quad=quad)
 
 
 def test_request_and_config_validation():
-    with pytest.raises(ValueError):
-        PricingRequest(-1.0, 100.0, TAU)
-    with pytest.raises(ValueError):
-        PricingRequest(100.0, 0.0, TAU)
-    with pytest.raises(ValueError):
-        PricingRequest(100.0, 100.0, 0.0)
+    # price_surface rejects a non-positive spot, strike or tau per contract
+    model = _ShimModel(BS_PARAMS)
+    assert price_surface([(100.0, TAU)], model, None, -1.0)[0]["error"] == (
+        "ValueError: spot must be > 0, got -1.0")
+    assert price_surface([(0.0, TAU)], model, None, 100.0)[0]["error"] == (
+        "ValueError: strike must be > 0, got 0.0")
+    assert price_surface([(100.0, 0.0)], model, None, 100.0)[0]["error"] == (
+        "ValueError: tau must be > 0, got 0.0")
     with pytest.raises(ValueError):
         QuadratureConfig(node_count=10)
     with pytest.raises(ValueError):
@@ -237,25 +240,26 @@ class _ShimModel:
         return self.params.sigma0
 
 
-def test_price_surface_single_contract_matches_call_price():
+def test_price_surface_single_contract_matches_slice_kernel():
     model = _ShimModel(BS_PARAMS)
     res = price_surface([(100.0, TAU)], model, None, 100.0)
-    direct = call_price(PricingRequest(100.0, 100.0, TAU), _bs_cf(TAU), 0.2)
     assert res[0]["error"] is None
-    assert res[0]["call"] == direct
+    assert res[0]["call"] == _calls([100.0])[0]
 
 
-def test_price_surface_slice_matches_call_price_exactly():
+def test_price_surface_slice_matches_single_strike_exactly():
     # a tenor's strikes are priced as one array; each price must still be
-    # the single-contract call_price bit for bit, on both sides of the
-    # forward and with a nonzero rate
+    # the one-strike slice bit for bit, on both sides of the forward and
+    # with a nonzero rate, at the default node count (one strike per
+    # quadrature block) and at 2000 nodes (eight strikes per block)
     model = _ShimModel(BS_PARAMS)
-    strikes = [80.0, 95.0, 99.5, 100.0, 100.25, 103.0, 120.0]
-    res = price_surface([(k, TAU) for k in strikes], model, None, 100.0, rate=0.03)
-    cf = lambda u: model.cf_standardized(u, TAU, None)
-    for k, r in zip(strikes, res):
-        assert r["error"] is None and r["iv"] is not None
-        assert r["call"] == call_price(PricingRequest(100.0, k, TAU, rate=0.03), cf, 0.2)
+    strikes = [80.0, 95.0, 99.5, 100.0, 100.25, 103.0, 120.0, 100.5, 101.0]
+    for quad in (QuadratureConfig(), QuadratureConfig(node_count=2000)):
+        res = price_surface([(k, TAU) for k in strikes], model, None, 100.0,
+                            rate=0.03, quad=quad)
+        for k, r in zip(strikes, res):
+            assert r["error"] is None and r["iv"] is not None
+            assert r["call"] == _calls([k], rate=0.03, quad=quad)[0]
 
 
 def test_price_surface_duplicates_identical():
@@ -286,7 +290,9 @@ def test_price_surface_18_contracts_full_model():
     assert all(r["iv"] > 0 for r in res)
     for r in res:
         cf = lambda u, _t=r["tau"]: model.cf_standardized(u, _t, None)
-        assert r["call"] == call_price(PricingRequest(100.0, r["strike"], r["tau"]), cf, 0.2)
+        one = _checked_slice_calls(cf, 0.2, r["tau"], 100.0, 0.0, [r["strike"]],
+                                   QuadratureConfig())
+        assert r["call"] == one[0]
 
 
 def test_price_surface_propagates_programming_errors():

@@ -152,7 +152,7 @@ def test_filter_excluded_dates():
     cfg = IngestConfig(exclude_dates=("2024-03-20",))
     surf = filter_surface(fomc + keep, spot=100.0, config=cfg)
     assert surf.drop_counts["excluded date"] == 6
-    assert all(q.timestamp.startswith("2024-03-21") for q in surf.all_quotes())
+    assert all(q.timestamp.startswith("2024-03-21") for s in surf.slices for q in s.quotes)
 
 
 def test_filter_tenor_without_pair_drops_whole():
@@ -171,7 +171,7 @@ def test_filter_is_idempotent():
     quotes.append(OptionQuote(99.0, tau, 0.0, 0.4, is_call=False, timestamp=TS))
     quotes.append(OptionQuote(20.0, tau, 0.01, 0.02, is_call=False, timestamp=TS))
     once = filter_surface(quotes, spot=100.0)
-    twice = filter_surface(once.all_quotes(), spot=100.0)
+    twice = filter_surface([q for s in once.slices for q in s.quotes], spot=100.0)
     assert once == twice  # drop_counts excluded from equality by design
     assert sum(twice.drop_counts.values()) == 0
 

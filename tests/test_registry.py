@@ -9,7 +9,7 @@ import pytest
 from ustvol.benchmarks import heston_merton_cf
 from ustvol.bspp_bootstrap import shift_weighted_variance
 from ustvol.cf_edgeworth import psi_full
-from ustvol.fourier_pricer import PricingRequest, bs_price, call_price, price_surface
+from ustvol.fourier_pricer import QuadratureConfig, _checked_slice_calls, bs_price, price_surface
 from ustvol.registry import MODELS, get_model, model_ids, standardized_from_raw
 
 TENORS = (5.5 / (24 * 365), 1 / 365, 2 / 365, 3 / 365, 5 / 365, 7 / 365)
@@ -108,8 +108,9 @@ def test_bspp_prices_exact_black_scholes():
     v = shift_weighted_variance(0.2, theta[1], tau)
     vol = 0.2 * math.sqrt(v / tau)
     cf = lambda u: spec.cf_standardized(u, tau, theta)
-    for strike in (97.0, 100.0, 103.0):
-        got = call_price(PricingRequest(spot=100.0, strike=strike, tau=tau), cf, 0.2)
+    strikes = (97.0, 100.0, 103.0)
+    calls = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, strikes, QuadratureConfig())
+    for strike, got in zip(strikes, calls):
         want = bs_price(100.0, strike, tau, 0.0, vol)
         assert abs(got - want) < 1e-6  # Fourier grid resolution
 
@@ -121,7 +122,7 @@ def test_hm_bridge_degenerate_bs():
     assert abs(spec.spot_vol(theta) - 0.2) < 1e-15
     tau = TENORS[2]
     cf = lambda u: spec.cf_standardized(u, tau, theta)
-    got = call_price(PricingRequest(spot=100.0, strike=100.0, tau=tau), cf, 0.2)
+    got = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, [100.0], QuadratureConfig())[0]
     want = bs_price(100.0, 100.0, tau, 0.0, 0.2)
     assert abs(got - want) < 2e-5
 
