@@ -37,7 +37,6 @@ from .bspp_bootstrap import (
 )
 from .calibration import (
     CalibrationResult,
-    ParamBounds,
     bid_ask_fraction,
     bucket_rmse,
     calibrate,

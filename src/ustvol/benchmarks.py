@@ -29,7 +29,7 @@ blocks each account for about half of the difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
@@ -95,7 +95,6 @@ class HestonMertonParams:
     c1: float = 0.0
     c2: float = 0.0
     factor_count: int = 1
-    feller_enforced: bool = False
     shifts: Displacement | None = None
 
     def __post_init__(self) -> None:
@@ -114,38 +113,10 @@ class HestonMertonParams:
                 f"m_v*rho_jump = {self.m_v * self.rho_jump} >= 1: the price-jump "
                 "compensator E[e^Zx] diverges"
             )
-        if self.feller_enforced:
-            factors = [(self.kappa1, self.theta1, self.zeta1)]
-            if self.factor_count == 2:
-                factors.append((self.kappa2, self.theta2, self.zeta2))
-            for i, (k, th, z) in enumerate(factors, start=1):
-                if 2.0 * k * th < z * z:
-                    raise ValueError(
-                        f"Feller condition violated on factor {i}: "
-                        f"2*kappa*theta = {2 * k * th:.6g} < zeta^2 = {z * z:.6g}"
-                    )
 
     @property
     def spot_variance(self) -> float:
         return self.v1_0 + self.v2_0
-
-    def to_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            d[f.name] = v.to_dict() if isinstance(v, Displacement) else v
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HestonMertonParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        d = dict(d)
-        if isinstance(d.get("shifts"), dict):
-            d["shifts"] = Displacement.from_dict(d["shifts"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -197,22 +168,6 @@ class RoughHestonParams:
         idx = np.searchsorted(np.asarray(self.xi_tenors), t, side="right")
         out = lev[np.minimum(idx, len(lev) - 1)]
         return out if out.ndim else float(out)
-
-    def to_dict(self) -> dict:
-        return {f.name: (list(v) if isinstance(v := getattr(self, f.name), tuple) else v)
-                for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoughHestonParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("xi_tenors", "xi_levels"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

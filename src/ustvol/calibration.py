@@ -7,7 +7,8 @@ Market IVs come from mid premiums and are computed once per calibration.
 Every evaluation re-prices each tenor slice once, its strikes as one array
 from one set of CF grids, then inverts the slice's model IVs in one array
 solve.  The fit report (RMSE, bucket RMSEs and the bid/ask hit share) comes
-out of that same single pass.
+out of that same single pass.  The search box is the registry's
+``default_bounds`` and the start the BS++ bootstrap of the ATM term structure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .market_data import Surface, bucket_of
 from .registry import ModelSpec, get_model
 
 __all__ = [
-    "ParamBounds",
     "CalibrationResult",
     "rmse",
     "bid_ask_fraction",
@@ -43,33 +43,6 @@ __all__ = [
 
 _PENALTY = 1e6
 _STAGNATION_TOL = 1e-4  # vol points
-
-
-@dataclass(frozen=True)
-class ParamBounds:
-    """Per-parameter (lower, upper) box constraints."""
-
-    bounds: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        )
-        for i, (lo, hi) in enumerate(self.bounds):
-            if not lo < hi:
-                raise ValueError(f"bounds[{i}]: lower {lo} must be < upper {hi}")
-
-    def __len__(self) -> int:
-        return len(self.bounds)
-
-    def clip(self, vector) -> np.ndarray:
-        arr = np.asarray(vector, dtype=float)
-        lo, hi = np.array(self.bounds).T
-        return np.clip(arr, lo, hi)
-
-    def widths(self) -> np.ndarray:
-        arr = np.array(self.bounds)
-        return arr[:, 1] - arr[:, 0]
 
 
 @dataclass(frozen=True)
@@ -250,8 +223,6 @@ def _bootstrap_start(model: ModelSpec, surface: Surface) -> np.ndarray:
 def calibrate(
     surface: Surface,
     model_id: str,
-    bounds: ParamBounds | None = None,
-    seed_params=None,
     rate: float = 0.0,
     quad: QuadratureConfig | None = None,
     budget: int = 20_000,
@@ -260,7 +231,10 @@ def calibrate(
 ) -> CalibrationResult:
     """Fit ``model_id`` to a filtered surface by derivative-free search.
 
-    Nelder-Mead under the parameter box, restarted ``restarts`` times from
+    The search starts from the BS++ bootstrap of the ATM term structure
+    (sigma0 and the shifts, for models with volatility shifts) or else the
+    model's default start, clipped to the box ``default_bounds``.
+    Nelder-Mead under that box, restarted ``restarts`` times from
     seeded perturbations of the incumbent; when restarts stagnate with
     budget left, a seeded differential-evolution sweep followed by a final
     polish spends the remainder.  Evaluations that raise ValueError,
@@ -276,22 +250,11 @@ def calibrate(
         raise ValueError("cannot calibrate an empty surface")
     tenors = surface.tenors
     expected = model.param_count(len(tenors))
-    box = bounds or ParamBounds(model.default_bounds(len(tenors)))
-    if len(box) != expected:
-        raise ValueError(
-            f"{model_id} on {len(tenors)} tenors needs {expected} bounds, "
-            f"got {len(box)}"
-        )
+    scipy_bounds = list(model.default_bounds(len(tenors)))
+    lo, hi = np.array(scipy_bounds).T
     quad = quad or QuadratureConfig()
     views = _market_view(surface, rate)
-
-    if seed_params is not None:
-        start = np.asarray(seed_params, dtype=float)
-        if start.size != expected:
-            raise ValueError(f"seed_params needs {expected} entries, got {start.size}")
-        start = box.clip(start)
-    else:
-        start = box.clip(_bootstrap_start(model, surface))
+    start = np.clip(_bootstrap_start(model, surface), lo, hi)
 
     evals = 0
     best_val = math.inf
@@ -313,7 +276,6 @@ def calibrate(
         return val
 
     rng = np.random.default_rng(rng_seed)
-    scipy_bounds = list(box.bounds)
     per_run = max(budget // (restarts + 2), 50)
 
     def run_nm(x0, maxfev) -> None:
@@ -327,8 +289,8 @@ def calibrate(
     stagnated = False
     for _ in range(restarts):
         before = best_val
-        jitter = rng.normal(0.0, 0.05, size=expected) * box.widths()
-        run_nm(box.clip(best_vec + jitter), per_run)
+        jitter = rng.normal(0.0, 0.05, size=expected) * (hi - lo)
+        run_nm(np.clip(best_vec + jitter, lo, hi), per_run)
         if before - best_val < _STAGNATION_TOL:
             stagnated = True
             break

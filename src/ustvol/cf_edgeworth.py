@@ -27,7 +27,7 @@ accept complex frequencies (needed by the Fourier pricer's shifted argument).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,11 +91,6 @@ class EdgeworthParams:
             raise ValueError(f"rho0 must lie in [-1, 1], got {self.rho0}")
 
     @property
-    def spot_vol(self) -> float:
-        """Annualized instantaneous volatility at time 0 (pricing anchor)."""
-        return self.sigma0
-
-    @property
     def beta0(self) -> float:
         """Loading on the price Brownian: beta_tilde0 * rho0."""
         return self.beta_tilde0 * self.rho0
@@ -104,17 +99,6 @@ class EdgeworthParams:
     def beta0_perp(self) -> float:
         """Loading on the orthogonal Brownian: beta_tilde0 * sqrt(1 - rho0^2)."""
         return self.beta_tilde0 * math.sqrt(max(0.0, 1.0 - self.rho0 * self.rho0))
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EdgeworthParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -175,13 +159,6 @@ class Displacement:
         else:
             seg = np.append(lev, lev[-1])
         return bounds, seg
-
-    def to_dict(self) -> dict:
-        return {"tenors": list(self.tenors), "shifts": list(self.shifts)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Displacement":
-        return cls(tenors=tuple(d["tenors"]), shifts=tuple(d["shifts"]))
 
 
 def _phi_tilde_column(seg_levels, sigma0: float) -> np.ndarray:

@@ -27,23 +27,6 @@ from pathlib import Path
 
 _FORMAT_VERSION = 1
 
-# config-file keys are coerced with these before landing in the namespace
-_CONFIG_TYPES = {
-    "seed": int,
-    "fourier_nodes": int,
-    "fourier_umax": float,
-    "budget": int,
-    "restarts": int,
-    "trials": int,
-    "paths": int,
-    "steps": int,
-    "max_tenors": int,
-    "rate": float,
-    "spot": float,
-    "tau": float,
-}
-_CONFIG_BOOLS = ("antithetic",)
-
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -157,8 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     common.add_argument("--fourier-nodes", type=int, default=None, dest="fourier_nodes",
                         help="quadrature node count override")
-    common.add_argument("--fourier-umax", type=float, default=None, dest="fourier_umax",
-                        help="quadrature truncation override")
     common.add_argument("--config", default=None,
                         help="key=value config file; flags take precedence")
 
@@ -254,17 +235,24 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
-def _apply_config(args) -> None:
-    """Fill unset flags from the config file; explicit flags win."""
+def _apply_config(args, parser) -> None:
+    """Fill unset flags from the config file, each value converted as the
+    subcommand's own flag converts it; explicit flags win."""
     if not getattr(args, "config", None):
         return
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.cmd]._actions}
     for key, raw in _load_config_file(args.config).items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
+        if key not in actions or not hasattr(args, key) or getattr(args, key) is not None:
             continue
-        if key in _CONFIG_TYPES:
-            val = _CONFIG_TYPES[key](raw)
-        elif key in _CONFIG_BOOLS:
+        action = actions[key]
+        if action.nargs == 0:  # store_true
             val = raw.lower() in ("1", "true", "yes", "on")
+        elif action.type is not None:
+            try:
+                val = action.type(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config key {key}: {exc}") from exc
         else:
             val = raw
         setattr(args, key, val)
@@ -273,12 +261,9 @@ def _apply_config(args) -> None:
 def _quad(args):
     from .fourier_pricer import QuadratureConfig
 
-    kwargs = {}
-    if args.fourier_nodes is not None:
-        kwargs["node_count"] = args.fourier_nodes
-    if args.fourier_umax is not None:
-        kwargs["u_max"] = args.fourier_umax
-    return QuadratureConfig(**kwargs) if kwargs else None
+    if args.fourier_nodes is None:
+        return None
+    return QuadratureConfig(node_count=args.fourier_nodes)
 
 
 def _params_json(raw: str, inputs: list):
@@ -663,7 +648,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return _DISPATCH[args.cmd](args)
     except (ValueError, KeyError, OSError) as exc:
         # includes JSON decode errors, unknown models, missing files,

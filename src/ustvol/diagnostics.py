@@ -111,7 +111,6 @@ def timing_bench(
     trials: int,
     spot: float = 100.0,
     node_count: int = 2_000,
-    tenors=BENCH_TENORS,
 ) -> TimingReport:
     """Wall-clock pricing bench on the 3-contracts-per-tenor fixture.
 
@@ -130,9 +129,9 @@ def timing_bench(
     for t in range(trials):
         for i, (_, model, theta) in enumerate(resolved):
             tic = time.perf_counter()
-            _price_tenors(model, theta, tenors[:1], spot, quad)
+            _price_tenors(model, theta, BENCH_TENORS[:1], spot, quad)
             mid = time.perf_counter()
-            _price_tenors(model, theta, tenors, spot, quad)
+            _price_tenors(model, theta, BENCH_TENORS, spot, quad)
             toc = time.perf_counter()
             times[i, 0, t] = mid - tic
             times[i, 1, t] = toc - mid

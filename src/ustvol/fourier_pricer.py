@@ -70,19 +70,14 @@ class ArbitrageBoundsError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Fourier grid: node_count trapezoid nodes on [1e−8, u_max].
-
-    u_max=None selects the adaptive truncation bound.
-    """
+    """Fourier grid: node_count trapezoid nodes on [1e−8, u_max], u_max the
+    adaptive truncation bound of each tenor slice."""
 
     node_count: int = 10_000
-    u_max: float | None = None
 
     def __post_init__(self) -> None:
         if self.node_count < 100:
             raise ValueError(f"node_count must be >= 100, got {self.node_count}")
-        if self.u_max is not None and not self.u_max > 0.0:
-            raise ValueError(f"u_max must be > 0, got {self.u_max}")
 
 
 def _adaptive_u_max(cf: Callable, shift: complex) -> float:
@@ -128,8 +123,7 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
             f"|Psi(-i*sigma0*sqrt(tau))| = {abs(psi_norm):.3e} "
             f"is numerically degenerate (tau={tau})"
         )
-    u_max = quad.u_max if quad.u_max is not None else _adaptive_u_max(cf, -1j * st)
-    u = np.linspace(_U_MIN, u_max, quad.node_count)
+    u = np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), quad.node_count)
     psi_shift = np.asarray(cf(u - 1j * st))
     psi_plain = np.asarray(cf(u))
 

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# paths per chunk: memory stays bounded and the draws of a chunk do not depend
+# on the total path count
+_CHUNK_PATHS = 250_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Path count, time resolution and RNG policy for one simulation run."""
@@ -42,15 +47,12 @@ class SimConfig:
     steps_per_tenor: int = 200
     rng_seed: int = 0
     antithetic: bool = False
-    chunk_size: int = 250_000
 
     def __post_init__(self) -> None:
         if self.paths < 1:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
         if self.steps_per_tenor < 1:
             raise ValueError(f"steps_per_tenor must be >= 1, got {self.steps_per_tenor}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,14 @@ class SubmodelSim:
     negative_vol_fraction: float
 
 
-def _chunk_streams(cfg: SimConfig):
-    """Yield (size, rng) pairs, one child stream per fixed-size chunk."""
+def _chunk_streams(cfg: SimConfig, cap: int | None = None):
+    """Yield (size, rng) pairs, one child stream per fixed-size chunk of
+    ``_CHUNK_PATHS`` paths, or of ``cap`` if that is smaller."""
+    chunk = _CHUNK_PATHS if cap is None else min(_CHUNK_PATHS, cap)
     sizes = []
     left = cfg.paths
     while left > 0:
-        take = min(left, cfg.chunk_size)
+        take = min(left, chunk)
         sizes.append(take)
         left -= take
     children = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))
@@ -332,11 +336,6 @@ def _simulate_rough(p: RoughHestonParams, tau: float, cfg: SimConfig) -> np.ndar
     covariance), which at H = 1/2 collapses the whole scheme onto classical
     Euler.  Merton jumps are sampled exactly over the horizon.
     """
-    # the kernel scheme stores the full (steps x paths) shock history, so
-    # chunks are capped harder than for the Markovian simulators
-    if cfg.chunk_size > _ROUGH_CHUNK_CAP:
-        cfg = SimConfig(cfg.paths, cfg.steps_per_tenor, cfg.rng_seed,
-                        cfg.antithetic, _ROUGH_CHUNK_CAP)
     alpha = p.hurst + 0.5
     n = cfg.steps_per_tenor
     dt = tau / n
@@ -359,7 +358,9 @@ def _simulate_rough(p: RoughHestonParams, tau: float, cfg: SimConfig) -> np.ndar
     out = np.empty(cfg.paths)
     neg_cells = 0
     offset = 0
-    for size, rng in _chunk_streams(cfg):
+    # the kernel scheme stores the full (steps x paths) shock history, so
+    # chunks are capped harder than for the Markovian simulators
+    for size, rng in _chunk_streams(cfg, _ROUGH_CHUNK_CAP):
         dw = _normals(rng, n, size, cfg.antithetic) * math.sqrt(dt)
         g_resid = _normals(rng, n, size, cfg.antithetic)
         g_perp = _normals(rng, n, size, cfg.antithetic)

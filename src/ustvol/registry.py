@@ -27,6 +27,11 @@ Shift parameters attach to the surface tenor grid passed to ``unpack``; the
 level between tenor k and k+1 is shift_k (the level before the first tenor is
 pinned at zero), while the rough models carry one forward-variance level per
 tenor, the first being the spot variance.
+
+JSON form (one codec for every model, :meth:`ModelSpec.to_json_dict`): one key
+per base name, ``"model"``, and the tenor grid -- ``"displacement": {"tenors",
+"shifts"}`` for the shifted models, ``"xi_tenors"`` and ``"xi_levels"`` for the
+rough ones.  Decoding requires every base name and rejects any other key.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ class ModelSpec:
     _base_bounds: tuple
     _shift_bounds: tuple | None
     _base_start: Callable
-    _to_json: Callable
-    _from_json: Callable
+    # surface tenor grid a native theta was unpacked on (() without one)
+    _tenors: Callable
 
     def param_names(self, n_tenors: int) -> tuple:
         """Ordered vector entry names for an n-tenor surface."""
@@ -134,12 +139,9 @@ class ModelSpec:
         (shifted vol positivity, compensator existence) are enforced at
         evaluation time by the parameter objects themselves."""
         if self.shift_style == "none":
-            return self.base_bounds_only()
+            return self._base_bounds
         n_extra = n_tenors if self.shift_style == "curve" else n_tenors - 1
-        return self.base_bounds_only() + (self._shift_bounds,) * n_extra
-
-    def base_bounds_only(self) -> tuple:
-        return tuple(self._base_bounds)
+        return self._base_bounds + (self._shift_bounds,) * n_extra
 
     def default_start(self, tenors, atm_vol: float = 0.2) -> np.ndarray:
         """A generic in-bounds starting vector anchored at an ATM vol guess."""
@@ -151,13 +153,32 @@ class ModelSpec:
         return np.asarray(base, dtype=float)
 
     def to_json_dict(self, theta) -> dict:
-        d = self._to_json(theta)
-        d["model"] = self.model_id
+        """Named-field JSON form of a native theta (see the module docstring)."""
+        x = [float(v) for v in self.pack(theta)]
+        n = len(self.base_names)
+        d = dict(zip(self.base_names, x[:n]), model=self.model_id)
+        tenors = list(self._tenors(theta))
+        if self.shift_style == "curve":
+            d.update(xi_tenors=tenors, xi_levels=x[n:])
+        elif self.shift_style != "none":
+            d["displacement"] = {"tenors": tenors, "shifts": x[n:]}
         return d
 
     def from_json_dict(self, d: dict):
-        d = {k: v for k, v in d.items() if k != "model"}
-        return self._from_json(d)
+        """Native theta from :meth:`to_json_dict` output; ``"model"`` is optional."""
+        grid = {"none": (), "curve": ("xi_tenors", "xi_levels")}.get(
+            self.shift_style, ("displacement",))
+        required = set(self.base_names) | set(grid)
+        problems = [f"{kind} fields {sorted(keys)}" for kind, keys in (
+            ("unknown", set(d) - required - {"model"}), ("missing", required - set(d))) if keys]
+        if problems:
+            raise ValueError(f"{self.model_id} parameters: {'; '.join(problems)}")
+        tenors, extra = (), []
+        if self.shift_style == "curve":
+            tenors, extra = d["xi_tenors"], d["xi_levels"]
+        elif self.shift_style != "none":
+            tenors, extra = d["displacement"]["tenors"], d["displacement"]["shifts"]
+        return self.unpack([float(d[n]) for n in self.base_names] + list(extra), tenors)
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +207,6 @@ def _edgeworth_pack(theta) -> tuple:
     return tuple(getattr(theta, name) for name in _EDGEWORTH_NAMES)
 
 
-def _edgeworth_pp_json(theta) -> dict:
-    params, disp = theta
-    return {**params.to_dict(), "displacement": disp.to_dict()}
-
-
-def _edgeworth_pp_from_json(d: dict):
-    d = dict(d)
-    disp = Displacement.from_dict(d.pop("displacement"))
-    return EdgeworthParams.from_dict(d), disp
-
-
 _EDGEWORTH = ModelSpec(
     model_id="edgeworth",
     base_names=_EDGEWORTH_NAMES,
@@ -208,8 +218,7 @@ _EDGEWORTH = ModelSpec(
     _base_bounds=_EDGEWORTH_BOUNDS,
     _shift_bounds=None,
     _base_start=_edgeworth_start,
-    _to_json=lambda th: th.to_dict(),
-    _from_json=EdgeworthParams.from_dict,
+    _tenors=lambda th: (),
 )
 
 _EDGEWORTH_PP = ModelSpec(
@@ -226,8 +235,7 @@ _EDGEWORTH_PP = ModelSpec(
     _base_bounds=_EDGEWORTH_BOUNDS,
     _shift_bounds=_VOL_SHIFT_BOUNDS,
     _base_start=_edgeworth_start,
-    _to_json=_edgeworth_pp_json,
-    _from_json=_edgeworth_pp_from_json,
+    _tenors=lambda th: th[1].tenors,
 )
 
 
@@ -257,11 +265,7 @@ _BS_PP = ModelSpec(
     _base_bounds=((0.01, 3.0),),
     _shift_bounds=_VOL_SHIFT_BOUNDS,
     _base_start=lambda atm: (atm,),
-    _to_json=lambda th: {"sigma0": th[0], "displacement": th[1].to_dict()},
-    _from_json=lambda d: (
-        float(d["sigma0"]),
-        Displacement.from_dict(d["displacement"]),
-    ),
+    _tenors=lambda th: th[1].tenors,
 )
 
 
@@ -313,31 +317,6 @@ def _hm_spot_vol(th: HestonMertonParams) -> float:
     return math.sqrt(th.spot_variance)
 
 
-def _hm_json(names: tuple, shifted: bool):
-    def emit(th):
-        d = {n: getattr(th, n) for n in names}
-        if shifted:
-            d["displacement"] = th.shifts.to_dict()
-        return d
-
-    return emit
-
-
-def _hm_from_json(names: tuple, factor_count: int, shifted: bool):
-    def parse(d):
-        d = dict(d)
-        kwargs = {}
-        if shifted:
-            kwargs["shifts"] = Displacement.from_dict(d.pop("displacement"))
-        unknown = set(d) - set(names)
-        if unknown:
-            raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        kwargs.update({n: float(d[n]) for n in names})
-        return HestonMertonParams(factor_count=factor_count, **kwargs)
-
-    return parse
-
-
 def _hm1f_start(atm: float) -> tuple:
     return (atm * atm, 5.0, atm * atm, 0.5, -0.6, 10.0, -0.02, 0.05)
 
@@ -360,8 +339,7 @@ def _hm_spec(model_id, names, bounds, factor_count, shifted, start) -> ModelSpec
         _base_bounds=bounds,
         _shift_bounds=_VAR_SHIFT_BOUNDS if shifted else None,
         _base_start=start,
-        _to_json=_hm_json(names, shifted),
-        _from_json=_hm_from_json(names, factor_count, shifted),
+        _tenors=lambda th: th.shifts.tenors if shifted else (),
     )
 
 
@@ -409,8 +387,7 @@ def _rough_spec(model_id, names, bounds, start) -> ModelSpec:
         _base_bounds=bounds,
         _shift_bounds=_XI_BOUNDS,
         _base_start=start,
-        _to_json=lambda th: th.to_dict(),
-        _from_json=RoughHestonParams.from_dict,
+        _tenors=lambda th: th.xi_tenors,
     )
 
 

@@ -53,25 +53,6 @@ def test_params_validation():
                            m_v=2.0, rho_jump=0.6)
 
 
-def test_feller_toggle():
-    # 2*kappa*theta = 0.08 < zeta^2 = 0.25: rejected only when enforced
-    kwargs = dict(v1_0=0.04, kappa1=1.0, theta1=0.04, zeta1=0.5, rho1=-0.5)
-    ok = HestonMertonParams(**kwargs)  # not enforced: evaluates
-    assert np.isfinite(abs(heston_merton_cf(1.0, TAU, ok)))
-    with pytest.raises(ValueError, match="Feller"):
-        HestonMertonParams(**kwargs, feller_enforced=True)
-    # satisfied condition passes with enforcement on
-    HestonMertonParams(v1_0=0.04, kappa1=4.0, theta1=0.04, zeta1=0.5, rho1=-0.5,
-                       feller_enforced=True)
-
-
-def test_feller_enforced_checks_only_active_factors():
-    # factor 2 violates Feller but factor_count=1 leaves it unchecked
-    HestonMertonParams(v1_0=0.04, kappa1=4.0, theta1=0.04, zeta1=0.5, rho1=-0.5,
-                       kappa2=0.1, theta2=0.01, zeta2=1.0, feller_enforced=True,
-                       factor_count=1)
-
-
 def test_rough_params_validation():
     with pytest.raises(ValueError):
         RoughHestonParams(hurst=0.6, nu=0.3, rho=-0.5, xi_tenors=(TAU,), xi_levels=(0.04,))
@@ -81,17 +62,6 @@ def test_rough_params_validation():
         RoughHestonParams(hurst=0.1, nu=0.3, rho=-0.5, xi_tenors=(TAU,), xi_levels=(-0.04,))
     with pytest.raises(ValueError):
         RoughHestonParams(hurst=0.1, nu=0.3, rho=-0.5, xi_tenors=(TAU, TAU), xi_levels=(0.04, 0.04))
-
-
-def test_serialization_round_trips():
-    d = Displacement(tenors=(1 / 365, 2 / 365), shifts=(0.01,))
-    p = _full_2f(shifts=d)
-    assert HestonMertonParams.from_dict(p.to_dict()) == p
-    rp = RoughHestonParams(hurst=0.1, nu=0.3, rho=-0.65, xi_tenors=(1 / 365, TAU),
-                           xi_levels=(0.04, 0.045), lambda_j=10.0, mu_j=-0.01, sigma_j=0.02)
-    assert RoughHestonParams.from_dict(rp.to_dict()) == rp
-    with pytest.raises(ValueError):
-        HestonMertonParams.from_dict({"v1_0": 0.04, "nope": 1})
 
 
 # ---------------------------------------------------------------------------

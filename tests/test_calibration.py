@@ -4,7 +4,6 @@ optimizer's determinism, trace monotonicity and round-trip recovery."""
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from ustvol import calibration
@@ -12,7 +11,6 @@ from ustvol import calibration
 from ustvol.bspp_bootstrap import shift_weighted_variance
 from ustvol.calibration import (
     CalibrationResult,
-    ParamBounds,
     bid_ask_fraction,
     bucket_rmse,
     calibrate,
@@ -47,14 +45,6 @@ def _flat_surface(sigma0=0.2, tenors=(1 / 365, 2 / 365, 3 / 365),
                   strikes=(98.0, 100.0, 102.0)):
     disp = Displacement(tenors=tenors, shifts=(0.0,) * (len(tenors) - 1))
     return filter_surface(_bspp_quotes(sigma0, disp, tenors, strikes), 100.0)
-
-
-def test_param_bounds_validation():
-    with pytest.raises(ValueError, match="lower"):
-        ParamBounds(((0.0, 0.0),))
-    pb = ParamBounds(((0.0, 1.0), (-2.0, 2.0)))
-    assert np.array_equal(pb.clip([5.0, -3.0]), [1.0, -2.0])
-    assert np.array_equal(pb.widths(), [1.0, 4.0])
 
 
 def test_rmse_zero_on_self_generated():
@@ -198,8 +188,8 @@ def test_calibrate_seeded_start_converges_immediately():
     surf = filter_surface(
         _bspp_quotes(0.22, truth, tenors, (99.0, 100.0, 101.0)), 100.0
     )
-    res = calibrate(surf, "bs_pp", seed_params=(0.22, 0.01, 0.02),
-                    quad=QUAD, budget=600, rng_seed=1)
+    # the ATM bootstrap start is the truth on a bs_pp surface
+    res = calibrate(surf, "bs_pp", quad=QUAD, budget=600, rng_seed=1)
     assert res.rmse < 1e-3
     assert res.converged
 
@@ -208,12 +198,8 @@ def test_calibrate_input_validation():
     surf = _flat_surface()
     with pytest.raises(ValueError, match="empty"):
         calibrate(Surface(100.0, ()), "bs_pp")
-    with pytest.raises(ValueError, match="bounds"):
-        calibrate(surf, "bs_pp", bounds=ParamBounds(((0.01, 3.0),)))
     with pytest.raises(ValueError, match="unknown model"):
         calibrate(surf, "svi")
-    with pytest.raises(ValueError, match="seed_params"):
-        calibrate(surf, "bs_pp", seed_params=(0.2,))
 
 
 def test_calibrate_propagates_programming_errors(monkeypatch):

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ustvol.bspp_bootstrap import bspp_atm_vol, shift_weighted_variance
@@ -320,6 +321,24 @@ def test_config_file_flag_precedence(tmp_path):
     assert _manifest(out)["rng_seed"] == 9
     assert main(base + ["--seed", "4"]) == 0
     assert _manifest(out)["rng_seed"] == 4
+
+
+def test_config_file_values_take_their_flag_types(tmp_path, capsys):
+    # tenors from a config file is a float list, as --tenors would make it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tenors = 0.01,0.02\nsteps = 5\nantithetic = yes\n")
+    out = tmp_path / "s.bin"
+    argv = ["simulate", "--model", "bs_pp", "--params", "[0.2, 0.01]",
+            "--tau", "0.01", "--paths", "10", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    samples = read_samples_bin(out)
+    assert samples.size == 10
+    assert np.allclose(samples[:5], -samples[5:] - 0.2**2 * 0.01)  # antithetic pairs
+    capsys.readouterr()
+    cfg.write_text("tenors = 0.01,x\n")
+    assert main(argv) == 2
+    err = _stderr_error(capsys)
+    assert err["category"] == "validation" and "tenors" in err["message"]
 
 
 def test_config_file_bad_line(tmp_path, capsys):

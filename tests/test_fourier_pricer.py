@@ -116,9 +116,11 @@ def test_u_max_probe_truncates_only_numerical_failures():
 
 
 def test_negative_price_error_on_misconfigured_quadrature():
-    quad = QuadratureConfig(node_count=100, u_max=0.2)
+    # a broken CF with Psi(0) = -1 flips the strike leg: the raw OTM call is
+    # about -K, far below the -1e-4*spot noise band
+    flipped_cf = lambda u: -_bs_cf(TAU)(u)
     with pytest.raises(NegativePriceError):
-        _calls([130.0], quad=quad)
+        _calls([130.0], cf=flipped_cf)
 
 
 def test_request_and_config_validation():
@@ -132,8 +134,6 @@ def test_request_and_config_validation():
         "ValueError: tau must be > 0, got 0.0")
     with pytest.raises(ValueError):
         QuadratureConfig(node_count=10)
-    with pytest.raises(ValueError):
-        QuadratureConfig(u_max=-5.0)
 
 
 # ---------------------------------------------------------------------------

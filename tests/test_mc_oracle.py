@@ -16,6 +16,7 @@ from ustvol.benchmarks import (
     rough_heston_cf,
 )
 from ustvol.bspp_bootstrap import shift_weighted_variance
+from ustvol import mc_oracle
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams
 from ustvol.mc_oracle import (
     SimConfig,
@@ -128,17 +129,18 @@ def test_exact_requires_collapsed_dynamics():
 # reproducibility
 # ---------------------------------------------------------------------------
 
-def test_rng_reproducibility_and_chunk_stability():
+def test_rng_reproducibility_and_chunk_stability(monkeypatch):
+    monkeypatch.setattr(mc_oracle, "_CHUNK_PATHS", 400)
     p = _no_jump(beta_tilde0=0.4)
-    cfg = SimConfig(paths=800, steps_per_tenor=20, rng_seed=42, chunk_size=400)
+    cfg = SimConfig(paths=800, steps_per_tenor=20, rng_seed=42)
     a = simulate_edgeworth_submodel(p, None, TAU, cfg).z_continuous
     b = simulate_edgeworth_submodel(p, None, TAU, cfg).z_continuous
     assert np.array_equal(a, b)
-    other = SimConfig(paths=800, steps_per_tenor=20, rng_seed=43, chunk_size=400)
+    other = SimConfig(paths=800, steps_per_tenor=20, rng_seed=43)
     c = simulate_edgeworth_submodel(p, None, TAU, other).z_continuous
     assert not np.array_equal(a, c)
     # growing the path count appends chunks without disturbing earlier draws
-    grown = SimConfig(paths=1200, steps_per_tenor=20, rng_seed=42, chunk_size=400)
+    grown = SimConfig(paths=1200, steps_per_tenor=20, rng_seed=42)
     d = simulate_edgeworth_submodel(p, None, TAU, grown).z_continuous
     assert np.array_equal(d[:800], a)
 
@@ -298,8 +300,7 @@ def test_negative_variance_guard_trips():
 def test_unknown_model_and_bad_config_rejected():
     with pytest.raises(ValueError, match="no simulator"):
         simulate_benchmark("garch", None, TAU, SimConfig(paths=10))
-    for bad in (dict(paths=0), dict(paths=10, steps_per_tenor=0),
-                dict(paths=10, chunk_size=0)):
+    for bad in (dict(paths=0), dict(paths=10, steps_per_tenor=0)):
         with pytest.raises(ValueError):
             SimConfig(**bad)
     with pytest.raises(ValueError, match="tau"):

@@ -1,6 +1,7 @@
 """Tests for the model registry: vector packing, JSON round trips, and the
 standardized-return CF bridges feeding the Fourier pricer."""
 
+import json
 import math
 
 import numpy as np
@@ -68,6 +69,50 @@ def test_json_round_trip_all_models():
         assert d["model"] == mid
         theta2 = spec.from_json_dict(d)
         np.testing.assert_allclose(spec.pack(theta2), x, err_msg=mid)
+
+
+GRID_KEYS = {"none": set(), "vol": {"displacement"}, "var": {"displacement"},
+             "curve": {"xi_tenors", "xi_levels"}}
+
+
+def _inner_vector(spec):
+    lo, hi = np.array(spec.default_bounds(len(TENORS))).T
+    return lo + (hi - lo) * np.linspace(0.3, 0.4, lo.size)
+
+
+@pytest.mark.parametrize("mid", list(MODELS))
+def test_codec_keys_and_exact_round_trip(mid):
+    spec = MODELS[mid]
+    theta = spec.unpack(_inner_vector(spec), TENORS)
+    d = spec.to_json_dict(theta)
+    assert set(d) == set(spec.base_names) | {"model"} | GRID_KEYS[spec.shift_style]
+    assert d["model"] == mid
+    # the JSON form survives a text round trip bit for bit
+    back = spec.from_json_dict(json.loads(json.dumps(d)))
+    assert back == theta
+    assert np.array_equal(spec.pack(back), spec.pack(theta))
+    # "model" is optional on input
+    assert spec.from_json_dict({k: v for k, v in d.items() if k != "model"}) == theta
+
+
+@pytest.mark.parametrize("mid", list(MODELS))
+def test_codec_rejects_unknown_and_missing_fields(mid):
+    spec = MODELS[mid]
+    good = spec.to_json_dict(spec.unpack(_inner_vector(spec), TENORS))
+    with pytest.raises(ValueError, match="kappa_typo"):
+        spec.from_json_dict({**good, "kappa_typo": 1.0})
+    dropped = spec.base_names[-1]
+    with pytest.raises(ValueError, match=dropped):
+        spec.from_json_dict({k: v for k, v in good.items() if k != dropped})
+
+
+def test_rough_heston_pp_rejects_jump_fields():
+    # rough_heston_pp has no jumps: a lambda_j it cannot carry in its vector
+    # must not be priced either
+    spec = get_model("rough_heston_pp")
+    d = spec.to_json_dict(spec.unpack(spec.default_start(TENORS), TENORS))
+    with pytest.raises(ValueError, match="lambda_j"):
+        spec.from_json_dict({**d, "lambda_j": 200.0})
 
 
 def test_default_start_inside_bounds():
@@ -147,15 +192,6 @@ def test_all_models_price_a_surface_without_errors():
         bad = [r["error"] for r in rows if r["error"] is not None]
         assert not bad, (mid, bad)
         assert all(0.0 < r["iv"] < 1.5 for r in rows), mid
-
-
-def test_hm_json_rejects_unknown_fields():
-    spec = get_model("heston_merton_1f")
-    good = spec.to_json_dict(spec.unpack(spec.default_start(TENORS), TENORS))
-    bad = dict(good)
-    bad["kappa_typo"] = 1.0
-    with pytest.raises(ValueError, match="kappa_typo"):
-        spec.from_json_dict(bad)
 
 
 def test_rough_spot_vol_and_curve_layout():
