@@ -245,6 +245,8 @@ def calibrate(
     with ``converged=False``.
     """
     t_start = time.perf_counter()
+    if budget < 1 or restarts < 0:
+        raise ValueError(f"need budget >= 1 and restarts >= 0, got {budget} and {restarts}")
     model = get_model(model_id)
     if not surface.slices or not any(s.quotes for s in surface.slices):
         raise ValueError("cannot calibrate an empty surface")

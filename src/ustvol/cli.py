@@ -2,12 +2,23 @@
 
 Every successful run writes its data artifact plus a manifest JSON sidecar
 (``<out>.manifest.json``) recording the command, input paths, a hash of the
-effective configuration, the RNG seed, artifact versions and wall time.
-Text outputs open with a ``# manifest:`` line naming that sidecar; JSON
-outputs carry a ``"manifest"`` key.  For a fixed command line, config and
-inputs the data bytes are identical across reruns -- measured wall time
-lives only in the manifest.  (The one exception is ``bench``, whose data
-*is* wall-clock measurement.)
+effective configuration (every parsed value but the config file's path), the
+RNG seed, artifact versions and wall time.  Text outputs open with a
+``# manifest:`` line naming that sidecar; JSON outputs carry a ``"manifest"``
+key.  For a fixed command line, config and inputs the data bytes are
+identical across reruns -- measured wall time lives only in the manifest.
+(The one exception is ``bench``, whose data *is* wall-clock measurement.)
+
+Each flag's default is declared once, on the flag; where a library config
+owns it (``QuadratureConfig.node_count``, ``IngestConfig.max_tenors``,
+``SimConfig.steps_per_tenor``) the flag takes it from there.  A subcommand
+has only the flags it reads: ``--seed`` on calibrate, simulate and
+termstructure; ``--fourier-nodes`` on price, calibrate, termstructure and
+bench.  ``--config FILE`` holds ``key = value`` lines (``#`` comments, keys
+spelled as the flag without its dashes); each value is converted as its flag
+converts it and becomes that flag's default, so explicit flags win.  Keys of
+other subcommands are skipped, so one file can serve several; a key that no
+subcommand defines is a validation failure.
 
 Exit codes: 0 success, 2 validation failure (bad flags, malformed JSON,
 missing files, unknown model ids, arbitrage-violating inputs), 1 numerical
@@ -20,75 +31,47 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
+
+import numpy as np
+import scipy
+
+# calibration and market_data are called through their modules: callers that
+# instrument a run rebind calibrate, read_quotes_csv and filter_surface there
+from . import calibration, market_data
+from .bspp_bootstrap import AtmTermStructure, bspp_atm_vol, calibrate_shift_from_atm
+from .cf_edgeworth import Displacement
+from .diagnostics import BENCH_TENORS, smile_expansion, timing_bench
+from .fourier_pricer import QuadratureConfig, price_surface
+from .mc_oracle import SimConfig, simulate_benchmark, write_samples_bin
+from .registry import get_model, model_ids
 
 _FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every output artifact."""
-
-    command: str
-    inputs: tuple
-    config_hash: str
-    rng_seed: int
-    versions: dict
-    wall_time: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "config_hash": self.config_hash,
-            "rng_seed": self.rng_seed,
-            "versions": dict(self.versions),
-            "wall_time": self.wall_time,
-        }
-
-
-def _versions() -> dict:
-    import numpy
-    import scipy
-
-    try:
-        from importlib.metadata import version
-
-        own = version("ustvol")
-    except Exception:
-        own = "unknown"
-    return {
-        "ustvol": own,
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "format": _FORMAT_VERSION,
-    }
-
-
-def _config_hash(args) -> str:
-    skip = {"func"}
-    payload = {
-        k: str(v) for k, v in sorted(vars(args).items()) if k not in skip
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _write_manifest(out_path: Path, args, inputs, t0: float) -> str:
     """Write ``<out>.manifest.json`` and return its file name."""
-    man = RunManifest(
-        command=args.cmd,
-        inputs=tuple(str(p) for p in inputs),
-        config_hash=_config_hash(args),
-        rng_seed=int(getattr(args, "seed", 0) or 0),
-        versions=_versions(),
-        wall_time=time.monotonic() - t0,
-    )
+    try:
+        own = version("ustvol")
+    except PackageNotFoundError:
+        own = "unknown"
+    config = {k: str(v) for k, v in vars(args).items() if k != "config"}
+    manifest = {
+        "command": args.cmd,
+        "inputs": [str(p) for p in inputs],
+        "config_hash": hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest()[:16],
+        "rng_seed": getattr(args, "seed", 0),
+        "versions": {"ustvol": own, "numpy": np.__version__,
+                     "scipy": scipy.__version__, "format": _FORMAT_VERSION},
+        "wall_time": time.monotonic() - t0,
+    }
     path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(man.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path.name
 
 
@@ -135,135 +118,126 @@ def _float_list(text: str):
     return vals
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    common.add_argument("--fourier-nodes", type=int, default=None, dest="fourier_nodes",
-                        help="quadrature node count override")
-    common.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
-
+def _build_parser():
+    """The ``ustvol`` parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(
         prog="ustvol",
         description="short-tenor vol surface pricing, calibration and diagnostics",
     )
     sub = p.add_subparsers(dest="cmd")
 
-    sp = sub.add_parser("price", parents=[common],
-                        help="price a (tenor, strike) grid and invert to IVs")
+    def command(name, help, seed=False, nodes=None):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--config", help="key=value config file; flags take precedence")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        if nodes:
+            sp.add_argument("--fourier-nodes", type=int, default=nodes,
+                            help="Fourier quadrature node count (default %(default)s)")
+        return sp
+
+    sp = command("price", "price a (tenor, strike) grid and invert to IVs",
+                 nodes=QuadratureConfig.node_count)
     sp.add_argument("--model", required=True)
     sp.add_argument("--params", required=True,
                     help="JSON text or @file: object with named fields, or a vector")
     sp.add_argument("--tenors", required=True, type=_float_list)
     sp.add_argument("--strikes", required=True, type=_float_list)
-    sp.add_argument("--spot", type=float, default=None)
-    sp.add_argument("--rate", type=float, default=None)
+    sp.add_argument("--spot", type=float, default=100.0)
+    sp.add_argument("--rate", type=float, default=0.0)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("calibrate", parents=[common],
-                        help="fit a registry model to a quote surface")
+    sp = command("calibrate", "fit a registry model to a quote surface",
+                 seed=True, nodes=QuadratureConfig.node_count)
     sp.add_argument("--model", required=True)
     sp.add_argument("--surface", required=True, help="quotes CSV")
     sp.add_argument("--out", required=True, help="result JSON path")
     sp.add_argument("--report", default=None,
                     help="also write a bucket-by-tenor RMSE grid CSV here")
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--restarts", type=int, default=None)
-    sp.add_argument("--rate", type=float, default=None)
-    sp.add_argument("--max-tenors", type=int, default=None, dest="max_tenors")
-    sp.add_argument("--exclude-dates", default=None, dest="exclude_dates")
+    sp.add_argument("--budget", type=int, default=20_000)
+    sp.add_argument("--restarts", type=int, default=3)
+    sp.add_argument("--rate", type=float, default=0.0)
+    sp.add_argument("--max-tenors", type=int, default=market_data.IngestConfig.max_tenors)
+    sp.add_argument("--exclude-dates")
 
-    sp = sub.add_parser("bootstrap", parents=[common],
-                        help="exact displacement fit from an ATM term structure")
+    sp = command("bootstrap", "exact displacement fit from an ATM term structure")
     sp.add_argument("--atm", required=True, help="CSV with tenor_years, atm_vol")
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("ingest", parents=[common],
-                        help="filter a raw quote file into a pricing surface")
+    sp = command("ingest", "filter a raw quote file into a pricing surface")
     sp.add_argument("--quotes", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--max-tenors", type=int, default=None, dest="max_tenors")
-    sp.add_argument("--exclude-dates", default=None, dest="exclude_dates")
-    sp.add_argument("--rate", type=float, default=None)
+    sp.add_argument("--max-tenors", type=int, default=market_data.IngestConfig.max_tenors)
+    sp.add_argument("--exclude-dates")
+    sp.add_argument("--rate", type=float, default=0.0)
 
-    sp = sub.add_parser("bench", parents=[common],
-                        help="wall-time comparison across pricing models")
+    sp = command("bench", "wall-time comparison across pricing models", nodes=2_000)
     sp.add_argument("--models", required=True, help="'all' or comma-separated ids")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--spot", type=float, default=None)
+    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--spot", type=float, default=100.0)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("simulate", parents=[common],
-                        help="Monte Carlo terminal returns to a binary file")
+    sp = command("simulate", "Monte Carlo terminal returns to a binary file", seed=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--params", required=True)
     sp.add_argument("--tau", required=True, type=float)
     sp.add_argument("--paths", required=True, type=int)
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--steps", type=int, default=SimConfig.steps_per_tenor)
     sp.add_argument("--tenors", type=_float_list, default=None,
                     help="tenor grid for vector params of displaced models")
-    sp.add_argument("--antithetic", action="store_true", default=None)
+    sp.add_argument("--antithetic", action="store_true")
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("smile-expand", parents=[common],
-                        help="closed-form short-tenor smile coefficients")
+    sp = command("smile-expand", "closed-form short-tenor smile coefficients")
     sp.add_argument("--params", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("termstructure", parents=[common],
-                        help="market vs model ATM vol by tenor")
+    sp = command("termstructure", "market vs model ATM vol by tenor",
+                 seed=True, nodes=QuadratureConfig.node_count)
     sp.add_argument("--surface", required=True)
-    sp.add_argument("--models", default=None, help="comma-separated ids (default bs_pp)")
+    sp.add_argument("--models", default="bs_pp", help="comma-separated ids (default bs_pp)")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--rate", type=float, default=None)
-    sp.add_argument("--max-tenors", type=int, default=None, dest="max_tenors")
+    sp.add_argument("--budget", type=int, default=20_000)
+    sp.add_argument("--rate", type=float, default=0.0)
+    sp.add_argument("--max-tenors", type=int, default=market_data.IngestConfig.max_tenors)
 
-    return p
+    return p, sub.choices
 
 
-def _load_config_file(path: str) -> dict:
-    cfg = {}
+def _config_defaults(commands: dict, cmd: str, path: str) -> None:
+    """Make the config file's values the defaults of subcommand ``cmd``.
+
+    Each ``key = value`` line is converted as its flag converts it.  A key of
+    another subcommand is skipped, so one file can serve several; a key that
+    no subcommand defines is an error.
+    """
+    # argparse has no public list of a parser's actions
+    dests = {name: {a.dest: a for a in sp._actions if a.dest != "help"}
+             for name, sp in commands.items()}
+    values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
-
-
-def _apply_config(args, parser) -> None:
-    """Fill unset flags from the config file, each value converted as the
-    subcommand's own flag converts it; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.cmd]._actions}
-    for key, raw in _load_config_file(args.config).items():
-        if key not in actions or not hasattr(args, key) or getattr(args, key) is not None:
+        key, text = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        action = dests[cmd].get(dest)
+        if action is None:
+            if not any(dest in known for known in dests.values()):
+                raise ValueError(f"config key {key}: no subcommand has this flag")
             continue
-        action = actions[key]
         if action.nargs == 0:  # store_true
-            val = raw.lower() in ("1", "true", "yes", "on")
+            values[dest] = text.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
             try:
-                val = action.type(raw)
-            except argparse.ArgumentTypeError as exc:
+                values[dest] = action.type(text)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"config key {key}: {exc}") from exc
         else:
-            val = raw
-        setattr(args, key, val)
-
-
-def _quad(args):
-    from .fourier_pricer import QuadratureConfig
-
-    if args.fourier_nodes is None:
-        return None
-    return QuadratureConfig(node_count=args.fourier_nodes)
+            values[dest] = text
+    commands[cmd].set_defaults(**values)
 
 
 def _params_json(raw: str, inputs: list):
@@ -285,33 +259,26 @@ def _native_theta(model, parsed, tenors):
     )
 
 
-def _ingest_config(args):
-    from .market_data import IngestConfig
-
-    inputs = []
+def _load_surface(path: str, inputs: list, rate: float, max_tenors: int,
+                  exclude_dates: str | None = None):
+    """Read and filter a quotes CSV; ``inputs`` collects the files read."""
+    inputs.append(path)
+    spot, quotes = market_data.read_quotes_csv(path)
     dates = ()
-    if getattr(args, "exclude_dates", None):
-        inputs.append(args.exclude_dates)
-        lines = Path(args.exclude_dates).read_text().splitlines()
-        dates = tuple(
-            s.split("#", 1)[0].strip() for s in lines if s.split("#", 1)[0].strip()
-        )
-    kwargs = {"exclude_dates": dates}
-    if getattr(args, "max_tenors", None) is not None:
-        kwargs["max_tenors"] = args.max_tenors
-    if getattr(args, "rate", None) is not None:
-        kwargs["rate"] = args.rate
-    return IngestConfig(**kwargs), inputs
+    if exclude_dates:
+        inputs.append(exclude_dates)
+        lines = (s.split("#", 1)[0].strip() for s in Path(exclude_dates).read_text().splitlines())
+        dates = tuple(s for s in lines if s)
+    cfg = market_data.IngestConfig(max_tenors=max_tenors, rate=rate, exclude_dates=dates)
+    return market_data.filter_surface(quotes, spot, cfg), spot
 
 
-def _load_surface(args, inputs: list):
-    from .market_data import filter_surface, read_quotes_csv
-
-    inputs.append(args.surface if hasattr(args, "surface") else args.quotes)
-    spot, quotes = read_quotes_csv(inputs[-1])
-    cfg, extra = _ingest_config(args)
-    inputs.extend(extra)
-    return filter_surface(quotes, spot, cfg), spot
+def _bspp_fit(tenors, atm_vols):
+    """Exact BS++ fit of an ATM term structure: (sigma0, Displacement, fitted vols)."""
+    ts = AtmTermStructure(tuple(tenors), tuple(atm_vols))
+    sigma0, shifts = calibrate_shift_from_atm(ts)
+    disp = Displacement(tenors=ts.tenors, shifts=shifts)
+    return sigma0, disp, [bspp_atm_vol(t, sigma0, disp) for t in ts.tenors]
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +287,20 @@ def _load_surface(args, inputs: list):
 
 
 def cmd_price(args) -> int:
-    from .fourier_pricer import price_surface
-    from .registry import get_model
-
     t0 = time.monotonic()
+    for name, values in (("spot", (args.spot,)), ("strike", args.strikes),
+                         ("tenor", args.tenors)):
+        bad = [v for v in values if not v > 0.0]
+        if bad:
+            raise ValueError(f"{name} must be > 0, got {bad[0]}")
     inputs = []
     model = get_model(args.model)
-    theta = _native_theta(model, _params_json(args.params, inputs),
-                          tuple(sorted(args.tenors)))
-    spot = args.spot if args.spot is not None else 100.0
-    rate = args.rate or 0.0
+    tenors = tuple(sorted(args.tenors))
+    theta = _native_theta(model, _params_json(args.params, inputs), tenors)
 
-    grid = [(k, t) for t in sorted(args.tenors) for k in args.strikes]
-    rows = price_surface(grid, model, theta, spot, rate=rate, quad=_quad(args))
+    grid = [(k, t) for t in tenors for k in args.strikes]
+    rows = price_surface(grid, model, theta, args.spot, rate=args.rate,
+                         quad=QuadratureConfig(node_count=args.fourier_nodes))
     failed = [r for r in rows if r["call"] is None]
     if len(failed) == len(rows):
         raise RuntimeError(f"no contract priced: {failed[0]['error']}")
@@ -352,25 +320,16 @@ def cmd_price(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .calibration import calibrate
-    from .market_data import MoneynessBucket
-    from .registry import get_model
-
     t0 = time.monotonic()
     inputs = []
     model = get_model(args.model)
-    surface, _spot = _load_surface(args, inputs)
-
-    kwargs = {
-        "rate": args.rate or 0.0,
-        "quad": _quad(args),
-        "rng_seed": args.seed or 0,
-    }
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    res = calibrate(surface, args.model, **kwargs)
+    surface, _spot = _load_surface(args.surface, inputs, args.rate, args.max_tenors,
+                                   args.exclude_dates)
+    res = calibration.calibrate(
+        surface, args.model, rate=args.rate,
+        quad=QuadratureConfig(node_count=args.fourier_nodes),
+        budget=args.budget, restarts=args.restarts, rng_seed=args.seed,
+    )
 
     theta = model.unpack(res.params, tenors=surface.tenors)
     out = Path(args.out)
@@ -399,7 +358,7 @@ def cmd_calibrate(args) -> int:
         n_tenors = len(surface.tenors)
         header = ["bucket"] + [f"tenor_{j}" for j in range(1, n_tenors + 1)]
         rows = []
-        for bucket in MoneynessBucket:
+        for bucket in market_data.MoneynessBucket:
             cells = [bucket.name]
             for j in range(n_tenors):
                 val = res.bucket_rmse.get((j, bucket))
@@ -410,9 +369,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    from .bspp_bootstrap import AtmTermStructure, bspp_atm_vol, calibrate_shift_from_atm
-    from .cf_edgeworth import Displacement
-
     t0 = time.monotonic()
     inputs = [args.atm]
     tenors, vols = [], []
@@ -427,41 +383,31 @@ def cmd_bootstrap(args) -> int:
             tenors.append(float(row["tenor_years"]))
             vols.append(float(row["atm_vol"]))
 
-    ts = AtmTermStructure(tuple(tenors), tuple(vols))
-    sigma0, shifts = calibrate_shift_from_atm(ts)
-    disp = Displacement(tenors=ts.tenors, shifts=tuple(shifts))
-    fitted = [bspp_atm_vol(t, sigma0, disp) for t in ts.tenors]
-
+    sigma0, disp, fitted = _bspp_fit(tenors, vols)
     out = Path(args.out)
     name = _write_manifest(out, args, inputs, t0)
     _write_json(out, name, {
         "model": "bs_pp",
-        "sigma0": sigma0,
-        "shifts": list(shifts),
-        "tenors": list(ts.tenors),
-        "market_atm_vols": list(ts.atm_vols),
+        "params": get_model("bs_pp").to_json_dict((sigma0, disp)),
+        "market_atm_vols": vols,
         "fitted_atm_vols": fitted,
-        "max_round_trip_error": max(
-            abs(f - v) for f, v in zip(fitted, ts.atm_vols)
-        ),
+        "max_round_trip_error": max(abs(f - v) for f, v in zip(fitted, vols)),
     })
     return 0
 
 
 def cmd_ingest(args) -> int:
-    from .market_data import bucket_of
-
     t0 = time.monotonic()
     inputs = []
-    args_surface_alias = args  # reuses --quotes via _load_surface
-    surface, spot = _load_surface(args_surface_alias, inputs)
+    surface, spot = _load_surface(args.quotes, inputs, args.rate, args.max_tenors,
+                                  args.exclude_dates)
 
     rows = []
     for sl in surface.slices:
         for q, m in zip(sl.quotes, sl.moneyness):
             rows.append((
                 sl.tau, sl.forward, sl.atm_vol, q.strike,
-                int(q.is_call), q.bid, q.ask, m, bucket_of(m).name,
+                int(q.is_call), q.bid, q.ask, m, market_data.bucket_of(m).name,
             ))
     out = Path(args.out)
     name = _write_manifest(out, args, inputs, t0)
@@ -481,9 +427,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .diagnostics import BENCH_TENORS, timing_bench
-    from .registry import get_model, model_ids
-
     t0 = time.monotonic()
     ids = model_ids() if args.models == "all" else tuple(
         tok.strip() for tok in args.models.split(",") if tok.strip()
@@ -494,12 +437,8 @@ def cmd_bench(args) -> int:
         vec = model.default_start(BENCH_TENORS)
         entries.append((mid, model.unpack(vec, tenors=BENCH_TENORS)))
 
-    report = timing_bench(
-        entries,
-        trials=args.trials if args.trials is not None else 100,
-        spot=args.spot if args.spot is not None else 100.0,
-        node_count=args.fourier_nodes if args.fourier_nodes is not None else 2_000,
-    )
+    report = timing_bench(entries, trials=args.trials, spot=args.spot,
+                          node_count=args.fourier_nodes)
     out = Path(args.out)
     name = _write_manifest(out, args, inputs=[], t0=t0)
     _write_csv(
@@ -516,28 +455,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .mc_oracle import SimConfig, simulate_benchmark, write_samples_bin
-    from .registry import get_model
-
     t0 = time.monotonic()
     inputs = []
     model = get_model(args.model)
-    tenors = args.tenors if args.tenors else (args.tau,)
+    tenors = args.tenors or (args.tau,)
     theta = _native_theta(model, _params_json(args.params, inputs), tuple(tenors))
 
-    cfg = SimConfig(
-        paths=args.paths,
-        steps_per_tenor=args.steps if args.steps is not None else 200,
-        rng_seed=args.seed or 0,
-        antithetic=bool(args.antithetic),
-    )
+    cfg = SimConfig(paths=args.paths, steps_per_tenor=args.steps,
+                    rng_seed=args.seed, antithetic=args.antithetic)
     samples = simulate_benchmark(args.model, theta, args.tau, cfg)
 
     out = Path(args.out)
     write_samples_bin(out, samples)
     name = _write_manifest(out, args, inputs, t0)
-    import numpy as np
-
     print(json.dumps({
         "manifest": name,
         "paths": int(samples.size),
@@ -547,14 +477,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_smile_expand(args) -> int:
-    from .diagnostics import smile_expansion
-    from .registry import get_model
-
     t0 = time.monotonic()
     inputs = []
     model = get_model("edgeworth")
-    parsed = _params_json(args.params, inputs)
-    params = _native_theta(model, parsed, ())
+    params = _native_theta(model, _params_json(args.params, inputs), ())
 
     exp = smile_expansion(params)
     out = Path(args.out)
@@ -571,41 +497,24 @@ def cmd_smile_expand(args) -> int:
 
 
 def cmd_termstructure(args) -> int:
-    import math
-
-    from .bspp_bootstrap import AtmTermStructure, bspp_atm_vol, calibrate_shift_from_atm
-    from .calibration import calibrate
-    from .cf_edgeworth import Displacement
-    from .fourier_pricer import price_surface
-    from .registry import get_model
-
     t0 = time.monotonic()
     inputs = []
-    surface, spot = _load_surface(args, inputs)
-    rate = args.rate or 0.0
-    ids = tuple(
-        tok.strip() for tok in (args.models or "bs_pp").split(",") if tok.strip()
-    )
+    surface, spot = _load_surface(args.surface, inputs, args.rate, args.max_tenors)
+    quad = QuadratureConfig(node_count=args.fourier_nodes)
+    ids = tuple(tok.strip() for tok in args.models.split(",") if tok.strip())
 
     columns = {}
     for mid in ids:
-        model = get_model(mid)
         if mid == "bs_pp":
             # closed-form ATM term structure: exact fit, no optimizer
-            ts = AtmTermStructure(
-                surface.tenors, tuple(s.atm_vol for s in surface.slices)
-            )
-            sigma0, shifts = calibrate_shift_from_atm(ts)
-            disp = Displacement(tenors=ts.tenors, shifts=tuple(shifts))
-            columns[mid] = [bspp_atm_vol(t, sigma0, disp) for t in ts.tenors]
+            columns[mid] = _bspp_fit(surface.tenors, [s.atm_vol for s in surface.slices])[2]
             continue
-        kwargs = {"rate": rate, "quad": _quad(args), "rng_seed": args.seed or 0}
-        if args.budget is not None:
-            kwargs["budget"] = args.budget
-        res = calibrate(surface, mid, **kwargs)
+        model = get_model(mid)
+        res = calibration.calibrate(surface, mid, rate=args.rate, quad=quad,
+                                    budget=args.budget, rng_seed=args.seed)
         theta = model.unpack(res.params, tenors=surface.tenors)
-        atm = [(spot * math.exp(rate * tau), tau) for tau in surface.tenors]
-        recs = price_surface(atm, model, theta, spot, rate=rate, quad=_quad(args))
+        atm = [(spot * math.exp(args.rate * tau), tau) for tau in surface.tenors]
+        recs = price_surface(atm, model, theta, spot, rate=args.rate, quad=quad)
         for rec in recs:
             if rec["iv"] is None:
                 raise RuntimeError(
@@ -636,7 +545,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -648,7 +557,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        _apply_config(args, parser)
+        if args.config:
+            # the file's values become defaults; parsing again lets flags win
+            _config_defaults(commands, args.cmd, args.config)
+            args = parser.parse_args(argv)
         return _DISPATCH[args.cmd](args)
     except (ValueError, KeyError, OSError) as exc:
         # includes JSON decode errors, unknown models, missing files,

@@ -200,6 +200,9 @@ def test_calibrate_input_validation():
         calibrate(Surface(100.0, ()), "bs_pp")
     with pytest.raises(ValueError, match="unknown model"):
         calibrate(surf, "svi")
+    for budget, restarts in ((0, 0), (-100, -3), (800, -2)):
+        with pytest.raises(ValueError, match="budget >= 1 and restarts >= 0"):
+            calibrate(surf, "bs_pp", budget=budget, restarts=restarts)
 
 
 def test_calibrate_propagates_programming_errors(monkeypatch):

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from ustvol import calibration, market_data
 from ustvol.bspp_bootstrap import bspp_atm_vol, shift_weighted_variance
 from ustvol.cf_edgeworth import Displacement
 from ustvol.cli import main
@@ -17,6 +18,8 @@ from ustvol.fourier_pricer import bs_price
 from ustvol.mc_oracle import read_samples_bin
 
 BS_VEC = "[0.2, 0, 0, 0, 0, 0, 0, 0]"
+SUBCOMMANDS = ("price", "calibrate", "bootstrap", "ingest", "bench",
+               "simulate", "smile-expand", "termstructure")
 
 
 def _write_quotes(path, sigma0=0.2, shifts=(0.01, -0.005), days=(1, 2, 3),
@@ -104,6 +107,22 @@ def test_price_malformed_json(tmp_path, capsys):
     assert err["command"] == "price"
 
 
+def test_price_rejects_non_positive_inputs(tmp_path, capsys):
+    base = ["price", "--model", "edgeworth", "--params", BS_VEC,
+            "--out", str(tmp_path / "x.csv")]
+    for extra, name in (
+        (["--tenors", "0.01", "--strikes", "100", "--spot", "-1"], "spot"),
+        (["--tenors", "-0.01", "--strikes", "100"], "tenor"),
+        (["--tenors", "0.01,-0.01", "--strikes", "100"], "tenor"),
+        (["--tenors", "0.01", "--strikes", "100,0"], "strike"),
+    ):
+        assert main(base + extra) == 2
+        err = _stderr_error(capsys)
+        assert err["category"] == "validation"
+        assert err["message"].startswith(f"{name} must be > 0")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_price_unknown_model_lists_registry(tmp_path, capsys):
     code = main(["price", "--model", "svi", "--params", BS_VEC,
                  "--tenors", "0.01", "--strikes", "100",
@@ -171,6 +190,44 @@ def test_calibrate_report_has_a_column_per_tenor(tmp_path):
     assert any(r[7] != "" for r in rows)
 
 
+def test_calibrate_rejects_bad_budget_and_restarts(tmp_path, capsys):
+    q = tmp_path / "quotes.csv"
+    _write_quotes(q)
+    for extra in (["--restarts", "-2"], ["--budget", "0", "--restarts", "0"],
+                  ["--budget", "-100", "--restarts", "-3"]):
+        code = main(["calibrate", "--model", "bs_pp", "--surface", str(q),
+                     "--out", str(tmp_path / "fit.json"), "--fourier-nodes", "512"] + extra)
+        assert code == 2
+        err = _stderr_error(capsys)
+        assert err["category"] == "validation" and "budget" in err["message"]
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_calibrate_calls_library_through_its_modules(tmp_path, monkeypatch):
+    # instrumented runs rebind these names on their modules; the CLI must
+    # look them up there at call time
+    called = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(calibration, "calibrate")
+    spy(market_data, "read_quotes_csv")
+    spy(market_data, "filter_surface")
+    q = tmp_path / "quotes.csv"
+    _write_quotes(q)
+    assert main(["calibrate", "--model", "bs_pp", "--surface", str(q),
+                 "--out", str(tmp_path / "fit.json"), "--budget", "60",
+                 "--restarts", "0", "--fourier-nodes", "512"]) == 0
+    assert called == ["read_quotes_csv", "filter_surface", "calibrate"]
+
+
 def test_calibrate_missing_quote_file(tmp_path, capsys):
     code = main(["calibrate", "--model", "bs_pp",
                  "--surface", str(tmp_path / "absent.csv"),
@@ -189,10 +246,23 @@ def test_bootstrap_round_trip(tmp_path):
     out = tmp_path / "boot.json"
     assert main(["bootstrap", "--atm", str(atm), "--out", str(out)]) == 0
     res = json.loads(out.read_text())
-    assert abs(res["sigma0"] - 0.2) < 1e-10
-    assert abs(res["shifts"][0] - 0.03) < 1e-10
-    assert abs(res["shifts"][1] + 0.01) < 1e-10
+    params = res["params"]
+    assert params["model"] == "bs_pp"
+    assert abs(params["sigma0"] - 0.2) < 1e-10
+    assert abs(params["displacement"]["shifts"][0] - 0.03) < 1e-10
+    assert abs(params["displacement"]["shifts"][1] + 0.01) < 1e-10
+    assert params["displacement"]["tenors"] == list(tenors)
     assert res["max_round_trip_error"] < 1e-10
+
+    # the fitted model prices its own ATM term structure back
+    prices = tmp_path / "atm_prices.csv"
+    assert main(["price", "--model", "bs_pp", "--params", json.dumps(params),
+                 "--tenors", ",".join(repr(t) for t in tenors), "--strikes", "100",
+                 "--out", str(prices)]) == 0
+    _, rows = _read_csv(prices)
+    assert [float(r[0]) for r in rows] == list(tenors)
+    for r, fitted in zip(rows, res["fitted_atm_vols"]):
+        assert abs(float(r[3]) - fitted) < 1e-6
 
 
 def test_bootstrap_arbitrage_names_tenors(tmp_path, capsys):
@@ -311,16 +381,49 @@ def test_termstructure_empty_surface(tmp_path, capsys):
 
 
 def test_config_file_flag_precedence(tmp_path):
+    # fourier-nodes belongs to other subcommands: a shared file skips it here
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\nfourier-nodes = 512\nseed = 9\n")
-    out = tmp_path / "p.csv"
-    base = ["price", "--model", "edgeworth", "--params", BS_VEC,
-            "--tenors", f"{1 / 365}", "--strikes", "100",
-            "--config", str(cfg), "--out", str(out)]
-    assert main(base) == 0
+    out = tmp_path / "s.bin"
+    base = ["simulate", "--model", "bs_pp", "--params", "[0.2]", "--tau", "0.01",
+            "--paths", "50", "--steps", "5", "--out", str(out)]
+    assert main(base + ["--seed", "9"]) == 0
+    seeded = out.read_bytes()
+    assert main(base + ["--config", str(cfg)]) == 0
     assert _manifest(out)["rng_seed"] == 9
-    assert main(base + ["--seed", "4"]) == 0
+    assert out.read_bytes() == seeded
+    assert main(base + ["--config", str(cfg), "--seed", "4"]) == 0
     assert _manifest(out)["rng_seed"] == 4
+    assert out.read_bytes() != seeded
+
+
+def test_config_file_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "p.csv"
+    argv = ["price", "--model", "edgeworth", "--params", BS_VEC,
+            "--tenors", "0.01", "--strikes", "100",
+            "--config", str(cfg), "--out", str(out)]
+    for key in ("fourir-nodes", "fourier-umax"):
+        cfg.write_text(f"{key} = 512\n")
+        assert main(argv) == 2
+        err = _stderr_error(capsys)
+        assert err["category"] == "validation" and key in err["message"]
+    assert not out.exists()
+    # a key of another subcommand is skipped
+    cfg.write_text("budget = 50\n")
+    assert main(argv) == 0
+
+
+def test_config_hash_of_effective_values(tmp_path):
+    out = tmp_path / "p.csv"
+    argv = ["price", "--model", "edgeworth", "--params", BS_VEC,
+            "--tenors", "0.01", "--strikes", "100", "--out", str(out)]
+    assert main(argv) == 0
+    omitted = _manifest(out)["config_hash"]
+    assert main(argv + ["--spot", "100", "--rate", "0"]) == 0
+    assert _manifest(out)["config_hash"] == omitted
+    assert main(argv + ["--spot", "101"]) == 0
+    assert _manifest(out)["config_hash"] != omitted
 
 
 def test_config_file_values_take_their_flag_types(tmp_path, capsys):
@@ -355,6 +458,17 @@ def test_no_subcommand_and_bad_flag(capsys):
     assert main([]) == 2
     assert main(["price", "--nope"]) == 2
     capsys.readouterr()
+    # flags live only on the subcommands that read them
+    for argv in (["ingest", "--quotes", "q.csv", "--out", "s.csv", "--fourier-nodes", "512"],
+                 ["bootstrap", "--atm", "a.csv", "--out", "b.json", "--seed", "1"]):
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_every_subcommand_help(capsys):
+    for name in SUBCOMMANDS:
+        assert main([name, "--help"]) == 0
+        assert f"usage: ustvol {name}" in capsys.readouterr().out
 
 
 def test_module_entry_help_smoke():
@@ -363,6 +477,5 @@ def test_module_entry_help_smoke():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
-    for name in ("price", "calibrate", "bootstrap", "ingest", "bench",
-                 "simulate", "smile-expand", "termstructure"):
+    for name in SUBCOMMANDS:
         assert name in proc.stdout
