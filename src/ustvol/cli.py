@@ -208,12 +208,16 @@ def _config_defaults(commands: dict, cmd: str, path: str) -> None:
     """Make the config file's values the defaults of subcommand ``cmd``.
 
     Each ``key = value`` line is converted as its flag converts it.  A key of
-    another subcommand is skipped, so one file can serve several; a key that
-    no subcommand defines is an error.
+    another subcommand is skipped, so one file can serve several.  A key that
+    no subcommand can take as a default is an error: one no subcommand
+    defines, ``config``, or a flag this subcommand requires on the command
+    line (its file value could never take effect).
     """
     # argparse has no public list of a parser's actions
-    dests = {name: {a.dest: a for a in sp._actions if a.dest != "help"}
+    dests = {name: {a.dest: a for a in sp._actions
+                    if a.dest not in ("help", "config") and not a.required}
              for name, sp in commands.items()}
+    required = {a.dest for a in commands[cmd]._actions if a.required}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -223,10 +227,12 @@ def _config_defaults(commands: dict, cmd: str, path: str) -> None:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
+        if dest in required:
+            raise ValueError(f"config key {key}: a required flag must be given on the command line")
         action = dests[cmd].get(dest)
         if action is None:
             if not any(dest in known for known in dests.values()):
-                raise ValueError(f"config key {key}: no subcommand has this flag")
+                raise ValueError(f"config key {key}: no subcommand takes this flag from a config file")
             continue
         if action.nargs == 0:  # store_true
             values[dest] = text.lower() in ("1", "true", "yes", "on")
@@ -238,6 +244,14 @@ def _config_defaults(commands: dict, cmd: str, path: str) -> None:
         else:
             values[dest] = text
     commands[cmd].set_defaults(**values)
+
+
+def _model_list(text: str) -> tuple:
+    """Comma-separated model ids; a list that names none is an error."""
+    ids = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    if not ids:
+        raise ValueError(f"--models {text!r} names no model")
+    return ids
 
 
 def _params_json(raw: str, inputs: list):
@@ -428,9 +442,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_bench(args) -> int:
     t0 = time.monotonic()
-    ids = model_ids() if args.models == "all" else tuple(
-        tok.strip() for tok in args.models.split(",") if tok.strip()
-    )
+    ids = model_ids() if args.models == "all" else _model_list(args.models)
     entries = []
     for mid in ids:
         model = get_model(mid)
@@ -498,10 +510,10 @@ def cmd_smile_expand(args) -> int:
 
 def cmd_termstructure(args) -> int:
     t0 = time.monotonic()
+    ids = _model_list(args.models)
     inputs = []
     surface, spot = _load_surface(args.surface, inputs, args.rate, args.max_tenors)
     quad = QuadratureConfig(node_count=args.fourier_nodes)
-    ids = tuple(tok.strip() for tok in args.models.split(",") if tok.strip())
 
     columns = {}
     for mid in ids:

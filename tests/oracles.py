@@ -5,8 +5,9 @@ route independent of the library implementation (arbitrary-precision
 arithmetic, brute-force Monte Carlo, classical closed forms, or dense
 quadrature written from scratch).  The test-only references live here too:
 the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
-finite-difference smile check and sample cumulants.  Run directly from the
-repository root to reprint all frozen values:
+finite-difference smile check, sample cumulants and the direct per-node
+trapezoid of a slice's calls.  Run directly from the repository root to
+reprint all frozen values:
 
     PYTHONPATH=src python3 tests/oracles.py
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, _psi_from_integrals
 from ustvol.diagnostics import smile_expansion
-from ustvol.fourier_pricer import QuadratureConfig, price_surface
+from ustvol.fourier_pricer import _U_MIN, QuadratureConfig, _adaptive_u_max, price_surface
 from ustvol.registry import get_model
 
 mp.mp.dps = 50
@@ -428,6 +429,35 @@ def sample_cumulants(samples) -> tuple:
     m3 = float(np.mean(c**3))
     m4 = float(np.mean(c**4))
     return m2, m3, m4 - 3.0 * m2 * m2
+
+
+# ---------------------------------------------------------------------------
+# Fourier slice calls: the direct per-node trapezoid
+# ---------------------------------------------------------------------------
+
+def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureConfig):
+    """Calls of one tenor slice by the direct trapezoid: e^{iu·d₂} evaluated
+    at every (strike, node) pair, the route the library kernel factorizes.
+
+    Same normalizer, u_max probe, nodes, floor and cap as
+    ``fourier_pricer._slice_calls``, without its error checks; returns the
+    floored and capped calls.
+    """
+    st = sigma0 * math.sqrt(tau)
+    psi_norm = complex(np.asarray(cf(np.array([-1j * st])))[0])
+    u = np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), quad.node_count)
+    psi_shift = np.asarray(cf(u - 1j * st))
+    psi_plain = np.asarray(cf(u))
+
+    drift = (rate - 0.5 * sigma0**2) * tau
+    d2 = np.array([(math.log(spot) - math.log(k) + drift) / st for k in strikes])
+    disc_k = np.asarray(strikes, dtype=float) * math.exp(-rate * tau)
+    iu = 1j * u
+    phase = np.exp(iu * d2[:, None])
+    leg_s = np.trapezoid(np.real(phase * psi_shift / (iu * psi_norm)), u)
+    leg_k = np.trapezoid(np.real(phase * psi_plain / iu), u)
+    raw = spot * (0.5 + leg_s / math.pi) - disc_k * (0.5 + leg_k / math.pi)
+    return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot)
 
 
 # ---------------------------------------------------------------------------

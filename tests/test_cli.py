@@ -307,6 +307,17 @@ def test_bench_csv(tmp_path):
         assert float(r[3]) > float(r[1])  # full surface costs more than one slice
 
 
+def test_empty_model_list_rejected(tmp_path, capsys):
+    q = tmp_path / "quotes.csv"
+    _write_quotes(q)
+    for argv in (["bench", "--models", ","], ["termstructure", "--surface", str(q), "--models", " , "]):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = _stderr_error(capsys)
+        assert err["category"] == "validation" and "names no model" in err["message"]
+        assert not out.exists()
+
+
 def test_simulate_binary_and_determinism(tmp_path, capsys):
     out = tmp_path / "samples.bin"
     argv = ["simulate", "--model", "bs_pp", "--params", "[0.2]",
@@ -412,6 +423,26 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     # a key of another subcommand is skipped
     cfg.write_text("budget = 50\n")
     assert main(argv) == 0
+
+
+def test_config_file_required_flag_key_rejected(tmp_path, capsys):
+    # a required flag must be on the command line, so a file value for it
+    # could never take effect; neither could a nested config key
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "p.csv"
+    argv = ["price", "--model", "edgeworth", "--params", BS_VEC,
+            "--tenors", "0.01", "--strikes", "100",
+            "--config", str(cfg), "--out", str(out)]
+    for key in ("model", "params", "out", "tenors", "config"):
+        cfg.write_text(f"{key} = x\n")
+        assert main(argv) == 2
+        err = _stderr_error(capsys)
+        assert err["category"] == "validation" and key in err["message"]
+    assert not out.exists()
+    # required by every subcommand that has it: rejected in a shared file too
+    cfg.write_text("surface = q.csv\n")
+    assert main(argv) == 2
+    assert "surface" in _stderr_error(capsys)["message"]
 
 
 def test_config_hash_of_effective_values(tmp_path):

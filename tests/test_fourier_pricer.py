@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bs_price_highprec
+from oracles import bs_price_highprec, slice_calls_direct
+from test_acceptance import CAL_SHIFTS, CAL_TRUTH
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, psi_c_no_shift, psi_full
 from ustvol.diagnostics import BENCH_TENORS
 from ustvol.fourier_pricer import (
@@ -18,10 +19,12 @@ from ustvol.fourier_pricer import (
     _checked_slice_calls,
     _implied_vols,
     _put_from_call,
+    _slice_calls,
     bs_price,
     implied_vol,
     price_surface,
 )
+from ustvol.registry import get_model
 
 # Frozen from tests/oracles.py bs_price_highprec (50-digit closed form):
 BS_ATM_CALL_1_12 = 2.30297446780243      # S=K=100, r=0, tau=1/12, sigma=0.2
@@ -47,6 +50,40 @@ def _calls(strikes, cf=None, rate=0.0, quad=None):
 def _puts(strikes, rate=0.0):
     strikes = np.asarray(strikes, dtype=float)
     return _put_from_call(_calls(strikes, rate=rate), 100.0, strikes * math.exp(-rate * TAU))
+
+
+# ---------------------------------------------------------------------------
+# the factorized slice kernel against the direct per-node trapezoid
+# ---------------------------------------------------------------------------
+
+def _kernel_cases():
+    edge = get_model("edgeworth_pp")
+    theta = (CAL_TRUTH, Displacement(tenors=BENCH_TENORS, shifts=CAL_SHIFTS))
+    # 101 nodes: the A x F phase grid needs zero padding
+    for n in (100, 101, 2048, 10_000):
+        yield edge, theta, n
+    heston = get_model("heston_merton_2f")
+    yield heston, heston.unpack(heston.default_start(BENCH_TENORS), tenors=BENCH_TENORS), 2000
+
+
+def test_slice_calls_match_direct_trapezoid():
+    spot, rate = 100.0, 0.03
+    for model, theta, n in _kernel_cases():
+        quad, sigma0 = QuadratureConfig(node_count=n), model.spot_vol(theta)
+        for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+            def cf(u):
+                return model.cf_standardized(u, tau, theta)
+            strikes = spot * np.exp(np.linspace(-15.0, 5.0, 41) * sigma0 * math.sqrt(tau))
+            calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad)
+            direct = slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad)
+            assert not negative
+            assert np.max(np.abs(calls - direct)) <= 1e-13 * spot, (n, tau)
+            # a strike's call does not depend on the slice it is priced in
+            rev = _slice_calls(cf, sigma0, tau, spot, rate, strikes[::-1], quad)[0]
+            assert np.array_equal(rev[::-1], calls)
+            for sub in ([3, 30], [3], [30]):
+                part = _slice_calls(cf, sigma0, tau, spot, rate, strikes[sub], quad)[0]
+                assert np.array_equal(part, calls[sub])
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +287,7 @@ def test_price_surface_single_contract_matches_slice_kernel():
 def test_price_surface_slice_matches_single_strike_exactly():
     # a tenor's strikes are priced as one array; each price must still be
     # the one-strike slice bit for bit, on both sides of the forward and
-    # with a nonzero rate, at the default node count (one strike per
-    # quadrature block) and at 2000 nodes (eight strikes per block)
+    # with a nonzero rate, at the default node count and at 2000 nodes
     model = _ShimModel(BS_PARAMS)
     strikes = [80.0, 95.0, 99.5, 100.0, 100.25, 103.0, 120.0, 100.5, 101.0]
     for quad in (QuadratureConfig(), QuadratureConfig(node_count=2000)):
