@@ -8,22 +8,26 @@ with the martingale drift built in: CF(-i) = 1 exactly along the flow, which
 the tests exploit.  Wrapping into standardized-return form for the Fourier
 pricer happens in the registry.
 
-The affine CF integrates the Riccati system for (A, B1, B2) with an embedded
-Dormand-Prince 5(4) pair, vectorized across the whole frequency grid with a
-shared adaptive step.  The rough CF solves the fractional Riccati equation
-D^alpha psi = F(u, psi), alpha = H + 1/2, with the Adams
-predictor-corrector, then integrates F against the forward-variance curve.
+Each CF is exp of an exponent from a direct solve: A + B1 v1_0 + B2 v2_0
+from the Riccati system, integrated with an embedded Dormand-Prince 5(4)
+pair and one adaptive step shared by all frequencies of a call, or the
+forward-variance integral omega · F of the fractional Riccati equation
+D^alpha psi = F(u, psi), alpha = H + 1/2, solved with the Adams
+predictor-corrector.
 
-The Adams step is a weighted sum over the whole F history, so the solver is
-bound by reading that history.  Frequencies do not interact, so the rough
-grid is solved in blocks whose history fits in L2, and the weights, which
-are real, multiply the float view of the history: one real (2, n+1) matrix
-gives the predictor and corrector sums in one product.  The forward-variance
-integral is one more real product, with row weights, on the same block.
-Solving the whole grid at once, with two complex products per step (the
-weights cast to complex), streamed an 8 MB history from L3 twice per step at
-2000 frequencies and took about twice as long; the real product and the
-blocks each account for about half of the difference.
+The pricer asks for thousands of frequencies on one line Im u = const, where
+the exponent is analytic in Re u.  There the direct solve runs only at
+129 Chebyshev points of the line's range, or at 257, 513, ... where the
+exponent needs them, and a barycentric interpolant carries the exponent to
+the caller's frequencies (``_exponent_on_line``).
+Small and scattered arrays (the pricer's normalizer and u_max probes) are
+solved directly.
+
+The Adams step is a weighted sum over the whole F history, so the rough
+solver is bound by reading that history.  Frequencies do not interact, so a
+direct rough solve works in blocks whose history fits in L2, and the
+weights, which are real, multiply the float view of the history: one real
+(2, n+1) matrix gives the predictor and corrector sums in one product.
 """
 
 from __future__ import annotations
@@ -245,6 +249,89 @@ def _dopri45(f, y0, t0, t1, rtol=1e-10, atol=1e-12, norm_cap=_EXPLOSION_NORM):
 
 
 # ---------------------------------------------------------------------------
+# Exponents on a frequency line: Chebyshev interpolation of a direct solve
+# ---------------------------------------------------------------------------
+
+# first interpolant order; orders double from here (129, 257, 513, ...) so
+# that each order's second-kind Chebyshev points contain the previous ones
+_CHEB_ORDER = 129
+# an order is enough once its last eighth of Chebyshev coefficients falls
+# below this, relative to max(1, largest coefficient)
+_CHEB_TAIL_TOL = 1e-15
+# caller's frequencies per barycentric evaluation block, so that the
+# (block, order) kernel stays a few MB at any grid size
+_CHEB_BLOCK = 1024
+
+
+def _chebyshev_tail(vals) -> float:
+    """Largest of the last eighth of the Chebyshev coefficients of the
+    values at second-kind points, relative to max(1, largest coefficient)."""
+    n = vals.size - 1
+    coef = np.abs(np.fft.fft(np.concatenate([vals, vals[-2:0:-1]]))[: n + 1]) / n
+    coef[[0, n]] *= 0.5
+    return float(np.max(coef[-(vals.size // 8):])) / max(1.0, float(np.max(coef)))
+
+
+def _barycentric(x, nodes, vals):
+    """Interpolant through ``vals`` at the second-kind Chebyshev ``nodes``,
+    at the real points ``x``, in blocks of ``_CHEB_BLOCK`` points."""
+    # barycentric weights of second-kind points: (-1)^j, halved at the ends
+    weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    pairs = vals.view(np.float64).reshape(nodes.size, 2)
+    out = np.empty(x.size, dtype=np.complex128)
+    for start in range(0, x.size, _CHEB_BLOCK):
+        blk = slice(start, start + _CHEB_BLOCK)
+        diff = np.subtract.outer(x[blk], nodes)
+        row, col = np.nonzero(diff == 0.0)
+        diff[row, col] = 1.0
+        kernel = weights / diff
+        out[blk] = (kernel @ pairs).view(np.complex128)[:, 0] / kernel.sum(axis=1)
+        out[blk][row] = vals[col]  # a point on a node takes its value
+    return out
+
+
+def _exponent_on_line(solve, uu):
+    """``solve(uu)``, the CF exponent at the 1-D complex frequencies ``uu``,
+    via a Chebyshev interpolant when ``uu`` lies on one line Im u = const.
+
+    The exponents are analytic in Re u along such a line, so their
+    barycentric interpolant at second-kind Chebyshev points of
+    [min Re u, max Re u] recovers them to rounding (Berrut & Trefethen
+    2004).  Both ends of the range are nodes, so no frequency outside the
+    caller's range is solved, and the shared adaptive step of the affine
+    solve sees the same highest frequency as a direct solve of ``uu``.
+    The order doubles, solving only the new points, until the coefficient
+    tail is below ``_CHEB_TAIL_TOL``.  Arrays off one line, arrays of at
+    most ``_CHEB_ORDER`` points and lines whose next order would reach
+    their own size are solved directly.
+    """
+    if uu.size <= _CHEB_ORDER:
+        return solve(uu)
+    im, lo, hi = uu.imag[0], float(np.min(uu.real)), float(np.max(uu.real))
+    if not lo < hi or np.any(uu.imag != im):
+        return solve(uu)
+
+    def nodes_of(order: int):
+        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(order) / (order - 1))
+        x[[0, -1]] = hi, lo  # exact ends: the range is the caller's
+        return x
+
+    order = _CHEB_ORDER
+    nodes = nodes_of(order)
+    vals = solve(nodes + 1j * im)
+    while _chebyshev_tail(vals) > _CHEB_TAIL_TOL:
+        order = 2 * order - 1
+        if order >= uu.size:
+            return solve(uu)
+        nodes, old = nodes_of(order), vals
+        # the previous order's points are every other point of this one
+        vals = np.empty(order, dtype=np.complex128)
+        vals[::2], vals[1::2] = old, solve(nodes[1::2] + 1j * im)
+    return _barycentric(uu.real, nodes, vals)
+
+
+# ---------------------------------------------------------------------------
 # Affine Heston-Merton CF
 # ---------------------------------------------------------------------------
 
@@ -286,14 +373,22 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
     CF = exp(A + B1 v1_0 + B2 v2_0).  The displacement term keeps the system
     affine: the shifted variance multiplies the same spot-variance and
     intensity loadings as factor 1.  Accepts complex u (the pricer's shifted
-    argument).
+    argument).  A long array on one line Im u = const is solved at Chebyshev
+    points of its range and the exponent interpolated
+    (:func:`_exponent_on_line`).
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     scalar = np.ndim(u) == 0
     uu = np.atleast_1d(np.asarray(u, dtype=np.complex128))
-    p = params
+    out = np.exp(_exponent_on_line(lambda w: _heston_merton_exponent(w, tau, params), uu))
+    return complex(out[0]) if scalar else out
 
+
+def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
+    """log CF = A + B1 v1_0 + B2 v2_0 at every frequency of ``uu`` (1-D
+    complex), from one shared-step Riccati solve."""
+    p = params
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
     quad = -0.5 * (uu * uu + 1j * uu)
     jump_num = np.exp(1j * uu * p.mu_x - 0.5 * uu * uu * p.sigma_x**2)
@@ -335,8 +430,7 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
     for s_lo, s_hi, level in _shift_segments_time_to_go(p.shifts, tau):
         y = _dopri45(make_rhs(level), y, s_lo, s_hi, norm_cap=norm_cap)
 
-    out = np.exp(y[0] + y[1] * p.v1_0 + y[2] * p.v2_0)
-    return complex(out[0]) if scalar else out
+    return y[0] + y[1] * p.v1_0 + y[2] * p.v2_0
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +546,10 @@ def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256
     times the compensated Merton factor when jumps are configured.  At
     hurst = 0.5 this is classical Heston with zero variance drift.
 
-    The frequencies are independent, so the grid is solved in blocks whose
-    F history fits in L2 (``_HISTORY_BYTES``).  Each Adams step reads that
-    history once, in one real-weight product on its float view, and the xi
-    integral is one more such product at the end of the block, so no
-    whole-grid array beyond the result is allocated.  Raises
-    ``RuntimeError`` with the first step at which any frequency diverges.
+    A long array on one line Im u = const is solved at Chebyshev points of
+    its range and the exponent interpolated (:func:`_exponent_on_line`).
+    Raises ``RuntimeError`` with the first step at which any solved
+    frequency diverges.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -465,8 +557,20 @@ def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256
         raise ValueError(f"n_steps must be >= 8, got {n_steps}")
     scalar = np.ndim(u) == 0
     uu = np.atleast_1d(np.asarray(u, dtype=np.complex128))
-    p = params
+    out = np.exp(_exponent_on_line(lambda w: _rough_heston_exponent(w, tau, params, n_steps), uu))
+    return complex(out[0]) if scalar else out
 
+
+def _rough_heston_exponent(uu, tau: float, params: RoughHestonParams, n_steps: int):
+    """log CF at every frequency of ``uu`` (1-D complex), solved directly.
+
+    The frequencies are independent, so they are solved in blocks whose
+    F history fits in L2 (``_HISTORY_BYTES``).  Each Adams step reads that
+    history once, in one real-weight product on its float view, and the xi
+    integral is one more such product at the end of the block, so no
+    whole-grid array beyond the result is allocated.
+    """
+    p = params
     alpha = p.hurst + 0.5
     outer = -0.5 * (uu * uu + 1j * uu)
     linear = 1j * uu * p.rho * p.nu
@@ -495,6 +599,4 @@ def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256
         exponent = exponent + tau * p.lambda_j * (
             np.exp(1j * uu * p.mu_j - 0.5 * uu * uu * p.sigma_j**2) - 1.0 - 1j * uu * kbar
         )
-
-    out = np.exp(exponent)
-    return complex(out[0]) if scalar else out
+    return exponent

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .bspp_bootstrap import AtmTermStructure, CalendarArbitrageError, calibrate_shift_from_atm
 from .fourier_pricer import (
@@ -244,6 +243,10 @@ def calibrate(
     the objective is still improving, the best-so-far vector is returned
     with ``converged=False``.
     """
+    # imported here: scipy.optimize is most of the package's import time,
+    # and only a fit needs it
+    from scipy import optimize
+
     t_start = time.perf_counter()
     if budget < 1 or restarts < 0:
         raise ValueError(f"need budget >= 1 and restarts >= 0, got {budget} and {restarts}")

@@ -5,9 +5,10 @@ route independent of the library implementation (arbitrary-precision
 arithmetic, brute-force Monte Carlo, classical closed forms, or dense
 quadrature written from scratch).  The test-only references live here too:
 the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
-finite-difference smile check, sample cumulants and the direct per-node
-trapezoid of a slice's calls.  Run directly from the repository root to
-reprint all frozen values:
+finite-difference smile check, sample cumulants, the direct per-node
+trapezoid of a slice's calls and the benchmark CFs solved at every
+frequency.  Run directly from the repository root to reprint all frozen
+values:
 
     PYTHONPATH=src python3 tests/oracles.py
 """
@@ -21,10 +22,16 @@ from math import gamma
 import mpmath as mp
 import numpy as np
 
+from ustvol.benchmarks import (
+    HestonMertonParams,
+    RoughHestonParams,
+    _heston_merton_exponent,
+    _rough_heston_exponent,
+)
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, _psi_from_integrals
 from ustvol.diagnostics import smile_expansion
 from ustvol.fourier_pricer import _U_MIN, QuadratureConfig, _adaptive_u_max, price_surface
-from ustvol.registry import get_model
+from ustvol.registry import get_model, standardized_from_raw
 
 mp.mp.dps = 50
 
@@ -337,6 +344,28 @@ def rough_heston_cf_unblocked(u, tau, params, n_steps=256):
             np.exp(1j * uu * p.mu_j - 0.5 * uu * uu * p.sigma_j**2) - 1.0 - 1j * uu * kbar
         )
     return np.exp(exponent)
+
+
+# ---------------------------------------------------------------------------
+# Benchmark CFs with the exponent solved at every frequency: the route that
+# benchmarks._exponent_on_line replaces by a Chebyshev interpolant on a line
+# ---------------------------------------------------------------------------
+
+def benchmark_cf_direct(u, tau: float, theta):
+    """Raw log-return CF of ``HestonMertonParams`` or ``RoughHestonParams``
+    (256 Adams steps), one direct solve over all of ``u``."""
+    uu = np.atleast_1d(np.asarray(u, dtype=np.complex128))
+    if isinstance(theta, HestonMertonParams):
+        return np.exp(_heston_merton_exponent(uu, tau, theta))
+    assert isinstance(theta, RoughHestonParams)
+    return np.exp(_rough_heston_exponent(uu, tau, theta, 256))
+
+
+def cf_standardized_direct(u, tau: float, theta):
+    """A benchmark registry model's ``cf_standardized`` from
+    :func:`benchmark_cf_direct`."""
+    return standardized_from_raw(lambda w: benchmark_cf_direct(w, tau, theta),
+                                 u, tau, math.sqrt(theta.spot_variance))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import heston_k0_cf, rough_heston_cf_unblocked
+from oracles import (
+    benchmark_cf_direct,
+    cf_standardized_direct,
+    heston_k0_cf,
+    rough_heston_cf_unblocked,
+)
+from ustvol import benchmarks
 from ustvol.benchmarks import (
     _HISTORY_BYTES,
     HestonMertonParams,
@@ -17,7 +23,7 @@ from ustvol.benchmarks import (
 )
 from ustvol.cf_edgeworth import Displacement
 from ustvol.diagnostics import BENCH_TENORS
-from ustvol.fourier_pricer import _PROBES, _adaptive_u_max
+from ustvol.fourier_pricer import _PROBES, _U_MIN, QuadratureConfig, _adaptive_u_max, _slice_calls
 from ustvol.registry import get_model
 
 TAU = 2.0 / 365.0
@@ -33,6 +39,18 @@ def _full_2f(shifts=None, **overrides):
     )
     base.update(overrides)
     return HestonMertonParams(**base)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Sizes of the direct exponent solves that the library CFs make."""
+    sizes = []
+    for name in ("_heston_merton_exponent", "_rough_heston_exponent"):
+        def spy(uu, *args, _real=getattr(benchmarks, name)):
+            sizes.append(uu.size)
+            return _real(uu, *args)
+        monkeypatch.setattr(benchmarks, name, spy)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +331,132 @@ def test_u_max_probe_truncates_rough_divergence_at_last_healthy_probe():
             break
     assert first_bad is not None and first_bad >= 8
     assert _adaptive_u_max(cf, shift) == _PROBES[8 * (first_bad // 8) - 1]
+
+
+# ---------------------------------------------------------------------------
+# rough CF: the direct block solve, reached through arrays off one line
+# (the CF interpolates along a line, so the tests above solve Chebyshev
+# points; these keep the blocks and the divergence report covered)
+# ---------------------------------------------------------------------------
+
+def _off_line(u):
+    """``u`` plus one frequency off its line Im u = const."""
+    return np.append(u, 1.0 - 0.25j)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+@pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
+def test_rough_off_line_blocks_match_unblocked_oracle(hurst, shift, solved):
+    p = RoughHestonParams(hurst=hurst, nu=0.4, rho=-0.65,
+                          xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
+    u = _off_line(_rough_grid() + shift)
+    got = rough_heston_cf(u, _TAU_PAST_CURVE, p)
+    assert solved == [u.size]
+    want = rough_heston_cf_unblocked(u, _TAU_PAST_CURVE, p)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def test_rough_off_line_value_does_not_depend_on_its_block(solved):
+    p = RoughHestonParams(hurst=0.1, nu=0.4, rho=-0.65,
+                          xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
+    u = _off_line(_rough_grid() - 1j)
+    grid = rough_heston_cf(u, _TAU_PAST_CURVE, p)
+    assert solved == [u.size]
+    edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5, 3 * _BLOCK, u.size - 1]
+    for k in edges + list(range(7, u.size, 61)):
+        alone = rough_heston_cf(u[k:k + 1], _TAU_PAST_CURVE, p)[0]
+        assert abs(alone - grid[k]) <= 1e-14 * abs(grid[k])
+
+
+def test_rough_off_line_divergence_reports_the_first_diverging_step(solved):
+    p = RoughHestonParams(hurst=0.1, nu=1.0, rho=-0.7, xi_tenors=(0.5,), xi_levels=(0.04,))
+    slow, fast = _PROBES[15] - 0.5j, _PROBES[39] - 0.5j
+    healthy = _off_line(np.linspace(0.5, 20.0, 3 * _BLOCK) - 0.5j)
+    for u in (np.append(healthy, slow),
+              np.concatenate([[slow], healthy, [fast]]),
+              np.concatenate([[fast], healthy, [slow]])):
+        solved.clear()
+        got = _divergence_message(rough_heston_cf, u, 1.0, p)
+        assert solved == [u.size]
+        assert got == _divergence_message(rough_heston_cf_unblocked, u, 1.0, p)
+
+
+# ---------------------------------------------------------------------------
+# frequency lines: the Chebyshev interpolant against the direct solve
+# ---------------------------------------------------------------------------
+
+_ODE_MODELS = ("heston_merton_1f", "heston_merton_1f_pp", "heston_merton_2f",
+               "heston_merton_2f_pp", "rough_heston_pp", "rough_heston_merton_pp")
+
+
+def _at_start(model_id: str):
+    model = get_model(model_id)
+    return model, model.unpack(model.default_start(BENCH_TENORS), tenors=BENCH_TENORS)
+
+
+def _recording(cf, grids: list):
+    """``cf`` that keeps its values on every frequency grid (> 8 points)."""
+    def recorded(u):
+        out = cf(u)
+        if np.size(u) > 8:
+            grids.append(out)
+        return out
+    return recorded
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+@pytest.mark.parametrize("tau", [BENCH_TENORS[0], BENCH_TENORS[-1]], ids=["5.5h", "7d"])
+@pytest.mark.parametrize("model_id", _ODE_MODELS)
+def test_line_interpolant_matches_direct_solve(model_id, tau, n, solved):
+    model, theta = _at_start(model_id)
+    spot, sigma0 = 100.0, model.spot_vol(theta)
+    strikes = spot * np.exp(np.linspace(-15.0, 5.0, 41) * sigma0 * math.sqrt(tau))
+    quad = QuadratureConfig(node_count=n)
+    grids, direct = [], []
+    calls = _slice_calls(_recording(lambda u: model.cf_standardized(u, tau, theta), grids),
+                         sigma0, tau, spot, 0.0, strikes, quad)[0]
+    # both legs' grids took at most 257 solved frequencies each
+    assert sum(size for size in solved if size > 8) <= 2 * 257
+    want = _slice_calls(_recording(lambda u: cf_standardized_direct(u, tau, theta), direct),
+                        sigma0, tau, spot, 0.0, strikes, quad)[0]
+    assert len(grids) == len(direct) == 2  # the shifted leg, then the plain leg
+    for got, ref in zip(grids, direct):
+        assert np.max(np.abs(got - ref)) <= 1e-14
+    assert np.max(np.abs(calls - want)) <= 1e-14 * spot
+
+
+def _pricer_line(theta, tau: float):
+    """Raw frequencies of the pricer's plain leg at 2000 nodes."""
+    st = math.sqrt(theta.spot_variance * tau)
+    cf = lambda u: benchmark_cf_direct(u / st, tau, theta)  # noqa: E731
+    return np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), 2000) / st
+
+
+@pytest.mark.parametrize("shift", [0.0, -1j], ids=["plain", "shifted"])
+def test_line_interpolant_doubles_its_order_when_129_points_fall_short(shift, solved):
+    # at 5.5 h the 2-factor exponent needs more than 129 Chebyshev points
+    _, theta = _at_start("heston_merton_2f")
+    tau = BENCH_TENORS[0]
+    w = _pricer_line(theta, tau) + shift
+    got = heston_merton_cf(w, tau, theta)
+    assert solved == [129, 128]
+    assert np.max(np.abs(got - benchmark_cf_direct(w, tau, theta))) <= 1e-14
+
+
+@pytest.mark.parametrize("model_id", ["heston_merton_2f", "rough_heston_pp"])
+def test_off_line_probe_and_short_line_arrays_are_solved_directly(model_id, solved):
+    _, theta = _at_start(model_id)
+    cf = heston_merton_cf if model_id == "heston_merton_2f" else rough_heston_cf
+    tau = BENCH_TENORS[0]
+    line = _pricer_line(theta, tau)
+    st = math.sqrt(theta.spot_variance * tau)
+    cases = [(np.concatenate([line, line - 1j]), [2 * line.size]),  # two lines
+             ((_PROBES[:8] - 1j * st) / st, [8])]  # one u_max probe chunk
+    if model_id == "heston_merton_2f":
+        # 129 points fall short and the next order, 257, reaches the line's 200
+        cases.append((line[::10], [129, 200]))
+    for u, sizes in cases:
+        solved.clear()
+        got = cf(u, tau, theta)
+        assert solved == sizes
+        assert np.array_equal(got, benchmark_cf_direct(u, tau, theta))
