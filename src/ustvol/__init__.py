@@ -37,8 +37,6 @@ from .bspp_bootstrap import (
 )
 from .calibration import (
     CalibrationResult,
-    bid_ask_fraction,
-    bucket_rmse,
     calibrate,
     rmse,
 )

@@ -23,11 +23,9 @@ the caller's frequencies (``_exponent_on_line``).
 Small and scattered arrays (the pricer's normalizer and u_max probes) are
 solved directly.
 
-The Adams step is a weighted sum over the whole F history, so the rough
-solver is bound by reading that history.  Frequencies do not interact, so a
-direct rough solve works in blocks whose history fits in L2, and the
-weights, which are real, multiply the float view of the history: one real
-(2, n+1) matrix gives the predictor and corrector sums in one product.
+The Adams step is a weighted sum over the whole F history.  The weights are
+real, so they multiply the float view of the history: one real (2, n+1)
+matrix gives the predictor and corrector sums in one product.
 """
 
 from __future__ import annotations
@@ -437,17 +435,6 @@ def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
 # Rough Heston CF (fractional Adams predictor-corrector)
 # ---------------------------------------------------------------------------
 
-# frequencies per Adams block are chosen so that a block's F history, n_steps + 1
-# rows of complex128, takes at most this many bytes (382 frequencies at 256
-# steps) and each step reads it from L2.  Measured on a 2-core Xeon with 2 MB
-# of L2 per core (4 MB in all).  The blocks pay on their own: with the same
-# real-weight product, six 2048-point rough CF calls took 390-435 ms in blocks
-# and 586-631 ms as one whole-grid solve.  The size is pinned only to the
-# 1-3 MB range: three 2048-point calls took 180-235 ms in 1 MB blocks,
-# 165-210 ms in 1.5 MB and 180-210 ms in 3 MB, ranges that overlap
-_HISTORY_BYTES = 1536 * 1024
-
-
 def _adams_weights(alpha: float, n_steps: int):
     """Real weights of every step, shape (n_steps, 2, n_steps + 1).
 
@@ -505,22 +492,22 @@ def _xi_row_weights(params: RoughHestonParams, tau: float, n_steps: int):
     return omega
 
 
-def _fractional_adams(outer, linear, quad_coef: float, weights, scales: tuple):
-    """Solve D^alpha psi = P + L psi + Q psi^2, psi(0) = 0, for one block of u.
+def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h: float, n_steps: int):
+    """Solve D^alpha psi = P + L psi + Q psi^2, psi(0) = 0, at every u at once.
 
-    P=outer and L=linear are arrays over the block, Q=quad_coef a scalar,
-    ``weights`` come from :func:`_adams_weights` and ``scales`` are the
-    predictor and corrector factors h^alpha/Γ(alpha+1), h^alpha/Γ(alpha+2).
-    Returns (f, None) with the F values f_j = F(u, psi(s_j)) on the uniform
-    grid s_j = j h, which is all the CF integral needs, or (None, k) when
-    psi first turns non-finite at step k.
+    P=outer and L=linear are 1-D arrays over the frequencies, Q=quad_coef a
+    scalar; the solve takes ``n_steps`` steps of size ``h``.  Returns the F
+    values f_j = F(u, psi(s_j)) on the uniform grid s_j = j h, shape
+    (n_steps + 1, frequencies), which is all the CF integral needs.  Raises
+    ``RuntimeError`` with the first step at which psi turns non-finite at
+    any frequency.
     """
-    n_steps = len(weights)
-    pred_scale, corr_scale = scales
+    weights = _adams_weights(alpha, n_steps)
+    pred_scale, corr_scale = h**alpha / gamma(alpha + 1.0), h**alpha / gamma(alpha + 2.0)
     f_hist = np.empty((n_steps + 1, outer.shape[0]), dtype=np.complex128)
     f_hist[0] = outer  # psi(0) = 0
     # real weights on the float view: one dgemm gives the predictor sum and
-    # the corrector history sum from one pass over the block's history
+    # the corrector history sum from one pass over the history
     f_flat = f_hist.view(np.float64)
 
     def f_of(psi):
@@ -533,9 +520,11 @@ def _fractional_adams(outer, linear, quad_coef: float, weights, scales: tuple):
             sums = (weights[n, :, : n + 1] @ f_flat[: n + 1]).view(np.complex128)
             psi_next = corr_scale * (f_of(pred_scale * sums[0]) + sums[1])
             if not np.isfinite(psi_next).all():
-                return None, n + 1
+                raise RuntimeError(
+                    f"fractional Riccati solver diverged at step {n + 1}/{n_steps}"
+                )
             f_hist[n + 1] = f_of(psi_next)
-    return f_hist, None
+    return f_hist
 
 
 def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256):
@@ -562,38 +551,13 @@ def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256
 
 
 def _rough_heston_exponent(uu, tau: float, params: RoughHestonParams, n_steps: int):
-    """log CF at every frequency of ``uu`` (1-D complex), solved directly.
-
-    The frequencies are independent, so they are solved in blocks whose
-    F history fits in L2 (``_HISTORY_BYTES``).  Each Adams step reads that
-    history once, in one real-weight product on its float view, and the xi
-    integral is one more such product at the end of the block, so no
-    whole-grid array beyond the result is allocated.
-    """
+    """log CF at every frequency of ``uu`` (1-D complex), from one direct
+    Adams solve; the xi integral is one more real-weight product, omega · F
+    on the float view of the F history."""
     p = params
-    alpha = p.hurst + 0.5
-    outer = -0.5 * (uu * uu + 1j * uu)
-    linear = 1j * uu * p.rho * p.nu
-    quad_coef = 0.5 * p.nu * p.nu
-    h = tau / n_steps
-    weights = _adams_weights(alpha, n_steps)
-    scales = (h**alpha / gamma(alpha + 1.0), h**alpha / gamma(alpha + 2.0))
-    omega = _xi_row_weights(p, tau, n_steps)
-    width = max(1, _HISTORY_BYTES // (16 * (n_steps + 1)))
-    exponent = np.empty_like(uu)
-    diverged = []
-    for lo in range(0, uu.size, width):
-        blk = slice(lo, lo + width)
-        f_hist, step = _fractional_adams(outer[blk], linear[blk], quad_coef, weights, scales)
-        if step is not None:
-            diverged.append(step)
-        elif not diverged:
-            exponent[blk] = (omega @ f_hist.view(np.float64)).view(np.complex128)
-    if diverged:
-        raise RuntimeError(
-            f"fractional Riccati solver diverged at step {min(diverged)}/{n_steps}"
-        )
-
+    f_hist = _fractional_adams(-0.5 * (uu * uu + 1j * uu), 1j * uu * p.rho * p.nu,
+                               0.5 * p.nu * p.nu, p.hurst + 0.5, tau / n_steps, n_steps)
+    exponent = (_xi_row_weights(p, tau, n_steps) @ f_hist.view(np.float64)).view(np.complex128)
     if p.lambda_j > 0.0:
         kbar = math.exp(p.mu_j + 0.5 * p.sigma_j**2) - 1.0
         exponent = exponent + tau * p.lambda_j * (

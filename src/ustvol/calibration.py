@@ -35,8 +35,6 @@ from .registry import ModelSpec, get_model
 __all__ = [
     "CalibrationResult",
     "rmse",
-    "bid_ask_fraction",
-    "bucket_rmse",
     "calibrate",
 ]
 
@@ -82,9 +80,8 @@ class _SliceView:
     buckets: tuple
 
 
-def _market_view(surface: Surface, rate: float, mid_ivs: bool = True) -> list:
-    """Per-tenor market data; with ``mid_ivs`` false a mid without an
-    implied vol is no error and its IV is left NaN."""
+def _market_view(surface: Surface, rate: float) -> list:
+    """Per-tenor market data; a mid without an implied vol is a ValueError."""
     views = []
     for sl in surface.slices:
         ivs = _implied_vols([q.mid for q in sl.quotes], surface.spot,
@@ -92,7 +89,7 @@ def _market_view(surface: Surface, rate: float, mid_ivs: bool = True) -> list:
                             [q.is_call for q in sl.quotes])
         try:  # the scalar inversion of the first mid without an IV raises and says why
             for q, iv in zip(sl.quotes, ivs):
-                if mid_ivs and math.isnan(iv):
+                if math.isnan(iv):
                     implied_vol(q.mid, surface.spot, q.strike, sl.tau, rate, is_call=q.is_call)
         except ArbitrageBoundsError as exc:
             raise ValueError(
@@ -159,42 +156,18 @@ def _resolve(model, params, tenors):
     return params
 
 
-def _as_model(model) -> ModelSpec:
-    return get_model(model) if isinstance(model, str) else model
-
-
 def rmse(surface: Surface, model, params, rate: float = 0.0,
          quad: QuadratureConfig | None = None) -> float:
     """Vol-points RMSE of model vs mid-market implied vols.
 
     100 x sqrt(mean over tenors of (mean squared IV error within tenor)).
-    ``params`` may be the model's native theta or a flat vector.
+    ``model`` may be a model id or a ``ModelSpec``, ``params`` the model's
+    native theta or a flat vector.
     """
-    return _surface_report(surface, model, params, rate, quad)[0]
-
-
-def bid_ask_fraction(surface: Surface, model, params, rate: float = 0.0,
-                     quad: QuadratureConfig | None = None) -> float:
-    """Share of retained quotes whose model premium lies inside [bid, ask].
-
-    Works from premiums alone, so quotes whose mid has no finite implied
-    vol still count (they simply score as misses unless the model lands
-    inside their spread).
-    """
-    return _surface_report(surface, model, params, rate, quad, mid_ivs=False)[2]
-
-
-def bucket_rmse(surface: Surface, model, params, rate: float = 0.0,
-                quad: QuadratureConfig | None = None) -> dict:
-    """(tenor index, MoneynessBucket) -> vol-points RMSE over that cell."""
-    return _surface_report(surface, model, params, rate, quad)[1]
-
-
-def _surface_report(surface, model, params, rate, quad, mid_ivs=True) -> tuple:
-    model = _as_model(model)
+    model = get_model(model) if isinstance(model, str) else model
     theta = _resolve(model, params, surface.tenors)
-    return _report(_market_view(surface, rate, mid_ivs), model, theta, surface.spot,
-                   rate, quad or QuadratureConfig())
+    return _report(_market_view(surface, rate), model, theta, surface.spot,
+                   rate, quad or QuadratureConfig())[0]
 
 
 # ---------------------------------------------------------------------------

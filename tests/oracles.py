@@ -250,7 +250,8 @@ def heston_k0_cf_ode(u_scalar, tau, v0, nu, rho):
 # ---------------------------------------------------------------------------
 # Rough Heston CF on the whole frequency grid at once: the fractional Adams
 # solver with complex history products and a whole-grid cumulative trapezoid
-# (the library solves the same scheme in cache-sized frequency blocks)
+# (the library takes the same steps with real-weight products on the float
+# view of the history, and its xi integral is one row-weight product)
 # ---------------------------------------------------------------------------
 
 def _fractional_adams(outer, linear, quad_coef, alpha: float, tau: float, n_steps: int):

@@ -13,7 +13,6 @@ from oracles import (
 )
 from ustvol import benchmarks
 from ustvol.benchmarks import (
-    _HISTORY_BYTES,
     HestonMertonParams,
     JumpTransformPoleError,
     RiccatiExplosionError,
@@ -260,41 +259,64 @@ def test_rough_xi_lookup_and_spot_variance():
 
 
 # ---------------------------------------------------------------------------
-# rough CF: frequency blocks against the whole-grid solve
+# rough CF against the whole-grid oracle, on one frequency line (Chebyshev
+# points of the line solved) and off it (every frequency solved directly)
 # ---------------------------------------------------------------------------
 
-_BLOCK = _HISTORY_BYTES // (16 * 257)  # frequencies per block at 256 steps
 _XI_TENORS = (1 / 365, 2 / 365, 3 / 365)
 _XI_LEVELS = (0.04, 0.05, 0.035)
 _TAU_PAST_CURVE = 5 / 365
 
 
 def _rough_grid():
-    # spans at least three blocks, with a partial last block
-    return np.linspace(-150.0, 150.0, 3 * _BLOCK + 17)
+    # far more than the 129-257 points that one line's interpolant solves
+    return np.linspace(-150.0, 150.0, 1163)
 
 
-@pytest.mark.parametrize("hurst", [0.1, 0.5])
-@pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
-def test_rough_blocked_matches_unblocked_oracle(hurst, shift):
+def _placed(u, off_line: bool):
+    """``u``, plus one frequency off its line Im u = const if ``off_line``."""
+    return np.append(u, 1.0 - 0.25j) if off_line else u
+
+
+def _matches_oracle(hurst, shift, solved, off_line):
     p = RoughHestonParams(hurst=hurst, nu=0.4, rho=-0.65,
                           xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
-    u = _rough_grid() + shift
-    assert u.size >= 3 * _BLOCK
+    u = _placed(_rough_grid() + shift, off_line)
     got = rough_heston_cf(u, _TAU_PAST_CURVE, p)
+    assert not off_line or solved == [u.size]  # one direct solve
     want = rough_heston_cf_unblocked(u, _TAU_PAST_CURVE, p)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
-def test_rough_value_does_not_depend_on_its_block():
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+@pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
+def test_rough_blocked_matches_unblocked_oracle(hurst, shift, solved):
+    _matches_oracle(hurst, shift, solved, off_line=False)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+@pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
+def test_rough_off_line_blocks_match_unblocked_oracle(hurst, shift, solved):
+    _matches_oracle(hurst, shift, solved, off_line=True)
+
+
+def _value_independent_of_array(solved, off_line):
     p = RoughHestonParams(hurst=0.1, nu=0.4, rho=-0.65,
                           xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
-    u = _rough_grid() - 1j
+    u = _placed(_rough_grid() - 1j, off_line)
     grid = rough_heston_cf(u, _TAU_PAST_CURVE, p)
-    edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5, 3 * _BLOCK, u.size - 1]
-    for k in edges + list(range(7, u.size, 61)):
+    assert not off_line or solved == [u.size]  # one direct solve
+    for k in [0, u.size - 1] + list(range(7, u.size, 61)):
         alone = rough_heston_cf(u[k:k + 1], _TAU_PAST_CURVE, p)[0]
-        assert abs(alone - grid[k]) <= 1e-14 * abs(grid[k])
+        assert abs(alone - grid[k]) <= 1e-14 * abs(grid[k]), k
+
+
+def test_rough_value_does_not_depend_on_its_block(solved):
+    _value_independent_of_array(solved, off_line=False)
+
+
+def test_rough_off_line_value_does_not_depend_on_its_block(solved):
+    _value_independent_of_array(solved, off_line=True)
 
 
 def _divergence_message(fn, *args):
@@ -303,19 +325,32 @@ def _divergence_message(fn, *args):
     return str(exc.value)
 
 
-def test_rough_divergence_reports_the_first_diverging_step():
-    # nu = 1, tau = 1: the explicit scheme diverges from the 16th pricer
-    # probe frequency on, at an earlier step the higher the frequency
-    p = RoughHestonParams(hurst=0.1, nu=1.0, rho=-0.7, xi_tenors=(0.5,), xi_levels=(0.04,))
-    slow, fast = _PROBES[15] - 0.5j, _PROBES[39] - 0.5j
-    healthy = np.linspace(0.5, 20.0, 3 * _BLOCK) - 0.5j
-    for u in (np.array([slow]), np.append(healthy, slow),
-              np.concatenate([[slow], healthy, [fast]]),
-              np.concatenate([[fast], healthy, [slow]])):
-        got = _divergence_message(rough_heston_cf, u, 1.0, p)
-        assert got == _divergence_message(rough_heston_cf_unblocked, u, 1.0, p)
-    assert _divergence_message(rough_heston_cf, slow, 1.0, p) != _divergence_message(
-        rough_heston_cf, fast, 1.0, p)
+# nu = 1, tau = 1: the explicit scheme diverges from the 16th pricer probe
+# frequency on, at an earlier step the higher the frequency
+_DIVERGING = RoughHestonParams(hurst=0.1, nu=1.0, rho=-0.7, xi_tenors=(0.5,), xi_levels=(0.04,))
+_SLOW, _FAST = _PROBES[15] - 0.5j, _PROBES[39] - 0.5j
+
+
+def _reports_first_diverging_step(solved, off_line):
+    healthy = np.linspace(0.5, 20.0, 1146) - 0.5j
+    for u in (np.array([_SLOW]), np.append(healthy, _SLOW),
+              np.concatenate([[_SLOW], healthy, [_FAST]]),
+              np.concatenate([[_FAST], healthy, [_SLOW]])):
+        u = _placed(u, off_line)
+        solved.clear()
+        got = _divergence_message(rough_heston_cf, u, 1.0, _DIVERGING)
+        assert not off_line or solved == [u.size]  # one direct solve
+        assert got == _divergence_message(rough_heston_cf_unblocked, u, 1.0, _DIVERGING)
+
+
+def test_rough_divergence_reports_the_first_diverging_step(solved):
+    _reports_first_diverging_step(solved, off_line=False)
+    assert _divergence_message(rough_heston_cf, _SLOW, 1.0, _DIVERGING) != _divergence_message(
+        rough_heston_cf, _FAST, 1.0, _DIVERGING)
+
+
+def test_rough_off_line_divergence_reports_the_first_diverging_step(solved):
+    _reports_first_diverging_step(solved, off_line=True)
 
 
 def test_u_max_probe_truncates_rough_divergence_at_last_healthy_probe():
@@ -331,54 +366,6 @@ def test_u_max_probe_truncates_rough_divergence_at_last_healthy_probe():
             break
     assert first_bad is not None and first_bad >= 8
     assert _adaptive_u_max(cf, shift) == _PROBES[8 * (first_bad // 8) - 1]
-
-
-# ---------------------------------------------------------------------------
-# rough CF: the direct block solve, reached through arrays off one line
-# (the CF interpolates along a line, so the tests above solve Chebyshev
-# points; these keep the blocks and the divergence report covered)
-# ---------------------------------------------------------------------------
-
-def _off_line(u):
-    """``u`` plus one frequency off its line Im u = const."""
-    return np.append(u, 1.0 - 0.25j)
-
-
-@pytest.mark.parametrize("hurst", [0.1, 0.5])
-@pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
-def test_rough_off_line_blocks_match_unblocked_oracle(hurst, shift, solved):
-    p = RoughHestonParams(hurst=hurst, nu=0.4, rho=-0.65,
-                          xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
-    u = _off_line(_rough_grid() + shift)
-    got = rough_heston_cf(u, _TAU_PAST_CURVE, p)
-    assert solved == [u.size]
-    want = rough_heston_cf_unblocked(u, _TAU_PAST_CURVE, p)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
-
-
-def test_rough_off_line_value_does_not_depend_on_its_block(solved):
-    p = RoughHestonParams(hurst=0.1, nu=0.4, rho=-0.65,
-                          xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
-    u = _off_line(_rough_grid() - 1j)
-    grid = rough_heston_cf(u, _TAU_PAST_CURVE, p)
-    assert solved == [u.size]
-    edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5, 3 * _BLOCK, u.size - 1]
-    for k in edges + list(range(7, u.size, 61)):
-        alone = rough_heston_cf(u[k:k + 1], _TAU_PAST_CURVE, p)[0]
-        assert abs(alone - grid[k]) <= 1e-14 * abs(grid[k])
-
-
-def test_rough_off_line_divergence_reports_the_first_diverging_step(solved):
-    p = RoughHestonParams(hurst=0.1, nu=1.0, rho=-0.7, xi_tenors=(0.5,), xi_levels=(0.04,))
-    slow, fast = _PROBES[15] - 0.5j, _PROBES[39] - 0.5j
-    healthy = _off_line(np.linspace(0.5, 20.0, 3 * _BLOCK) - 0.5j)
-    for u in (np.append(healthy, slow),
-              np.concatenate([[slow], healthy, [fast]]),
-              np.concatenate([[fast], healthy, [slow]])):
-        solved.clear()
-        got = _divergence_message(rough_heston_cf, u, 1.0, p)
-        assert solved == [u.size]
-        assert got == _divergence_message(rough_heston_cf_unblocked, u, 1.0, p)
 
 
 # ---------------------------------------------------------------------------

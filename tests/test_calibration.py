@@ -9,13 +9,7 @@ import pytest
 from ustvol import calibration
 
 from ustvol.bspp_bootstrap import shift_weighted_variance
-from ustvol.calibration import (
-    CalibrationResult,
-    bid_ask_fraction,
-    bucket_rmse,
-    calibrate,
-    rmse,
-)
+from ustvol.calibration import CalibrationResult, calibrate, rmse
 from ustvol.cf_edgeworth import Displacement
 from ustvol.fourier_pricer import QuadratureConfig, bs_price
 from ustvol.market_data import (
@@ -39,6 +33,15 @@ def _bspp_quotes(sigma0, disp, tenors, strikes, spot=100.0, half_spread=0.002):
                 quotes.append(OptionQuote(k, tau, max(p - half_spread, 1e-6),
                                           p + half_spread, is_call))
     return quotes
+
+
+def _fit_report(surf, model_id, vec):
+    """(RMSE, bucket RMSEs, bid/ask hit share) at the flat vector ``vec``,
+    from the report pass that ``calibrate`` makes."""
+    model = calibration.get_model(model_id)
+    theta = model.unpack(vec, surf.tenors)
+    return calibration._report(calibration._market_view(surf, 0.0), model, theta,
+                               surf.spot, 0.0, QUAD)
 
 
 def _flat_surface(sigma0=0.2, tenors=(1 / 365, 2 / 365, 3 / 365),
@@ -90,23 +93,11 @@ def test_rmse_rejects_noninvertible_mid():
         rmse(surf, "bs_pp", (0.2,), quad=QUAD)
 
 
-def test_bid_ask_fraction_without_mid_implied_vol():
-    # both mids sit below the intrinsic S - K = 20, so neither has an
-    # implied vol; the model premium of about 20 lies in the first band only
-    tau = 2.0 / 365.0
-    deep_itm = OptionQuote(80.0, tau, 18.0, 20.5, is_call=True)
-    surf = Surface(100.0, (TenorSlice(tau, 100.0, 0.2, (deep_itm,), (-10.0,)),))
-    assert bid_ask_fraction(surf, "bs_pp", (0.2,), quad=QUAD) == 1.0
-    miss = OptionQuote(80.0, tau, 19.0, 19.5, is_call=True)
-    surf = Surface(100.0, (TenorSlice(tau, 100.0, 0.2, (miss,), (-10.0,)),))
-    assert bid_ask_fraction(surf, "bs_pp", (0.2,), quad=QUAD) == 0.0
-
-
 def test_bid_ask_fraction_trivial_cases():
     surf = _flat_surface()
-    assert bid_ask_fraction(surf, "bs_pp", (0.2, 0.0, 0.0), quad=QUAD) == 1.0
+    assert _fit_report(surf, "bs_pp", (0.2, 0.0, 0.0))[2] == 1.0
     # a far-off vol level prices every contract outside the tight spreads
-    assert bid_ask_fraction(surf, "bs_pp", (0.4, 0.0, 0.0), quad=QUAD) == 0.0
+    assert _fit_report(surf, "bs_pp", (0.4, 0.0, 0.0))[2] == 0.0
 
 
 def test_bid_ask_fraction_half_perturbed():
@@ -124,13 +115,13 @@ def test_bid_ask_fraction_half_perturbed():
         else:
             bumped.append(q)
     surf = filter_surface(bumped, 100.0)
-    frac = bid_ask_fraction(surf, "bs_pp", (0.2,), quad=QUAD)
+    frac = _fit_report(surf, "bs_pp", (0.2,))[2]
     assert frac == pytest.approx(0.5, abs=1e-12)
 
 
 def test_bucket_rmse_cells():
     surf = _flat_surface(strikes=(98.0, 100.0, 102.0))
-    cells = bucket_rmse(surf, "bs_pp", (0.2, 0.0, 0.0), quad=QUAD)
+    cells = _fit_report(surf, "bs_pp", (0.2, 0.0, 0.0))[1]
     assert cells
     for (idx, bucket), val in cells.items():
         assert 0 <= idx < len(surf.slices)
@@ -162,8 +153,7 @@ def test_calibrate_reeval_identity_trace_and_determinism():
     assert a.trace == b.trace
     # re-evaluation identity: the stored report is the one at the params
     assert a.rmse == rmse(surf, "bs_pp", a.params, quad=QUAD)
-    assert a.bucket_rmse == bucket_rmse(surf, "bs_pp", a.params, quad=QUAD)
-    assert a.bid_ask_fraction == bid_ask_fraction(surf, "bs_pp", a.params, quad=QUAD)
+    assert (a.rmse, a.bucket_rmse, a.bid_ask_fraction) == _fit_report(surf, "bs_pp", a.params)
     # monotone improvement trace
     assert all(x >= y for x, y in zip(a.trace, a.trace[1:]))
     assert a.iterations > 0 and a.wall_time > 0.0

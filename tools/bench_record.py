@@ -7,6 +7,9 @@ of its BENCHMARK.json) once per workload and seed 1-3, reads the result JSON
 on its last line and the fingerprint and ``metric`` lines of its report, and
 writes per workload the median and 95% half-width (Student t) over the seeds
 of every end-to-end metric, plus the median of each numeric report metric.
+A run that exits non-zero stops the record: the workload, seed, exit code
+and the run's last 40 stderr lines go to stderr, the exit code is 1 and no
+file is written.
 """
 import argparse, json, statistics, subprocess, sys  # noqa: E401
 from pathlib import Path
@@ -25,7 +28,12 @@ for name in (w["name"] for w in bench["workloads"]):
     for seed in SEEDS:
         cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
                "--seconds", str(bench["run_seconds"]), "--trace", "0"]
-        lines = subprocess.run(cmd, cwd=args.root, capture_output=True, text=True, check=True).stdout.splitlines()
+        proc = subprocess.run(cmd, cwd=args.root, capture_output=True, text=True)
+        if proc.returncode != 0:
+            tail = "\n".join(proc.stderr.splitlines()[-40:])
+            sys.exit(f"bench_record: workload {name} seed {seed} exited {proc.returncode}; "
+                     f"last 40 stderr lines:\n{tail}")
+        lines = proc.stdout.splitlines()
         record["fingerprint"] = json.loads(next(ln for ln in lines if ln.startswith("fingerprint "))[12:])
         for key, value in (ln[7:].split(" = ")[:2] for ln in lines if ln.startswith("metric ")):
             report.setdefault(key, []).append(value.split()[0])
