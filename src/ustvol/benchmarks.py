@@ -15,13 +15,14 @@ forward-variance integral omega · F of the fractional Riccati equation
 D^alpha psi = F(u, psi), alpha = H + 1/2, solved with the Adams
 predictor-corrector.
 
-The pricer asks for thousands of frequencies on one line Im u = const, where
-the exponent is analytic in Re u.  There the direct solve runs only at
-129 Chebyshev points of the line's range, or at 257, 513, ... where the
-exponent needs them, and a barycentric interpolant carries the exponent to
-the caller's frequencies (``_exponent_on_line``).
-Small and scattered arrays (the pricer's normalizer and u_max probes) are
-solved directly.
+The pricer asks, in one call per tenor, for thousands of frequencies on each
+of two lines Im u = const, along which the exponent is analytic in Re u.
+There the direct solve runs only at 129 Chebyshev points of each line's
+range, or at 257, 513, ... where the exponent needs them, and a barycentric
+interpolant carries the exponent to the caller's frequencies
+(``_exponent_on_line``).  The lines of a call share one solve per order
+round, with its short lines and scattered points (the pricer's u_max probes)
+solved directly in the same solve.
 
 The Adams step is a weighted sum over the whole F history.  The weights are
 real, so they multiply the float view of the history: one real (2, n+1)
@@ -289,44 +290,69 @@ def _barycentric(x, nodes, vals):
     return out
 
 
+def _chebyshev_nodes(lo: float, hi: float, order: int):
+    """``order`` second-kind Chebyshev points of [lo, hi], from hi down."""
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(order) / (order - 1))
+    x[[0, -1]] = hi, lo  # exact ends: the range is the caller's
+    return x
+
+
 def _exponent_on_line(solve, uu):
     """``solve(uu)``, the CF exponent at the 1-D complex frequencies ``uu``,
-    via a Chebyshev interpolant when ``uu`` lies on one line Im u = const.
+    with each long line Im u = const of ``uu`` carried by a Chebyshev
+    interpolant.
 
-    The exponents are analytic in Re u along such a line, so their
-    barycentric interpolant at second-kind Chebyshev points of
-    [min Re u, max Re u] recovers them to rounding (Berrut & Trefethen
-    2004).  Both ends of the range are nodes, so no frequency outside the
-    caller's range is solved, and the shared adaptive step of the affine
-    solve sees the same highest frequency as a direct solve of ``uu``.
-    The order doubles, solving only the new points, until the coefficient
-    tail is below ``_CHEB_TAIL_TOL``.  Arrays off one line, arrays of at
-    most ``_CHEB_ORDER`` points and lines whose next order would reach
-    their own size are solved directly.
+    The frequencies are grouped by their exact Im u.  The exponents are
+    analytic in Re u along a line, so their barycentric interpolant at
+    second-kind Chebyshev points of the line's [min Re u, max Re u]
+    recovers them to rounding (Berrut & Trefethen 2004).  Both ends of a
+    range are nodes, so no frequency outside the caller's range is solved,
+    a frequency at an end keeps its solved value, and the shared adaptive
+    step of the affine solve sees the same highest frequency as a direct
+    solve of ``uu``.  Lines of at most 2·``_CHEB_ORDER`` − 1 points and
+    scattered points are solved directly.
+
+    Every order round is one ``solve`` call: the first holds the direct
+    points and ``_CHEB_ORDER`` nodes of every long line; each later one
+    doubles the order of the lines whose coefficient tail is still above
+    ``_CHEB_TAIL_TOL``, solving only their new points, or solves a line at
+    its own points where the new order would reach its size.
     """
-    if uu.size <= _CHEB_ORDER:
-        return solve(uu)
-    im, lo, hi = uu.imag[0], float(np.min(uu.real)), float(np.max(uu.real))
-    if not lo < hi or np.any(uu.imag != im):
-        return solve(uu)
-
-    def nodes_of(order: int):
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(order) / (order - 1))
-        x[[0, -1]] = hi, lo  # exact ends: the range is the caller's
-        return x
-
-    order = _CHEB_ORDER
-    nodes = nodes_of(order)
-    vals = solve(nodes + 1j * im)
-    while _chebyshev_tail(vals) > _CHEB_TAIL_TOL:
-        order = 2 * order - 1
-        if order >= uu.size:
-            return solve(uu)
-        nodes, old = nodes_of(order), vals
-        # the previous order's points are every other point of this one
-        vals = np.empty(order, dtype=np.complex128)
-        vals[::2], vals[1::2] = old, solve(nodes[1::2] + 1j * im)
-    return _barycentric(uu.real, nodes, vals)
+    _, line_of, counts = np.unique(uu.imag, return_inverse=True, return_counts=True)
+    lines = []  # (indices into uu, Im u, lo, hi) of each interpolated line
+    todo = np.ones(uu.size, dtype=bool)  # frequencies the next round solves directly
+    for k in np.flatnonzero(counts >= 2 * _CHEB_ORDER):
+        idx = np.flatnonzero(line_of == k)
+        lo, hi = float(np.min(uu.real[idx])), float(np.max(uu.real[idx]))
+        if lo < hi:
+            lines.append((idx, uu.imag[idx[0]], lo, hi))
+            todo[idx] = False
+    out = np.empty(uu.size, dtype=np.complex128)
+    order, known = _CHEB_ORDER, [None] * len(lines)  # known: values at each line's nodes
+    while todo.any() or lines:
+        direct = np.flatnonzero(todo)
+        nodes = [_chebyshev_nodes(lo, hi, order) for _, _, lo, hi in lines]
+        # past the first round the previous order's nodes are every other node
+        new = [x if old is None else x[1::2] for x, old in zip(nodes, known)]
+        vals = solve(np.concatenate([uu[direct]]
+                                    + [x + 1j * line[1] for x, line in zip(new, lines)]))
+        out[direct] = vals[: direct.size]
+        pieces = np.split(vals[direct.size:], np.cumsum([x.size for x in new], dtype=int)[:-1])
+        order, still = 2 * order - 1, []
+        todo[:] = False
+        for line, x, piece, old in zip(lines, nodes, pieces, known):
+            if old is not None:
+                merged = np.empty(x.size, dtype=np.complex128)
+                merged[::2], merged[1::2] = old, piece
+                piece = merged
+            if _chebyshev_tail(piece) <= _CHEB_TAIL_TOL:
+                out[line[0]] = _barycentric(uu.real[line[0]], x, piece)
+            elif order >= line[0].size:  # the new order would reach the line's size
+                todo[line[0]] = True
+            else:
+                still.append((line, piece))
+        lines, known = [line for line, _ in still], [piece for _, piece in still]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +397,9 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
     CF = exp(A + B1 v1_0 + B2 v2_0).  The displacement term keeps the system
     affine: the shifted variance multiplies the same spot-variance and
     intensity loadings as factor 1.  Accepts complex u (the pricer's shifted
-    argument).  A long array on one line Im u = const is solved at Chebyshev
-    points of its range and the exponent interpolated
-    (:func:`_exponent_on_line`).
+    argument).  Each long line Im u = const of the array is solved at
+    Chebyshev points of its range and the exponent interpolated, in one
+    shared solve per order round (:func:`_exponent_on_line`).
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -535,9 +561,9 @@ def rough_heston_cf(u, tau: float, params: RoughHestonParams, n_steps: int = 256
     times the compensated Merton factor when jumps are configured.  At
     hurst = 0.5 this is classical Heston with zero variance drift.
 
-    A long array on one line Im u = const is solved at Chebyshev points of
-    its range and the exponent interpolated (:func:`_exponent_on_line`).
-    Raises ``RuntimeError`` with the first step at which any solved
+    Each long line Im u = const of the array is solved at Chebyshev points
+    of its range and the exponent interpolated, in one shared solve per
+    order round (:func:`_exponent_on_line`).  Raises ``RuntimeError`` with the first step at which any solved
     frequency diverges.
     """
     if not tau > 0.0:

@@ -13,10 +13,12 @@ martingale-consistent (expansions, discretized benchmarks).
 Integrals are discretized by a composite trapezoid on [u_min, u_max] with
 u_min = 1e−8 and u_max adaptive (smallest U where |Ψ(U − iσ₀√τ)|/U drops
 below 1e−12, capped at 2000).  Every caller prices through one kernel per
-tenor slice: CF grids once per tenor, then the trapezoid as a phase sum whose
-uniform nodes factor over a coarse × fine grid, so each strike costs about
-2√n complex exponentials instead of n (the algebra of the fractional FFT,
-Bailey & Swarztrauber 1991, here without an FFT, so strikes stay arbitrary).
+tenor slice: after the u_max probe, one CF call holds the normalizer point
+−iσ₀√τ and both legs' grids, so a solver-backed CF solves them together;
+then the trapezoid runs as a phase sum whose uniform nodes factor over a
+coarse × fine grid, so each strike costs about 2√n complex exponentials
+instead of n (the algebra of the fractional FFT, Bailey & Swarztrauber 1991,
+here without an FFT, so strikes stay arbitrary).
 Implied vols of a slice take one array solve.  Puts come from parity.
 Plain Black–Scholes pricing and a bracketed implied-vol inversion live here
 as well, since every consumer of the pricer needs them.
@@ -107,8 +109,9 @@ def _adaptive_u_max(cf: Callable, shift: complex) -> float:
 
 def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: float,
                  strikes: Sequence[float], quad: QuadratureConfig) -> tuple:
-    """Calls of one tenor slice: one normalizer, u_max probe and pair of CF
-    grids, then the trapezoid as one phase sum per leg.
+    """Calls of one tenor slice: the u_max probe, then one CF call for the
+    normalizer and both legs' grids, then the trapezoid as one phase sum per
+    leg.
 
     The n nodes u_k = u₀ + kΔu are uniform, so with F = ⌈√n⌉, A = ⌈n/F⌉ and
     k = aF + b the phase factors exactly, e^{iu_k d₂} = e^{iu_{aF} d₂}·e^{ibΔu d₂}.
@@ -126,15 +129,16 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     value fell below −1e−4·S₀ to its :class:`NegativePriceError`.
     """
     st = sigma0 * math.sqrt(tau)
-    psi_norm = complex(np.asarray(cf(np.array([-1j * st])))[0])
+    u = np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), quad.node_count)
+    n = u.size
+    # one call: the normalizer Ψ(−iσ₀√τ) sits on the shifted leg's line, at Re u = 0
+    psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
+    psi_norm, psi_shift, psi_plain = complex(psi[0]), psi[1:n + 1], psi[n + 1:]
     if abs(psi_norm) < _DECAY_THRESHOLD:
         raise CFNormalizationError(
             f"|Psi(-i*sigma0*sqrt(tau))| = {abs(psi_norm):.3e} "
             f"is numerically degenerate (tau={tau})"
         )
-    u = np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), quad.node_count)
-    psi_shift = np.asarray(cf(u - 1j * st))
-    psi_plain = np.asarray(cf(u))
 
     # d₂ through math.log: numpy's vectorized log can differ in the last bit,
     # and prices are kept bit-identical to the scalar formula
@@ -142,7 +146,6 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     d2 = np.array([(math.log(spot) - math.log(k) + drift) / st for k in strikes])
     disc_k = np.asarray(strikes, dtype=float) * math.exp(-rate * tau)
     # g: node k = aF + b of an A × F grid, zero-padded past n
-    n = u.size
     fine_n = math.isqrt(n - 1) + 1
     coarse_n = -(-n // fine_n)
     step = (u[-1] - u[0]) / (n - 1)

@@ -329,8 +329,8 @@ def _xi_weighted_integral(f_hist, params: RoughHestonParams, tau: float):
     return total
 
 
-def rough_heston_cf_unblocked(u, tau, params, n_steps=256):
-    """Rough Heston raw log-return CF, whole grid in one Adams solve."""
+def rough_heston_cf_whole_array(u, tau, params, n_steps=256):
+    """Rough Heston raw log-return CF, the whole array in one Adams solve."""
     uu = np.atleast_1d(np.asarray(u, dtype=np.complex128))
     p = params
     alpha = p.hurst + 0.5
@@ -469,15 +469,14 @@ def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureCon
     """Calls of one tenor slice by the direct trapezoid: e^{iu·d₂} evaluated
     at every (strike, node) pair, the route the library kernel factorizes.
 
-    Same normalizer, u_max probe, nodes, floor and cap as
-    ``fourier_pricer._slice_calls``, without its error checks; returns the
-    floored and capped calls.
+    Same u_max probe, nodes, CF call (normalizer and both legs), floor and
+    cap as ``fourier_pricer._slice_calls``, without its error checks;
+    returns the floored and capped calls.
     """
     st = sigma0 * math.sqrt(tau)
-    psi_norm = complex(np.asarray(cf(np.array([-1j * st])))[0])
     u = np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), quad.node_count)
-    psi_shift = np.asarray(cf(u - 1j * st))
-    psi_plain = np.asarray(cf(u))
+    psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
+    psi_norm, psi_shift, psi_plain = psi[0], psi[1:u.size + 1], psi[u.size + 1:]
 
     drift = (rate - 0.5 * sigma0**2) * tau
     d2 = np.array([(math.log(spot) - math.log(k) + drift) / st for k in strikes])

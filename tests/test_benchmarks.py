@@ -9,7 +9,7 @@ from oracles import (
     benchmark_cf_direct,
     cf_standardized_direct,
     heston_k0_cf,
-    rough_heston_cf_unblocked,
+    rough_heston_cf_whole_array,
 )
 from ustvol import benchmarks
 from ustvol.benchmarks import (
@@ -259,8 +259,9 @@ def test_rough_xi_lookup_and_spot_variance():
 
 
 # ---------------------------------------------------------------------------
-# rough CF against the whole-grid oracle, on one frequency line (Chebyshev
-# points of the line solved) and off it (every frequency solved directly)
+# rough CF against the whole-array oracle, on one frequency line (Chebyshev
+# points of the line solved) and with one frequency off it (solved directly,
+# in the same call as the line's points)
 # ---------------------------------------------------------------------------
 
 _XI_TENORS = (1 / 365, 2 / 365, 3 / 365)
@@ -283,20 +284,21 @@ def _matches_oracle(hurst, shift, solved, off_line):
                           xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
     u = _placed(_rough_grid() + shift, off_line)
     got = rough_heston_cf(u, _TAU_PAST_CURVE, p)
-    assert not off_line or solved == [u.size]  # one direct solve
-    want = rough_heston_cf_unblocked(u, _TAU_PAST_CURVE, p)
+    # the off-line point rides in the solve of the line's first nodes
+    assert not off_line or solved[0] == benchmarks._CHEB_ORDER + 1
+    want = rough_heston_cf_whole_array(u, _TAU_PAST_CURVE, p)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
 @pytest.mark.parametrize("hurst", [0.1, 0.5])
 @pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
-def test_rough_blocked_matches_unblocked_oracle(hurst, shift, solved):
+def test_rough_matches_whole_array_oracle(hurst, shift, solved):
     _matches_oracle(hurst, shift, solved, off_line=False)
 
 
 @pytest.mark.parametrize("hurst", [0.1, 0.5])
 @pytest.mark.parametrize("shift", [0.0, -1j], ids=["real", "shifted"])
-def test_rough_off_line_blocks_match_unblocked_oracle(hurst, shift, solved):
+def test_rough_off_line_matches_whole_array_oracle(hurst, shift, solved):
     _matches_oracle(hurst, shift, solved, off_line=True)
 
 
@@ -305,17 +307,17 @@ def _value_independent_of_array(solved, off_line):
                           xi_tenors=_XI_TENORS, xi_levels=_XI_LEVELS)
     u = _placed(_rough_grid() - 1j, off_line)
     grid = rough_heston_cf(u, _TAU_PAST_CURVE, p)
-    assert not off_line or solved == [u.size]  # one direct solve
+    assert not off_line or solved[0] == benchmarks._CHEB_ORDER + 1
     for k in [0, u.size - 1] + list(range(7, u.size, 61)):
         alone = rough_heston_cf(u[k:k + 1], _TAU_PAST_CURVE, p)[0]
         assert abs(alone - grid[k]) <= 1e-14 * abs(grid[k]), k
 
 
-def test_rough_value_does_not_depend_on_its_block(solved):
+def test_rough_value_does_not_depend_on_the_rest_of_its_call(solved):
     _value_independent_of_array(solved, off_line=False)
 
 
-def test_rough_off_line_value_does_not_depend_on_its_block(solved):
+def test_rough_off_line_value_does_not_depend_on_the_rest_of_its_call(solved):
     _value_independent_of_array(solved, off_line=True)
 
 
@@ -339,8 +341,9 @@ def _reports_first_diverging_step(solved, off_line):
         u = _placed(u, off_line)
         solved.clear()
         got = _divergence_message(rough_heston_cf, u, 1.0, _DIVERGING)
-        assert not off_line or solved == [u.size]  # one direct solve
-        assert got == _divergence_message(rough_heston_cf_unblocked, u, 1.0, _DIVERGING)
+        # one solve: the off-line point with the short array or the line's first nodes
+        assert not off_line or solved == [min(u.size, benchmarks._CHEB_ORDER + 1)]
+        assert got == _divergence_message(rough_heston_cf_whole_array, u, 1.0, _DIVERGING)
 
 
 def test_rough_divergence_reports_the_first_diverging_step(solved):
@@ -402,11 +405,12 @@ def test_line_interpolant_matches_direct_solve(model_id, tau, n, solved):
     grids, direct = [], []
     calls = _slice_calls(_recording(lambda u: model.cf_standardized(u, tau, theta), grids),
                          sigma0, tau, spot, 0.0, strikes, quad)[0]
-    # both legs' grids took at most 257 solved frequencies each
+    # the two legs' lines (the normalizer on the shifted one) took at most
+    # 257 solved frequencies each
     assert sum(size for size in solved if size > 8) <= 2 * 257
     want = _slice_calls(_recording(lambda u: cf_standardized_direct(u, tau, theta), direct),
                         sigma0, tau, spot, 0.0, strikes, quad)[0]
-    assert len(grids) == len(direct) == 2  # the shifted leg, then the plain leg
+    assert len(grids) == len(direct) == 1  # one call: the normalizer and both legs
     for got, ref in zip(grids, direct):
         assert np.max(np.abs(got - ref)) <= 1e-14
     assert np.max(np.abs(calls - want)) <= 1e-14 * spot
@@ -437,13 +441,47 @@ def test_off_line_probe_and_short_line_arrays_are_solved_directly(model_id, solv
     tau = BENCH_TENORS[0]
     line = _pricer_line(theta, tau)
     st = math.sqrt(theta.spot_variance * tau)
-    cases = [(np.concatenate([line, line - 1j]), [2 * line.size]),  # two lines
-             ((_PROBES[:8] - 1j * st) / st, [8])]  # one u_max probe chunk
-    if model_id == "heston_merton_2f":
-        # 129 points fall short and the next order, 257, reaches the line's 200
-        cases.append((line[::10], [129, 200]))
+    cases = [(line[:300] - 1j * np.linspace(0.0, 1.0, 300), [300]),  # each on its own line
+             ((_PROBES[:8] - 1j * st) / st, [8]),  # one u_max probe chunk
+             (line[::10], [200])]  # a line of at most 2 * 129 - 1 points
     for u, sizes in cases:
         solved.clear()
         got = cf(u, tau, theta)
         assert solved == sizes
         assert np.array_equal(got, benchmark_cf_direct(u, tau, theta))
+
+
+@pytest.mark.parametrize("model_id", ["heston_merton_2f", "rough_heston_pp"])
+def test_two_lines_and_scattered_points_take_one_solve_per_order_round(model_id, solved):
+    _, theta = _at_start(model_id)
+    cf = heston_merton_cf if model_id == "heston_merton_2f" else rough_heston_cf
+    tau = BENCH_TENORS[0]
+    line = _pricer_line(theta, tau)
+    # two 2000-point lines, a point at Re u = 0 (an end of the second line)
+    # and a point off both
+    u = np.concatenate([line, line - 1j, [-1j, 1.0 - 0.25j]])
+    got = cf(u, tau, theta)
+    # round one: both lines' first nodes and the off-line point; at 5.5 h the
+    # 2-factor lines then double their order together
+    rounds = {"heston_merton_2f": [2 * 129 + 1, 2 * 128], "rough_heston_pp": [2 * 129 + 1]}
+    assert solved == rounds[model_id]
+    assert np.max(np.abs(got - benchmark_cf_direct(u, tau, theta))) <= 1e-14
+
+
+@pytest.mark.parametrize("tau", [BENCH_TENORS[0], BENCH_TENORS[-1]], ids=["5.5h", "7d"])
+@pytest.mark.parametrize("model_id", _ODE_MODELS)
+def test_slice_makes_its_probe_calls_then_one_call_of_both_legs(model_id, tau, solved):
+    model, theta = _at_start(model_id)
+    sizes = []
+
+    def cf(u):
+        sizes.append(np.size(u))
+        return model.cf_standardized(u, tau, theta)
+
+    sigma0, n = model.spot_vol(theta), 2000
+    strikes = 100.0 * np.exp(np.linspace(-3.0, 3.0, 7) * sigma0 * math.sqrt(tau))
+    _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=n))
+    assert len(sizes) >= 2 and sizes == [8] * (len(sizes) - 1) + [2 * n + 1]
+    # the normalizer is an end node of the shifted leg's line, so the call's
+    # first solve is both lines' first nodes and nothing else
+    assert solved[len(sizes) - 1] == 2 * benchmarks._CHEB_ORDER
