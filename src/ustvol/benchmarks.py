@@ -15,6 +15,14 @@ forward-variance integral omega · F of the fractional Riccati equation
 D^alpha psi = F(u, psi), alpha = H + 1/2, solved with the Adams
 predictor-corrector.
 
+A solve holds at most a few hundred frequencies, so its cost is the number
+of numpy calls per step, not their arithmetic.  The Dormand-Prince stages
+live in one (7, 3, m) array; the Butcher weights are real, so each stage
+state and the error estimate are one product of a weight row with the
+stages' float view.  The right-hand side writes into its stage row, treats
+B1 and B2 as one stacked (2, m) pair, and takes every term that depends on
+u alone from arrays formed once per call.
+
 The pricer asks, in one call per tenor, for thousands of frequencies on each
 of two lines Im u = const, along which the exponent is analytic in Re u.
 There the direct solve runs only at 129 Chebyshev points of each line's
@@ -26,11 +34,14 @@ solved directly in the same solve.
 
 The Adams step is a weighted sum over the whole F history.  The weights are
 real, so they multiply the float view of the history: one real (2, n+1)
-matrix gives the predictor and corrector sums in one product.
+matrix gives the predictor and corrector sums in one product.  The weights
+of all steps are built once per (alpha, n_steps) and cached read-only, and
+F is evaluated in place as P + psi (L + Q psi).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import gamma
@@ -177,63 +188,68 @@ class RoughHestonParams:
 # Dormand-Prince 5(4), vectorized over the frequency grid with a shared step
 # ---------------------------------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),  # the 5th-order weights
-)
-_DP_B4 = np.array(
+_DP_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],  # the 5th-order weights
+])
+# 5th- minus 4th-order weights: their product with the stages is y5 - y4
+_DP_E = _DP_A[6] - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 
 
-def _stage_step(y, h, coefs, k):
-    """y + h * sum_j coefs[j] k[j] over the nonzero coefficients, in place."""
-    acc = None
-    for a, kj in zip(coefs, k):
-        if a:
-            acc = a * kj if acc is None else np.add(acc, a * kj, out=acc)
-    acc *= h
-    acc += y
-    return acc
-
-
 def _dopri45(f, y0, t0, t1, rtol=1e-10, atol=1e-12, norm_cap=_EXPLOSION_NORM):
     """Integrate y' = f(t, y) from t0 to t1; y complex of any shape.
 
-    One shared adaptive step for the whole array (error = max over entries).
-    FSAL: the 7th stage of an accepted step seeds the next.  Raises
-    :class:`RiccatiExplosionError` when the state norm passes ``norm_cap``
-    (callers scale it with the forcing so that smooth high-frequency states
-    are not mistaken for blow-up) or on step collapse.
+    ``f(t, y, out)`` writes the derivative into ``out``, a row of the (7, ...)
+    stage array.  The weights are real, so each stage state is one product
+    of a row of h·``_DP_A`` with the float view of the stages, and the error
+    estimate one product with ``_DP_E``.  One shared adaptive step for the
+    whole array (error = max over entries).  FSAL: the 7th stage of an
+    accepted step seeds the next, and the step's |y5| is the next one's |y|.
+    Raises :class:`RiccatiExplosionError` when the state norm passes
+    ``norm_cap`` (callers scale it with the forcing so that smooth
+    high-frequency states are not mistaken for blow-up) or on step collapse.
     """
     span = t1 - t0
     t = t0
     y = y0.astype(np.complex128)
     h = span / 100.0
-    k = [None] * 7
-    k[0] = f(t, y)
+    k = np.empty((7,) + y.shape, dtype=np.complex128)
+    k_flat = k.view(np.float64).reshape(7, -1)
+    f(t, y, k[0])
+    abs_y = np.abs(y)
     while t < t1 - 1e-14 * span:
         h = min(h, t1 - t)
+        ha = h * _DP_A
+        y_flat = y.view(np.float64).reshape(-1)
         for i in range(1, 7):
-            yi = _stage_step(y, h, _DP_A[i], k)
-            k[i] = f(t + h * _DP_C[i], yi)
-        y5, y4 = yi, _stage_step(y, h, _DP_B4, k)  # last stage is taken at y5 (FSAL)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale))
+            yi = ha[i, :i] @ k_flat[:i]
+            yi += y_flat
+            yi = yi.view(np.complex128).reshape(y.shape)
+            f(t + h * _DP_C[i], yi, k[i])
+        # the last stage is taken at y5 (FSAL)
+        y5, abs_y5 = yi, np.abs(yi)
+        scale = np.maximum(abs_y, abs_y5)
+        scale *= rtol
+        scale += atol
+        err_abs = np.abs(((h * _DP_E) @ k_flat).view(np.complex128))
+        err_abs /= scale.reshape(-1)
+        err = float(np.max(err_abs))
         if not math.isfinite(err):
             raise RiccatiExplosionError(
                 f"non-finite Riccati state at t={t + h:.6g}", t=t + h
             )
         if err <= 1.0:
             t += h
-            y = y5
-            if np.max(np.abs(y)) > norm_cap:
+            y, abs_y = y5, abs_y5
+            if np.max(abs_y) > norm_cap:
                 raise RiccatiExplosionError(
                     f"Riccati state norm exceeded {norm_cap:g} at t={t:.6g} "
                     "(moment explosion)", t=t
@@ -273,20 +289,36 @@ def _chebyshev_tail(vals) -> float:
 
 def _barycentric(x, nodes, vals):
     """Interpolant through ``vals`` at the second-kind Chebyshev ``nodes``,
-    at the real points ``x``, in blocks of ``_CHEB_BLOCK`` points."""
+    at the real points ``x``, in blocks of ``_CHEB_BLOCK`` points.
+
+    Three passes over each (block, order) kernel: the differences x - x_j,
+    their reciprocals in place, and one product with the columns w Re f,
+    w Im f and w, which gives both numerators and the denominator of the
+    second barycentric form.  A point on a node makes its denominator
+    infinite, and such a point takes the value of its nearest node, which
+    is that node's value exactly.
+    """
     # barycentric weights of second-kind points: (-1)^j, halved at the ends
     weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    pairs = vals.view(np.float64).reshape(nodes.size, 2)
+    # columns w Re f, w Im f and w: one product gives both numerators and
+    # the denominator
+    cols = np.empty((nodes.size, 3))
+    cols[:, :2] = weights[:, None] * vals.view(np.float64).reshape(nodes.size, 2)
+    cols[:, 2] = weights
     out = np.empty(x.size, dtype=np.complex128)
     for start in range(0, x.size, _CHEB_BLOCK):
         blk = slice(start, start + _CHEB_BLOCK)
-        diff = np.subtract.outer(x[blk], nodes)
-        row, col = np.nonzero(diff == 0.0)
-        diff[row, col] = 1.0
-        kernel = weights / diff
-        out[blk] = (kernel @ pairs).view(np.complex128)[:, 0] / kernel.sum(axis=1)
-        out[blk][row] = vals[col]  # a point on a node takes its value
+        kernel = np.subtract.outer(x[blk], nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.reciprocal(kernel, out=kernel)
+            sums = kernel @ cols
+            np.divide(sums[:, 0], sums[:, 2], out=out.real[blk])
+            np.divide(sums[:, 1], sums[:, 2], out=out.imag[blk])
+        on_node = np.flatnonzero(~np.isfinite(sums[:, 2]))
+        if on_node.size:
+            near = np.argmin(np.abs(np.subtract.outer(x[blk][on_node], nodes)), axis=1)
+            out[blk][on_node] = vals[near]
     return out
 
 
@@ -371,17 +403,6 @@ def _shift_segments_time_to_go(displacement: Displacement | None, tau: float):
     return sorted(out)
 
 
-def _riccati_row(out, quad, lin, sq, b, comp, jump):
-    """out = quad + lin*b + sq*b*b - comp + jump, summed left to right in place."""
-    np.multiply(lin, b, out=out)
-    out += quad
-    sq_b = sq * b
-    sq_b *= b
-    out += sq_b
-    out -= comp
-    out += jump
-
-
 def heston_merton_cf(u, tau: float, params: HestonMertonParams):
     """CF of the raw log return under the affine Heston-Merton model.
 
@@ -416,35 +437,46 @@ def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
     quad = -0.5 * (uu * uu + 1j * uu)
     jump_num = np.exp(1j * uu * p.mu_x - 0.5 * uu * uu * p.sigma_x**2)
-    # u-only terms, formed once per call with the operation order of the sums
+    # u-only terms, folded once per call.  B1 and B2 are one stacked (2, m)
+    # row pair: B' = b_const + (sq B + lin) B + c J with b_const = quad -
+    # iu kbar c_i - c_i, and A' = kt · B + a_const + a_jump J
     iu = 1j * uu
-    iu_rho_jump = iu * p.rho_jump
-    lin1, lin2 = iu * p.rho1 * p.zeta1 - p.kappa1, iu * p.rho2 * p.zeta2 - p.kappa2
-    comp0, comp1, comp2 = (iu * kbar * c for c in (p.c0, p.c1, p.c2))
-    spot_load = quad - comp1
+    pole_base = 1.0 - p.m_v * p.rho_jump * iu
+    lin = np.stack([iu * p.rho1 * p.zeta1 - p.kappa1, iu * p.rho2 * p.zeta2 - p.kappa2])
+    sq = np.array([[0.5 * p.zeta1**2], [0.5 * p.zeta2**2]])
+    c = np.array([[p.c1], [p.c2]])
+    b_const = quad - iu * kbar * c - c
+    kt = np.array([p.kappa1 * p.theta1, p.kappa2 * p.theta2])
+    a_const0 = -iu * kbar * p.c0 - p.c0
 
     def transform(b1):
         if p.m_v == 0.0:
             return jump_num
-        denom = 1.0 - p.m_v * (iu_rho_jump + b1)
+        denom = pole_base - p.m_v * b1
         if np.min(np.abs(denom)) < _POLE_TOL:
             raise JumpTransformPoleError(
                 "variance-jump transform pole: |1 - m_v(iu rho_jump + B1)| "
                 f"< {_POLE_TOL:g}"
             )
-        return jump_num / denom
+        return np.divide(jump_num, denom, out=denom)
 
     def make_rhs(phi_level: float):
-        def rhs(s, y):
-            a, b1, b2 = y
-            j_term = transform(b1) - 1.0
-            jump1 = p.c1 * j_term
-            out = np.empty_like(y)
-            _riccati_row(out[1], quad, lin1, 0.5 * p.zeta1**2, b1, comp1, jump1)
-            _riccati_row(out[2], quad, lin2, 0.5 * p.zeta2**2, b2, comp2, p.c2 * j_term)
-            out[0] = (p.kappa1 * p.theta1 * b1 + p.kappa2 * p.theta2 * b2 - comp0
-                      + p.c0 * j_term + phi_level * (spot_load + jump1))
-            return out
+        # the shifted variance loads like factor 1: quad - iu kbar c1 - c1 + c1 J
+        a_const = a_const0 + phi_level * b_const[0]
+        a_jump = p.c0 + phi_level * p.c1
+
+        def rhs(s, y, out):
+            b = y[1:]
+            jump = transform(y[1])
+            np.matmul(kt, b.view(np.float64), out=out[0].view(np.float64))
+            out[0] += a_const
+            out[0] += a_jump * jump
+            out_b = out[1:]
+            np.multiply(sq, b, out=out_b)
+            out_b += lin
+            out_b *= b
+            out_b += b_const
+            out_b += c * jump
         return rhs
 
     # a smoothly integrated B is bounded by the forcing scale |quad|*tau;
@@ -461,8 +493,11 @@ def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
 # Rough Heston CF (fractional Adams predictor-corrector)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
 def _adams_weights(alpha: float, n_steps: int):
-    """Real weights of every step, shape (n_steps, 2, n_steps + 1).
+    """Real weights of every step, shape (n_steps, 2, n_steps + 1), built
+    once per (alpha, n_steps) and returned read-only (about 1 MB at 256
+    steps, so the cache stays a few MB).
 
     Step n uses [n, :, :n + 1] over the F history rows j = 0..n: row 0 holds
     the predictor weights b_{n-j}, row 1 the corrector history weights (the
@@ -478,6 +513,7 @@ def _adams_weights(alpha: float, n_steps: int):
     weights[:, 1][past] = c_w[lag[past]]
     n = m[:-1]
     weights[:, 1, 0] = n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha
+    weights.flags.writeable = False
     return weights
 
 
@@ -527,6 +563,11 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h: float, n
     (n_steps + 1, frequencies), which is all the CF integral needs.  Raises
     ``RuntimeError`` with the first step at which psi turns non-finite at
     any frequency.
+
+    Each step is one product of the cached real weights
+    (:func:`_adams_weights`) with the float view of the history, and two
+    in-place evaluations of F = P + psi (L + Q psi): at the predictor, then
+    at the corrected psi, which goes straight into the next history row.
     """
     weights = _adams_weights(alpha, n_steps)
     pred_scale, corr_scale = h**alpha / gamma(alpha + 1.0), h**alpha / gamma(alpha + 2.0)
@@ -535,21 +576,29 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h: float, n
     # real weights on the float view: one dgemm gives the predictor sum and
     # the corrector history sum from one pass over the history
     f_flat = f_hist.view(np.float64)
+    psi_next = np.empty_like(outer)
 
-    def f_of(psi):
-        return outer + linear * psi + quad_coef * psi * psi
+    def f_of(psi, out):
+        """F(u, psi) = P + psi (L + Q psi), written into ``out``."""
+        np.multiply(psi, quad_coef, out=out)
+        out += linear
+        out *= psi
+        out += outer
 
     # overflow in the intermediate arithmetic is caught by the finiteness
     # guard below and reported as divergence; silence the raw numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             sums = (weights[n, :, : n + 1] @ f_flat[: n + 1]).view(np.complex128)
-            psi_next = corr_scale * (f_of(pred_scale * sums[0]) + sums[1])
+            sums[0] *= pred_scale  # the predictor psi
+            f_of(sums[0], psi_next)
+            psi_next += sums[1]
+            psi_next *= corr_scale
             if not np.isfinite(psi_next).all():
                 raise RuntimeError(
                     f"fractional Riccati solver diverged at step {n + 1}/{n_steps}"
                 )
-            f_hist[n + 1] = f_of(psi_next)
+            f_of(psi_next, f_hist[n + 1])
     return f_hist
 
 

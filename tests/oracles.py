@@ -6,8 +6,8 @@ arithmetic, brute-force Monte Carlo, classical closed forms, or dense
 quadrature written from scratch).  The test-only references live here too:
 the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
 finite-difference smile check, sample cumulants, the direct per-node
-trapezoid of a slice's calls and the benchmark CFs solved at every
-frequency.  Run directly from the repository root to reprint all frozen
+trapezoid of a slice's calls, the benchmark CFs solved at every
+frequency and their Chebyshev interpolant evaluated point by point.  Run directly from the repository root to reprint all frozen
 values:
 
     PYTHONPATH=src python3 tests/oracles.py
@@ -360,6 +360,27 @@ def benchmark_cf_direct(u, tau: float, theta):
         return np.exp(_heston_merton_exponent(uu, tau, theta))
     assert isinstance(theta, RoughHestonParams)
     return np.exp(_rough_heston_exponent(uu, tau, theta, 256))
+
+
+def barycentric_per_point(x, nodes, vals):
+    """The barycentric interpolant through ``vals`` at the second-kind
+    Chebyshev ``nodes``, one point of ``x`` at a time in 30-digit arithmetic:
+    sum w_j f_j / (x - x_j) over sum w_j / (x - x_j), w_j = (-1)^j halved at
+    the ends.  A point equal to a node takes that node's value."""
+    with mp.workdps(30):
+        weights = [mp.mpf(-1 if j % 2 else 1) / (2 if j in (0, nodes.size - 1) else 1)
+                   for j in range(nodes.size)]
+        at_nodes = [mp.mpf(float(n)) for n in nodes]
+        values = [mp.mpc(complex(v)) for v in vals]
+        out = np.empty(len(x), dtype=np.complex128)
+        for i, xi in enumerate(x):
+            hit = np.flatnonzero(nodes == xi)
+            if hit.size:
+                out[i] = vals[hit[0]]
+                continue
+            kernel = [w / (mp.mpf(float(xi)) - n) for w, n in zip(weights, at_nodes)]
+            out[i] = complex(mp.fsum(k * v for k, v in zip(kernel, values)) / mp.fsum(kernel))
+    return out
 
 
 def cf_standardized_direct(u, tau: float, theta):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    barycentric_per_point,
     benchmark_cf_direct,
     cf_standardized_direct,
     heston_k0_cf,
@@ -164,6 +165,25 @@ def test_jump_transform_pole_error():
         heston_merton_cf(-1.2j, 1.0, p)
 
 
+def test_dopri_matches_exponential_of_complex_diagonal_system():
+    # y' = Lambda y with a complex diagonal Lambda: y(t) = exp(Lambda t) y0
+    rng = np.random.default_rng(7)
+    lam = -rng.uniform(0.0, 20.0, (3, 40)) + 1j * rng.uniform(-60.0, 60.0, (3, 40))
+    y0 = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+    rtol, atol, t1 = 1e-10, 1e-12, 0.7
+
+    def rhs(t, y, out):
+        np.multiply(lam, y, out=out)
+
+    got = benchmarks._dopri45(rhs, y0, 0.0, t1, rtol=rtol, atol=atol)
+    want = np.exp(lam * t1) * y0
+    # the global error of a 5(4) pair stays within a few local tolerances
+    assert np.max(np.abs(got - want) / (atol + rtol * np.abs(want))) < 10.0
+    # and the solve follows the requested tolerance
+    loose = benchmarks._dopri45(rhs, y0, 0.0, t1, rtol=1e-6, atol=1e-8)
+    assert 1e-10 < np.max(np.abs(loose - want)) < 1e-5
+
+
 def test_affine_1f_matches_heston_closed_form_times_merton():
     # heston_merton_1f has constant jump intensity and no variance jumps
     # (m_v = 0), so its CF is classical Heston times the Merton factor
@@ -248,6 +268,20 @@ def test_rough_merton_factor():
     got = rough_heston_cf(U, TAU, jumped)
     want = rough_heston_cf(U, TAU, base) * factor
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_adams_weights_are_cached_read_only_and_bounded():
+    benchmarks._adams_weights.cache_clear()
+    cached = benchmarks._adams_weights(0.6, 64)
+    assert benchmarks._adams_weights(0.6, 64) is cached
+    with pytest.raises(ValueError):
+        cached[0, 0, 0] = 1.0
+    fresh = benchmarks._adams_weights.__wrapped__(0.6, 64)
+    assert np.array_equal(cached, fresh)
+    # a bounded cache of about 1 MB per (alpha, n_steps) at the default steps
+    maxsize = benchmarks._adams_weights.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize * benchmarks._adams_weights(0.6, 256).nbytes < 5e6
 
 
 def test_rough_xi_lookup_and_spot_variance():
@@ -414,6 +448,23 @@ def test_line_interpolant_matches_direct_solve(model_id, tau, n, solved):
     for got, ref in zip(grids, direct):
         assert np.max(np.abs(got - ref)) <= 1e-14
     assert np.max(np.abs(calls - want)) <= 1e-14 * spot
+
+
+def test_barycentric_matches_per_point_oracle_and_keeps_node_values():
+    # the exponent that the interpolant carries: heston_merton_2f on its
+    # shifted pricer line at 7 d, over more than one evaluation block
+    _, theta = _at_start("heston_merton_2f")
+    nodes = benchmarks._chebyshev_nodes(0.0, 400.0, benchmarks._CHEB_ORDER)
+    vals = benchmarks._heston_merton_exponent(nodes - 0.5j, BENCH_TENORS[-1], theta)
+    on = [0, 1, nodes.size // 2, nodes.size - 2, nodes.size - 1]
+    x = np.concatenate([np.linspace(0.0, 400.0, benchmarks._CHEB_BLOCK + 76), nodes[on]])
+    got = benchmarks._barycentric(x, nodes, vals)
+    want = barycentric_per_point(x, nodes, vals)
+    # forward error relative to the largest node value (Higham 2004)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(vals))
+    # points on interior nodes and on both ends return the node value exactly
+    assert np.array_equal(got[-len(on):], vals[on])
+    assert got[0] == vals[-1] and got[benchmarks._CHEB_BLOCK + 75] == vals[0]
 
 
 def _pricer_line(theta, tau: float):
