@@ -432,21 +432,23 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
 
 def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
     """log CF = A + B1 v1_0 + B2 v2_0 at every frequency of ``uu`` (1-D
-    complex), from one shared-step Riccati solve."""
+    complex), from one shared-step Riccati solve; a one-factor model
+    (``factor_count`` 1) solves A and B1 only."""
     p = params
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
     quad = -0.5 * (uu * uu + 1j * uu)
     jump_num = np.exp(1j * uu * p.mu_x - 0.5 * uu * uu * p.sigma_x**2)
-    # u-only terms, folded once per call.  B1 and B2 are one stacked (2, m)
-    # row pair: B' = b_const + (sq B + lin) B + c J with b_const = quad -
-    # iu kbar c_i - c_i, and A' = kt · B + a_const + a_jump J
+    # u-only terms, folded once per call.  The B_i are one stacked
+    # (factor_count, m) row block: B' = b_const + (sq B + lin) B + c J with
+    # b_const = quad - iu kbar c_i - c_i, and A' = kt · B + a_const + a_jump J
+    nf = p.factor_count
     iu = 1j * uu
     pole_base = 1.0 - p.m_v * p.rho_jump * iu
-    lin = np.stack([iu * p.rho1 * p.zeta1 - p.kappa1, iu * p.rho2 * p.zeta2 - p.kappa2])
-    sq = np.array([[0.5 * p.zeta1**2], [0.5 * p.zeta2**2]])
-    c = np.array([[p.c1], [p.c2]])
+    lin = np.stack([iu * p.rho1 * p.zeta1 - p.kappa1, iu * p.rho2 * p.zeta2 - p.kappa2][:nf])
+    sq = np.array([[0.5 * p.zeta1**2], [0.5 * p.zeta2**2]][:nf])
+    c = np.array([[p.c1], [p.c2]][:nf])
     b_const = quad - iu * kbar * c - c
-    kt = np.array([p.kappa1 * p.theta1, p.kappa2 * p.theta2])
+    kt = np.array([p.kappa1 * p.theta1, p.kappa2 * p.theta2][:nf])
     a_const0 = -iu * kbar * p.c0 - p.c0
 
     def transform(b1):
@@ -482,11 +484,12 @@ def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
     # a smoothly integrated B is bounded by the forcing scale |quad|*tau;
     # only growth far beyond that marks a genuine moment explosion
     norm_cap = _EXPLOSION_NORM * max(1.0, float(np.max(np.abs(quad))) * tau)
-    y = np.zeros((3, uu.size), dtype=np.complex128)
+    y = np.zeros((1 + nf, uu.size), dtype=np.complex128)
     for s_lo, s_hi, level in _shift_segments_time_to_go(p.shifts, tau):
         y = _dopri45(make_rhs(level), y, s_lo, s_hi, norm_cap=norm_cap)
 
-    return y[0] + y[1] * p.v1_0 + y[2] * p.v2_0
+    exponent = y[0] + y[1] * p.v1_0
+    return exponent + y[2] * p.v2_0 if nf == 2 else exponent
 
 
 # ---------------------------------------------------------------------------

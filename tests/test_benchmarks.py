@@ -1,5 +1,6 @@
 """Tests for the affine Heston-Merton and rough Heston benchmark CFs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -536,3 +537,32 @@ def test_slice_makes_its_probe_calls_then_one_call_of_both_legs(model_id, tau, s
     # the normalizer is an end node of the shifted leg's line, so the call's
     # first solve is both lines' first nodes and nothing else
     assert solved[len(sizes) - 1] == 2 * benchmarks._CHEB_ORDER
+
+
+@pytest.mark.parametrize("model_id", ["heston_merton_1f", "heston_merton_1f_pp",
+                                      "heston_merton_2f", "heston_merton_2f_pp"])
+def test_affine_state_has_one_b_row_per_factor(model_id, monkeypatch):
+    # a one-factor model integrates A and B1 only; its prices match the
+    # three-row solve of the same parameters (factor_count 2 with factor 2 at
+    # zero), which integrates the dead B2 row beside them
+    model, theta = _at_start(model_id)
+    shapes = []
+
+    def spy(f, y0, *args, _real=benchmarks._dopri45, **kwargs):
+        shapes.append(y0.shape[0])
+        return _real(f, y0, *args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "_dopri45", spy)
+    rows = 1 + theta.factor_count
+    twin = dataclasses.replace(theta, factor_count=2)
+    spot, sigma0, quad = 100.0, model.spot_vol(theta), QuadratureConfig(node_count=2000)
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        strikes = spot * np.exp(np.linspace(-8.0, 5.0, 27) * sigma0 * math.sqrt(tau))
+        shapes.clear()
+        calls = _slice_calls(lambda u: model.cf_standardized(u, tau, theta),
+                             sigma0, tau, spot, 0.03, strikes, quad)[0]
+        assert shapes and set(shapes) == {rows}
+        if rows == 2:
+            want = _slice_calls(lambda u: model.cf_standardized(u, tau, twin),
+                                sigma0, tau, spot, 0.03, strikes, quad)[0]
+            assert np.max(np.abs(calls - want)) <= 1e-9 * spot

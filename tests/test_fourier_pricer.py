@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import bs_price_highprec, slice_calls_direct
 from test_acceptance import CAL_SHIFTS, CAL_TRUTH
+from ustvol import fourier_pricer
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, psi_c_no_shift, psi_full
 from ustvol.diagnostics import BENCH_TENORS
 from ustvol.fourier_pricer import (
@@ -202,26 +203,160 @@ def test_bs_input_validation():
         bs_price(100.0, 100.0, 1.0, 0.0, -0.2)
 
 
+def _ladder(tau, vol, spot=100.0, rate=0.03, zs=np.linspace(-8.0, 5.0, 27)):
+    """Strikes at z = log(K/S)/(vol√τ) and whether each is out of the money as a call."""
+    strikes = spot * np.exp(zs * vol * math.sqrt(tau))
+    return strikes, strikes >= spot * math.exp(rate * tau)
+
+
 def test_implied_vol_round_trip():
     price = bs_price(100.0, 103.0, 2.0 / 365.0, 0.0, 0.2)
     assert abs(implied_vol(price, 100.0, 103.0, 2.0 / 365.0, 0.0) - 0.2) < 1e-8
-    # 50-digit prices over the ingestion window's z in [-8, 5] at the
-    # shortest and longest bench tenors: the OTM side recovers the vol, the
-    # ITM side (whose time value is a residual of the intrinsic) the price
+    # 50-digit prices over the ingestion window's z in [-15, 5] at the
+    # shortest and longest bench tenors: the OTM side recovers the vol to
+    # 1e-12 relative wherever its price is at least 1e-12*S, the ITM side
+    # (whose time value is a residual of the intrinsic) the price
     spot, rate = 100.0, 0.03
     for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
-        for vol in (0.1, 0.4):
-            strikes = spot * np.exp(np.linspace(-8.0, 5.0, 27) * vol * math.sqrt(tau))
-            otm_call = strikes >= spot * math.exp(rate * tau)
+        for vol in (0.05, 0.1, 0.4, 1.0):
+            strikes, otm_call = _ladder(tau, vol, spot, rate, np.linspace(-15.0, 5.0, 41))
             for otm, is_call in ((True, otm_call), (False, ~otm_call)):
                 prices = np.array([float(bs_price_highprec(spot, k, rate, tau, vol, c))
                                    for k, c in zip(strikes, is_call)])
                 ivs = _implied_vols(prices, spot, strikes, tau, rate, is_call)
                 if otm:
-                    assert np.max(np.abs(ivs - vol)) <= 1e-12
+                    priced = prices >= 1e-12 * spot
+                    assert np.max(np.abs(ivs[priced] / vol - 1.0)) <= 1e-12, (tau, vol)
                 else:
-                    back = [bs_price(spot, k, tau, rate, v, c) for k, v, c in zip(strikes, ivs, is_call)]
-                    assert np.max(np.abs(np.array(back) - prices)) <= 1e-12 * spot
+                    # deep ITM prices at their intrinsic (after rounding) have no IV
+                    has = np.isfinite(ivs)
+                    back = [bs_price(spot, k, tau, rate, v, c)
+                            for k, v, c in zip(strikes[has], ivs[has], is_call[has])]
+                    assert np.max(np.abs(np.array(back) - prices[has])) <= 1e-12 * spot
+                    intrinsic = np.abs(spot - strikes * math.exp(-rate * tau))
+                    assert np.all(np.abs(prices - intrinsic)[~has] <= 1e-12 * spot)
+
+
+def test_implied_vol_round_trip_in_every_branch_of_the_guess():
+    # a year out, vols up to 5 put quotes above the inflection point of the
+    # normalized price (branches 2 and 3), the forward strike among them
+    spot, rate, tau = 100.0, 0.03, 1.0
+    branches = set()
+    for vol in (0.2, 1.0, 3.0, 5.0):
+        strikes, otm_call = _ladder(tau, vol, spot, rate, np.linspace(-4.0, 2.0, 13))
+        strikes = np.append(strikes, spot * math.exp(rate * tau))
+        otm_call = np.append(otm_call, True)
+        prices = np.array([float(bs_price_highprec(spot, k, rate, tau, vol, c))
+                           for k, c in zip(strikes, otm_call)])
+        ivs = _implied_vols(prices, spot, strikes, tau, rate, otm_call)
+        assert np.max(np.abs(ivs / vol - 1.0)) <= 1e-12, vol
+        disc_k = strikes * math.exp(-rate * tau)
+        root, x = np.sqrt(spot * disc_k), -np.abs(np.log(spot / disc_k))
+        gap = (np.where(otm_call, spot, disc_k) - prices) / root
+        with np.errstate(all="ignore"):
+            branches |= set(fourier_pricer._rational_guess(
+                prices / root, gap, x, np.exp(0.5 * x), np.exp(-0.5 * x))[1].tolist())
+    assert branches == {0, 1, 2, 3}
+
+
+def test_rational_guess_is_close_enough_for_two_steps():
+    # the guess errors that two Householder steps of order 3 take to
+    # rounding, per branch, about 1.2 to 3 times those measured on this grid
+    x = -np.repeat(np.geomspace(1e-6, 10.0, 29), 29)
+    s = np.tile(np.geomspace(1e-3, 3.0, 29), 29)
+    e_pos = np.exp(0.5 * x)
+    with np.errstate(all="ignore"):
+        beta = fourier_pricer._normalized_black(x, s, e_pos, 1.0 / e_pos)[0]
+        keep = (beta > 1e-300) & (beta < 0.999 * e_pos)
+        x, s, e_pos, beta = x[keep], s[keep], e_pos[keep], beta[keep]
+        guess, branch = fourier_pricer._rational_guess(beta, e_pos - beta, x, e_pos, 1.0 / e_pos)
+    errors = np.abs(guess / s - 1.0)
+    assert set(branch.tolist()) == {0, 1, 2, 3}
+    for k, bound in enumerate((0.12, 6e-3, 5e-3, 1e-4)):
+        assert np.max(errors[branch == k]) <= bound, k
+
+
+def test_implied_vol_of_prices_below_the_normal_cdf_range():
+    # OTM calls priced 1e-150 to 1e-313 of spot: below 1e-200 the steps take
+    # ln b from the erfcx form, since the Φ form's terms underflow (the last
+    # price is subnormal, and holds about 44 significant bits)
+    spot, rate, tau = 100.0, 0.03, 2.0 / 365.0
+    for vol in (0.2, 1.0):
+        strikes, _ = _ladder(tau, vol, spot, rate, np.array([26.0, 30.0, 34.0, 37.0, 37.75]))
+        prices = np.array([float(bs_price_highprec(spot, k, rate, tau, vol, True))
+                           for k in strikes])
+        assert prices[0] > 1e-190 * spot and 0.0 < prices[-1] < 1e-310 * spot
+        errors = np.abs(_implied_vols(prices, spot, strikes, tau, rate, True) / vol - 1.0)
+        assert np.max(errors[:-1]) <= 1e-12 and errors[-1] <= 1e-9
+
+
+def test_implied_vol_at_extreme_strikes_and_at_the_price_cap():
+    # |log(F/K)| above 200, where round-off can leave the mapped guess at or
+    # below 0 (Jäckel's quadratic then), and calls within 1e-7 to 1e-13 of
+    # S₀, whose distance to the cap only the quote itself holds exactly: the
+    # IV reprices the quote to within rounding
+    spot, rate, tau = 100.0, 0.01, 5.0
+    for z, vol, is_call in ((31.0, 3.3, True), (33.0, 3.5, True), (-30.0, 3.3, False),
+                            (0.3, 6.0, True), (0.3, 7.0, True), (-1.5, 6.0, True)):
+        strike = spot * math.exp(z * vol * math.sqrt(tau))
+        price = float(bs_price_highprec(spot, strike, rate, tau, vol, is_call))
+        iv = _implied_vols([price], spot, [strike], tau, rate, [is_call])[0]
+        back = float(bs_price_highprec(spot, strike, rate, tau, iv, is_call))
+        assert abs(back - price) <= 1e-12 * price, (z, vol)
+    # a call a few ulps below S₀, where e^{x/2} − β taken from β rounds to 0
+    spot, strike = 1.4187013750265036, 1.671661903518794e29
+    iv = _implied_vols([1.4187013750265032], spot, [strike], 8.764237536894749,
+                       0.01258782439418937, [True])[0]
+    assert 5.0 < iv < 10.0
+
+
+def test_implied_vols_do_not_depend_on_the_rest_of_the_array():
+    # every quote takes the same steps, so it gets the same vol bits alone,
+    # in its ladder and in the reversed ladder; calls and puts on both sides
+    # of the forward, with a smile
+    spot, rate = 100.0, 0.03
+    zs = np.linspace(-8.0, 5.0, 27)
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        strikes, otm_call = _ladder(tau, 0.2, spot, rate, zs)
+        vols = 0.2 * (1.0 + 0.02 * zs * zs - 0.05 * zs)
+        for is_call in (otm_call, ~otm_call):
+            prices = np.array([bs_price(spot, k, tau, rate, v, c)
+                               for k, v, c in zip(strikes, vols, is_call)])
+            ivs = _implied_vols(prices, spot, strikes, tau, rate, is_call)
+            assert np.isfinite(ivs[is_call == otm_call]).all()
+            rev = _implied_vols(prices[::-1], spot, strikes[::-1], tau, rate, is_call[::-1])
+            assert np.array_equal(rev[::-1], ivs, equal_nan=True)
+            for j in range(zs.size):
+                one = _implied_vols(prices[j], spot, strikes[j], tau, rate, is_call[j])
+                assert np.array_equal(one, ivs[j], equal_nan=True), (tau, zs[j])
+
+
+def test_implied_vols_take_the_same_fixed_steps_for_every_quote(monkeypatch):
+    # three normalized-Black calls, each over every quote: one for the
+    # rational guess (b at s_l, and at s_u where a quote needs it) and one
+    # per Householder step
+    evaluated = []
+
+    def spy(x, s, *args, _real=fourier_pricer._normalized_black):
+        evaluated.append(np.shape(s)[-1])
+        return _real(x, s, *args)
+
+    monkeypatch.setattr(fourier_pricer, "_normalized_black", spy)
+    spot, rate, tau = 100.0, 0.03, BENCH_TENORS[0]
+    # near the money at 5.5 h, where a Manaster-Koehler start took 19 steps
+    strike = spot * math.exp(-0.0125)
+    price = bs_price(spot, strike, tau, rate, 0.263, is_call=False)
+    iv = _implied_vols([price], spot, [strike], tau, rate, [False])
+    assert evaluated == [1] * 3 and abs(iv[0] / 0.263 - 1.0) <= 1e-12
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        for vol in (0.1, 0.4):
+            strikes, otm_call = _ladder(tau, vol, spot, rate)
+            for is_call in (otm_call, ~otm_call):
+                prices = [bs_price(spot, k, tau, rate, vol, c) for k, c in zip(strikes, is_call)]
+                evaluated.clear()
+                quotes = np.count_nonzero(np.isfinite(
+                    _implied_vols(prices, spot, strikes, tau, rate, is_call)))
+                assert quotes and evaluated == [quotes] * 3
 
 
 def test_implied_vol_residual_tolerance():
@@ -285,9 +420,10 @@ def test_price_surface_single_contract_matches_slice_kernel():
 
 
 def test_price_surface_slice_matches_single_strike_exactly():
-    # a tenor's strikes are priced as one array; each price must still be
-    # the one-strike slice bit for bit, on both sides of the forward and
-    # with a nonzero rate, at the default node count and at 2000 nodes
+    # a tenor's strikes are priced and inverted as one array; each price
+    # and IV must still be the one-strike slice's bit for bit, on both
+    # sides of the forward and with a nonzero rate, at the default node
+    # count and at 2000 nodes
     model = _ShimModel(BS_PARAMS)
     strikes = [80.0, 95.0, 99.5, 100.0, 100.25, 103.0, 120.0, 100.5, 101.0]
     for quad in (QuadratureConfig(), QuadratureConfig(node_count=2000)):
@@ -296,6 +432,8 @@ def test_price_surface_slice_matches_single_strike_exactly():
         for k, r in zip(strikes, res):
             assert r["error"] is None and r["iv"] is not None
             assert r["call"] == _calls([k], rate=0.03, quad=quad)[0]
+            one = price_surface([(k, TAU)], model, None, 100.0, rate=0.03, quad=quad)[0]
+            assert r["iv"] == one["iv"]
 
 
 def test_price_surface_duplicates_identical():
