@@ -10,21 +10,23 @@ with d₂ = (X₀ − log K + (r₀ − σ₀²/2)τ)/(σ₀√τ).  The call-le
 by Ψ(−iσ₀√τ) absorbs any drift left over by a CF that is only approximately
 martingale-consistent (expansions, discretized benchmarks).
 
-Integrals are discretized by a composite trapezoid on [u_min, u_max] with
-u_min = 1e−8 and u_max adaptive (smallest U where |Ψ(U − iσ₀√τ)|/U drops
-below 1e−12, capped at 2000).  Every caller prices through one kernel per
-tenor slice: after the u_max probe, one CF call holds the normalizer point
-−iσ₀√τ and both legs' grids, so a solver-backed CF solves them together;
-then the trapezoid runs as a phase sum whose uniform nodes factor over a
-coarse × fine grid, so each strike costs about 2√n complex exponentials
-instead of n (the algebra of the fractional FFT, Bailey & Swarztrauber 1991,
-here without an FFT, so strikes stay arbitrary).
+Integrals are discretized by the midpoint rule: n nodes u_k = (k + ½)u_max/n
+of weight u_max/n, u_max adaptive (smallest U where |Ψ(U − iσ₀√τ)|/U drops
+below 1e−12, capped at 2000).  Each leg's integrand is even in u and its
+singularity at 0 removable, so this is half the shifted trapezoid over the
+whole line, geometrically convergent (Trefethen & Weideman, SIAM Rev. 2014).
+Every caller prices a tenor slice through one kernel: after the u_max probe,
+one CF call holds the normalizer point −iσ₀√τ and both legs' grids, which a
+solver-backed CF solves together; the uniform nodes then factor each
+strike's phase sum over a coarse × fine grid, for about 2√n complex
+exponentials instead of n (the fractional FFT's algebra, Bailey &
+Swarztrauber 1991, without an FFT, so strikes stay arbitrary).
 Implied vols of a slice take one array solve of fixed length: each quote's
 normalized out-of-the-money price is inverted from Jäckel's rational initial
 guess ("Let's be rational", Wilmott 2015) by two Householder steps of order
 3, so every quote gets the same arithmetic whatever slice it is in.  Puts
-come from parity.  Plain Black–Scholes pricing and a bracketed implied-vol
-inversion live here as well, since every consumer of the pricer needs them.
+come from parity.  Plain Black–Scholes pricing and the scalar `implied_vol`
+live here as well, since every consumer of the pricer needs them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "price_surface",
 ]
 
-_U_MIN = 1e-8
 _U_MAX_CAP = 2000.0
 _DECAY_THRESHOLD = 1e-12
 # u_max probe frequencies, scanned in blocks of 8
@@ -101,8 +102,7 @@ class ArbitrageBoundsError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Fourier grid: node_count trapezoid nodes on [1e−8, u_max], u_max the
-    adaptive truncation bound of each tenor slice."""
+    """Fourier grid: node_count midpoint nodes on [0, u_max], u_max adaptive per slice."""
 
     node_count: int = 10_000
 
@@ -141,27 +141,28 @@ def _adaptive_u_max(cf: Callable, shift: complex) -> float:
 def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: float,
                  strikes: Sequence[float], quad: QuadratureConfig) -> tuple:
     """Calls of one tenor slice: the u_max probe, then one CF call for the
-    normalizer and both legs' grids, then the trapezoid as one phase sum per
-    leg.
+    normalizer and both legs' grids, then the midpoint sum as one phase sum
+    per leg.
 
-    The n nodes u_k = u₀ + kΔu are uniform, so with F = ⌈√n⌉, A = ⌈n/F⌉ and
+    The n nodes u_k = (k + ½)Δu are uniform, so with F = ⌈√n⌉, A = ⌈n/F⌉ and
     k = aF + b the phase factors exactly, e^{iu_k d₂} = e^{iu_{aF} d₂}·e^{ibΔu d₂}.
-    The trapezoid weights, 1/(iu) and the normalizer fold into one (n, 2)
-    column pair g (S₀ leg, K leg), zero-padded to A·F rows; each strike then
-    takes its A coarse phases times g as an (A, 2F) matrix, and the result
-    contracted with its F fine phases.  The coarse product is one 1-row
-    product per strike, never one matrix product over the slice: BLAS sums a
-    GEMM's rows in an order set by the row count (1e-14 apart from the 1-row
-    products on a 41 × 46 × 92 complex product), and a strike's price must
-    be bit-identical whatever slice it is priced in.
+    1/(iu) and the normalizer fold into one (n, 2) column pair g (S₀ leg, K
+    leg), zero-padded to A·F rows, and the common weight Δu = u_max/n into
+    the final 1/π.  Each strike takes its A coarse phases times g as an
+    (A, 2F) matrix, and the result contracted with its F fine phases.  The
+    coarse product is one 1-row product per strike, never one matrix product
+    over the slice: BLAS sums a GEMM's rows in an order set by the row count
+    (1e-14 apart from the 1-row products on a 41 × 46 × 92 complex product),
+    and a strike's price must be bit-identical whatever slice it is priced in.
 
     Prices are floored at intrinsic and capped at S₀.  Returns ``(calls,
     negative)``, where ``negative`` maps the index of each strike whose raw
     value fell below −1e−4·S₀ to its :class:`NegativePriceError`.
     """
     st = sigma0 * math.sqrt(tau)
-    u = np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), quad.node_count)
-    n = u.size
+    n = quad.node_count
+    step = _adaptive_u_max(cf, -1j * st) / n
+    u = step * (np.arange(n) + 0.5)
     # one call: the normalizer Ψ(−iσ₀√τ) sits on the shifted leg's line, at Re u = 0
     psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
     psi_norm, psi_shift, psi_plain = complex(psi[0]), psi[1:n + 1], psi[n + 1:]
@@ -171,26 +172,23 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
             f"is numerically degenerate (tau={tau})"
         )
 
-    # d₂ through math.log: numpy's vectorized log can differ in the last bit,
-    # and prices are kept bit-identical to the scalar formula
+    # d₂ through math.log, whose bits do not depend on an array's layout as
+    # numpy's log's can: a strike's price must not depend on its slice
     drift = (rate - 0.5 * sigma0**2) * tau
     d2 = np.array([(math.log(spot) - math.log(k) + drift) / st for k in strikes])
     disc_k = np.asarray(strikes, dtype=float) * math.exp(-rate * tau)
     # g: node k = aF + b of an A × F grid, zero-padded past n
     fine_n = math.isqrt(n - 1) + 1
     coarse_n = -(-n // fine_n)
-    step = (u[-1] - u[0]) / (n - 1)
-    weight = np.full(n, step)
-    weight[[0, -1]] = 0.5 * step
     g = np.zeros((coarse_n * fine_n, 2), dtype=complex)
-    g[:n, 0] = weight * psi_shift / (1j * u * psi_norm)
-    g[:n, 1] = weight * psi_plain / (1j * u)
+    g[:n, 0] = psi_shift / (1j * u * psi_norm)
+    g[:n, 1] = psi_plain / (1j * u)
     # A + F complex exponentials per strike
     coarse = np.exp(1j * np.multiply.outer(d2, u[::fine_n]))
     fine = np.exp(1j * np.multiply.outer(d2, step * np.arange(fine_n)))
     partial = coarse[:, None, :] @ g.reshape(coarse_n, 2 * fine_n)
     leg_s, leg_k = np.einsum("sbk,sb->ks", partial.reshape(d2.size, fine_n, 2), fine).real
-    raw = spot * (0.5 + leg_s / math.pi) - disc_k * (0.5 + leg_k / math.pi)
+    raw = spot * (0.5 + step / math.pi * leg_s) - disc_k * (0.5 + step / math.pi * leg_k)
     negative = {
         int(j): NegativePriceError(
             f"raw call price {raw[j]:.6g} below -1e-4*spot; quadrature misconfigured "

@@ -6,7 +6,7 @@ arithmetic, brute-force Monte Carlo, classical closed forms, or dense
 quadrature written from scratch).  The test-only references live here too:
 the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
 finite-difference smile check, sample cumulants, the direct per-node
-trapezoid of a slice's calls, the benchmark CFs solved at every
+midpoint sum of a slice's calls, the benchmark CFs solved at every
 frequency and their Chebyshev interpolant evaluated point by point.  Run directly from the repository root to reprint all frozen
 values:
 
@@ -30,7 +30,7 @@ from ustvol.benchmarks import (
 )
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, _psi_from_integrals
 from ustvol.diagnostics import smile_expansion
-from ustvol.fourier_pricer import _U_MIN, QuadratureConfig, _adaptive_u_max, price_surface
+from ustvol.fourier_pricer import QuadratureConfig, _adaptive_u_max, price_surface
 from ustvol.registry import get_model, standardized_from_raw
 
 mp.mp.dps = 50
@@ -245,6 +245,49 @@ def heston_k0_cf_ode(u_scalar, tau, v0, nu, rho):
         atol=1e-14,
     )
     return complex(np.exp(v0 * sol.y[0, -1]))
+
+
+def heston_merton_exponent_decoupled(w, tau: float, params: HestonMertonParams):
+    """log CF of the raw log return under ``HestonMertonParams`` with m_v = 0,
+    in closed form.
+
+    Without variance jumps J(w) = e^{iwμₓ − w²σₓ²/2} does not depend on B₁,
+    so each factor's row is a scalar Riccati equation with constant
+    coefficients, B' = a + bB + cB², B(0) = 0, with a = −(w² + iw)/2 −
+    iw·k̄·cᵢ + cᵢ(J − 1), b = iwρᵢζᵢ − κᵢ and c = ζᵢ²/2 (Duffie, Pan &
+    Singleton 2000).  With d = √(b² − 4ac), Re d ≥ 0, and E = e^{−ds}:
+    B(s) = 2a(1 − E)/((d − b) + (d + b)E) and ∫₀ˢB = [(−b − d)s −
+    2 log(((d − b) + (d + b)E)/(2d))]/(2c).  Written without cancellation
+    as ζ → 0: −b − d = 4ac/(d − b), d + b = −4ac/(d − b), so the log is
+    log1p(2ac(1 − E)/(d(d − b))) and every term carries the factor c that
+    the 1/(2c) cancels.  A = Σᵢ κᵢθᵢ∫B_i + τ(c₀(J − 1) − iw·k̄·c₀) +
+    a₁∫₀^τ φ_v: the displacement enters A only.  Needs ζᵢ > 0.
+    """
+    p = params
+    if p.m_v != 0.0:
+        raise ValueError("the rows decouple only at m_v = 0")
+    w = np.asarray(w, dtype=np.complex128)
+    kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) - 1.0
+    jump = np.exp(1j * w * p.mu_x - 0.5 * w * w * p.sigma_x**2)
+    factors = [(p.v1_0, p.kappa1, p.theta1, p.zeta1, p.rho1, p.c1),
+               (p.v2_0, p.kappa2, p.theta2, p.zeta2, p.rho2, p.c2)][:p.factor_count]
+    exponent = tau * (p.c0 * (jump - 1.0) - 1j * w * kbar * p.c0)
+    for k, (v0, kappa, theta, zeta, rho, c_k) in enumerate(factors):
+        a = -0.5 * (w * w + 1j * w) - 1j * w * kbar * c_k + c_k * (jump - 1.0)
+        b = 1j * w * rho * zeta - kappa
+        c = 0.5 * zeta * zeta
+        d = np.sqrt(b * b - 4.0 * a * c)
+        dmb = d - b
+        one_minus_e = -np.expm1(-d * tau)
+        big_b = 2.0 * a * one_minus_e / (dmb - 4.0 * a * c / dmb * (1.0 - one_minus_e))
+        int_b = 2.0 * a * tau / dmb - np.log1p(2.0 * a * c * one_minus_e / (d * dmb)) / c
+        exponent = exponent + kappa * theta * int_b + v0 * big_b
+        if k == 0 and p.shifts is not None:
+            disp = p.shifts
+            edges = np.clip(np.array((0.0,) + disp.tenors + (math.inf,)), 0.0, tau)
+            exponent = exponent + a * float(np.dot(disp.levels + disp.levels[-1:],
+                                                   np.diff(edges)))
+    return exponent
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +526,22 @@ def sample_cumulants(samples) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Fourier slice calls: the direct per-node trapezoid
+# Fourier slice calls: the direct per-node midpoint sum
 # ---------------------------------------------------------------------------
 
 def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureConfig):
-    """Calls of one tenor slice by the direct trapezoid: e^{iu·d₂} evaluated
-    at every (strike, node) pair, the route the library kernel factorizes.
+    """Calls of one tenor slice by the direct midpoint sum: e^{iu·d₂}
+    evaluated at every (strike, node) pair, the route the library kernel
+    factorizes, each node weighted u_max/n.
 
     Same u_max probe, nodes, CF call (normalizer and both legs), floor and
     cap as ``fourier_pricer._slice_calls``, without its error checks;
     returns the floored and capped calls.
     """
     st = sigma0 * math.sqrt(tau)
-    u = np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), quad.node_count)
+    n = quad.node_count
+    step = _adaptive_u_max(cf, -1j * st) / n
+    u = step * (np.arange(n) + 0.5)
     psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
     psi_norm, psi_shift, psi_plain = psi[0], psi[1:u.size + 1], psi[u.size + 1:]
 
@@ -504,8 +550,8 @@ def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureCon
     disc_k = np.asarray(strikes, dtype=float) * math.exp(-rate * tau)
     iu = 1j * u
     phase = np.exp(iu * d2[:, None])
-    leg_s = np.trapezoid(np.real(phase * psi_shift / (iu * psi_norm)), u)
-    leg_k = np.trapezoid(np.real(phase * psi_plain / iu), u)
+    leg_s = step * np.sum(np.real(phase * psi_shift / (iu * psi_norm)), axis=1)
+    leg_k = step * np.sum(np.real(phase * psi_plain / iu), axis=1)
     raw = spot * (0.5 + leg_s / math.pi) - disc_k * (0.5 + leg_k / math.pi)
     return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot)
 

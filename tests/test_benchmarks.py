@@ -11,6 +11,7 @@ from oracles import (
     benchmark_cf_direct,
     cf_standardized_direct,
     heston_k0_cf,
+    heston_merton_exponent_decoupled,
     rough_heston_cf_whole_array,
 )
 from ustvol import benchmarks
@@ -24,7 +25,7 @@ from ustvol.benchmarks import (
 )
 from ustvol.cf_edgeworth import Displacement
 from ustvol.diagnostics import BENCH_TENORS
-from ustvol.fourier_pricer import _PROBES, _U_MIN, QuadratureConfig, _adaptive_u_max, _slice_calls
+from ustvol.fourier_pricer import _PROBES, QuadratureConfig, _adaptive_u_max, _slice_calls
 from ustvol.registry import get_model
 
 TAU = 2.0 / 365.0
@@ -199,6 +200,35 @@ def test_affine_1f_matches_heston_closed_form_times_merton():
                 np.exp(1j * w * p.mu_x - 0.5 * w * w * p.sigma_x**2) - 1.0 - 1j * w * kbar))
             want = heston_k0_cf(w, tau, p.v1_0, p.zeta1, p.rho1, p.kappa1, p.theta1) * merton
             assert np.max(np.abs(heston_merton_cf(w, tau, p) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("model_id", ["heston_merton_1f", "heston_merton_1f_pp",
+                                      "heston_merton_2f", "heston_merton_2f_pp"])
+def test_dopri_exponent_matches_the_decoupled_closed_form(model_id):
+    # at m_v = 0 every Riccati row is a scalar equation with a closed form;
+    # mean reversion, vol-of-vol, jumps, intensity loadings and (for the _pp
+    # layouts) a displacement are all on, on both pricer lines out to
+    # standardized u = 60
+    _, theta = _at_start(model_id)
+    shifts = theta.shifts and Displacement(BENCH_TENORS, (0.01, 0.02, -0.005, 0.005, 0.0))
+    theta = dataclasses.replace(theta, m_v=0.0, shifts=shifts)
+    assert theta.kappa1 > 0.0 and theta.zeta1 > 0.0 and theta.c0 > 0.0
+    assert (shifts is not None) == model_id.endswith("_pp")
+    kbar = math.exp(theta.mu_x + 0.5 * theta.sigma_x**2) - 1.0
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        st = math.sqrt(theta.spot_variance * tau)
+        for w in (np.linspace(0.0, 60.0, 241) / st, np.linspace(0.0, 60.0, 241) / st - 1j):
+            want = np.exp(heston_merton_exponent_decoupled(w, tau, theta))
+            got = np.exp(benchmarks._heston_merton_exponent(w, tau, theta))
+            assert np.max(np.abs(got - want)) <= 1e-13, tau
+            if model_id == "heston_merton_1f":
+                # the closed form itself: classical Heston times Merton
+                merton = np.exp(tau * theta.c0 * (
+                    np.exp(1j * w * theta.mu_x - 0.5 * w * w * theta.sigma_x**2) - 1.0
+                    - 1j * w * kbar))
+                heston = heston_k0_cf(w, tau, theta.v1_0, theta.zeta1, theta.rho1,
+                                      theta.kappa1, theta.theta1)
+                assert np.max(np.abs(heston * merton - want)) <= 1e-14, tau
 
 
 def test_affine_rejects_bad_tau():
@@ -472,7 +502,8 @@ def _pricer_line(theta, tau: float):
     """Raw frequencies of the pricer's plain leg at 2000 nodes."""
     st = math.sqrt(theta.spot_variance * tau)
     cf = lambda u: benchmark_cf_direct(u / st, tau, theta)  # noqa: E731
-    return np.linspace(_U_MIN, _adaptive_u_max(cf, -1j * st), 2000) / st
+    step = _adaptive_u_max(cf, -1j * st) / 2000
+    return step * (np.arange(2000) + 0.5) / st
 
 
 @pytest.mark.parametrize("shift", [0.0, -1j], ids=["plain", "shifted"])

@@ -233,13 +233,18 @@ def test_model_iv_clamps_to_bracket_edges():
     low, high = calibration._IV_BRACKET
     assert (low, high) == (1e-6, 10.0)
 
-    prices, ivs = calibration._slice_model_quotes(model, model.unpack((0.2,), (tau,)),
-                                                  view, 100.0, 0.0, QUAD)
+    # the floor binds by construction: bs_pp's CF scaled by 1 - 1e-6 moves
+    # the strike leg's exercise probability P to P - 1e-6*(P - 1/2), so the
+    # z ~ +10 raw call is about -0.5e-6*K, below intrinsic but far above the
+    # -1e-4*S0 error band, while the ATM call (P ~ 1/2) barely moves
+    leaky = dataclasses.replace(model, _cf=lambda u, t, th: (1.0 - 1e-6) * model._cf(u, t, th))
+    theta = model.unpack((0.2,), (tau,))
+    prices, ivs = calibration._slice_model_quotes(leaky, theta, view, 100.0, 0.0, QUAD)
     assert prices[1] == 0.0 and ivs[1] == low
     assert abs(ivs[0] - 0.2) < 1e-4
     _, ivs = calibration._slice_model_quotes(model, model.unpack((60.0,), (tau,)),
                                              view, 100.0, 0.0, QUAD)
     assert list(ivs) == [high, high]
 
-    assert math.isfinite(rmse(surf, "bs_pp", (0.2,), quad=QUAD))
+    assert math.isfinite(rmse(surf, leaky, (0.2,), quad=QUAD))
     assert rmse(surf, "bs_pp", (60.0,), quad=QUAD) == pytest.approx(100.0 * (high - 0.5), rel=1e-9)

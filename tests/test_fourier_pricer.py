@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import bs_price_highprec, slice_calls_direct
 from test_acceptance import CAL_SHIFTS, CAL_TRUTH
 from ustvol import fourier_pricer
+from ustvol.bspp_bootstrap import bspp_atm_vol
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, psi_c_no_shift, psi_full
 from ustvol.diagnostics import BENCH_TENORS
 from ustvol.fourier_pricer import (
@@ -54,7 +55,7 @@ def _puts(strikes, rate=0.0):
 
 
 # ---------------------------------------------------------------------------
-# the factorized slice kernel against the direct per-node trapezoid
+# the factorized slice kernel against the direct per-node midpoint sum
 # ---------------------------------------------------------------------------
 
 def _kernel_cases():
@@ -172,6 +173,50 @@ def test_request_and_config_validation():
         "ValueError: tau must be > 0, got 0.0")
     with pytest.raises(ValueError):
         QuadratureConfig(node_count=10)
+
+
+# ---------------------------------------------------------------------------
+# bs_pp across the ingestion window against its 50-digit closed form
+# ---------------------------------------------------------------------------
+
+def _bspp_window(tau, zs, spot=100.0, rate=0.03):
+    """bs_pp with a displacement, its flat vol at ``tau``, strikes at
+    z = log(K/S)/(vol√τ) and whether each is out of the money as a call."""
+    model = get_model("bs_pp")
+    theta = model.unpack((0.2,) + CAL_SHIFTS, BENCH_TENORS)
+    vol = bspp_atm_vol(tau, 0.2, theta[1])
+    strikes = spot * np.exp(np.asarray(zs) * vol * math.sqrt(tau))
+    return model, theta, vol, strikes, strikes >= spot * math.exp(rate * tau)
+
+
+def test_bspp_slice_calls_match_the_closed_form_across_the_window():
+    # bs_pp is exactly lognormal: its slice calls are Black-Scholes at its
+    # ATM vol, to rounding, from 256 nodes on
+    spot, rate = 100.0, 0.03
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        model, theta, vol, strikes, _ = _bspp_window(tau, np.linspace(-10.0, 5.0, 31))
+        want = np.array([float(bs_price_highprec(spot, k, rate, tau, vol)) for k in strikes])
+        for n in (256, 2000, 2048, 10_000):
+            calls = _checked_slice_calls(lambda u: model.cf_standardized(u, tau, theta), 0.2,
+                                         tau, spot, rate, strikes, QuadratureConfig(node_count=n))
+            assert np.max(np.abs(calls - want)) <= 1e-12 * spot, (tau, n)
+
+
+def test_bspp_ivs_stay_flat_across_the_ingestion_window():
+    # every quote of z in [-15, 5] whose OTM price is at least 1e-12*S has an
+    # IV within 1e-6 of the flat vol (3e-7 at worst)
+    spot, rate = 100.0, 0.03
+    for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
+        model, theta, vol, strikes, otm_call = _bspp_window(tau, np.linspace(-15.0, 5.0, 81))
+        otm = np.array([float(bs_price_highprec(spot, k, rate, tau, vol, c))
+                        for k, c in zip(strikes, otm_call)])
+        priced = otm >= 1e-12 * spot
+        assert priced.sum() >= 44
+        for quad in (QuadratureConfig(node_count=2048), QuadratureConfig()):
+            res = price_surface([(k, tau) for k in strikes[priced]], model, theta, spot,
+                                rate, quad)
+            ivs = np.array([np.nan if r["iv"] is None else r["iv"] for r in res])
+            assert np.max(np.abs(ivs - vol)) <= 1e-6, (tau, quad)
 
 
 # ---------------------------------------------------------------------------
