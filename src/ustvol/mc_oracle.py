@@ -6,10 +6,13 @@ directly and estimate CFs, cumulants and prices from paths, so agreement with
 the analytic modules is evidence, not construction.
 
 Conventions: zero rate throughout; terminal values are raw log returns
-X_tau - X_0 unless explicitly standardized; every simulator is bit-identical
-across runs and machines for a fixed ``SimConfig`` (paths are generated in
-fixed-size chunks, each with its own child stream spawned from the seed, so
-growing the path count appends chunks without disturbing earlier draws).
+X_tau - X_0 unless explicitly standardized; for a fixed ``SimConfig`` every
+simulator makes the same random draws on every run and machine (paths are
+generated in fixed-size chunks, each with its own child stream spawned from
+the seed, so growing the path count appends chunks without disturbing
+earlier draws).  Outputs repeat bit for bit on one machine; across machines
+the rough simulator's history sum, a BLAS matrix product, may round
+differently.
 """
 
 from __future__ import annotations
@@ -231,6 +234,8 @@ def simulate_edgeworth_submodel(
 
 _NEGATIVE_VARIANCE_LIMIT = 0.10
 _ROUGH_CHUNK_CAP = 100_000
+# steps per block of the rough history sum
+_ROUGH_BLOCK = 32
 
 
 def _check_negative_cells(neg_cells: int, total_cells: int) -> None:
@@ -270,6 +275,11 @@ def _simulate_affine(p: HestonMertonParams, tau: float, cfg: SimConfig) -> np.nd
     left-point intensity c0 + c1 (v1^+ + phi_v) + c2 v2^+; each jump adds an
     Exp(m_v) variance kick to factor 1 and a conditionally Gaussian price
     jump, compensated exactly through kbar.
+
+    Only the paths that jumped get jump arithmetic: a zero-shape gamma draw
+    consumes nothing from the stream, and ``normal(loc, scale)`` is
+    ``loc + scale * standard_normal`` draw for draw, so the outputs equal
+    those of drawing over every path (``tests/oracles.simulate_affine_direct``).
     """
     two_factor = p.factor_count == 2
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
@@ -306,16 +316,20 @@ def _simulate_affine(p: HestonMertonParams, tau: float, cfg: SimConfig) -> np.nd
 
             intensity = p.c0 + p.c1 * (v1p + phv) + p.c2 * v2p
             counts = rng.poisson(intensity * dt)
-            if p.m_v > 0.0:
-                zv = rng.gamma(counts.astype(float), p.m_v)
-            else:
-                zv = np.zeros(size)
-            zx = rng.normal(counts * p.mu_x + p.rho_jump * zv,
-                            p.sigma_x * np.sqrt(counts))
-            x += zx - intensity * kbar * dt
+            hit = np.flatnonzero(counts)
+            n_hit = counts[hit]
+            zv = rng.gamma(n_hit.astype(float), p.m_v) if p.m_v > 0.0 else np.zeros(hit.size)
+            zx = n_hit * p.mu_x + p.rho_jump * zv \
+                + p.sigma_x * np.sqrt(n_hit) * rng.standard_normal(size)[hit]
+            # x += zx - comp on hit paths and x -= comp elsewhere; comp - zx
+            # rounds to exactly -(zx - comp)
+            comp = intensity * kbar * dt
+            comp[hit] -= zx
+            x -= comp
 
             v1 = v1 + p.kappa1 * (p.theta1 - v1p) * dt \
-                + p.zeta1 * np.sqrt(v1p) * sq_dt * g[0] + zv
+                + p.zeta1 * np.sqrt(v1p) * sq_dt * g[0]
+            v1[hit] += zv
             if two_factor:
                 v2 = v2 + p.kappa2 * (p.theta2 - v2p) * dt \
                     + p.zeta2 * np.sqrt(v2p) * sq_dt * g[1]
@@ -334,7 +348,18 @@ def _simulate_rough(p: RoughHestonParams, tau: float, cfg: SimConfig) -> np.ndar
     panel variance of (t_k - s)^{alpha-1}/Gamma(alpha); the newest panel
     samples the kernel integral jointly with its own dW (exact 2x2 Gaussian
     covariance), which at H = 1/2 collapses the whole scheme onto classical
-    Euler.  Merton jumps are sampled exactly over the horizon.
+    Euler (the hybrid scheme of Bennedsen, Lunde & Pakkanen 2017 with one
+    exact panel).  Merton jumps are sampled exactly over the horizon.
+
+    The history sum is blocked in time (as in Hairer, Lubich & Schlichte
+    1985): with W[k, j] = weights[k - j] for j < k and R the rows of records
+    sqrt(v_j^+) dW_j, each block of B = ``_ROUGH_BLOCK`` steps starting at s
+    gets its sums over the records before s from one matrix product
+    W[s:s+B, :s] @ R[:s], and step k inside the block adds only
+    W[k, s:k] @ R[s:k].  W is gathered one block of rows at a time, so the
+    extra memory is O(B n), not O(n^2).  The draws are those of the per-step
+    sum (``tests/oracles.simulate_rough_direct``); the outputs differ from it
+    by rounding only.
     """
     alpha = p.hurst + 0.5
     n = cfg.steps_per_tenor
@@ -359,12 +384,13 @@ def _simulate_rough(p: RoughHestonParams, tau: float, cfg: SimConfig) -> np.ndar
     neg_cells = 0
     offset = 0
     # the kernel scheme stores the full (steps x paths) shock history, so
-    # chunks are capped harder than for the Markovian simulators
+    # chunks are capped harder than for the Markovian simulators; each
+    # step's shock row is overwritten by its record once used
     for size, rng in _chunk_streams(cfg, _ROUGH_CHUNK_CAP):
         dw = _normals(rng, n, size, cfg.antithetic) * math.sqrt(dt)
         g_resid = _normals(rng, n, size, cfg.antithetic)
         g_perp = _normals(rng, n, size, cfg.antithetic)
-        hist = np.empty((n, size))  # sqrt(v_j^+) dW_j records
+        older = np.empty((min(_ROUGH_BLOCK, n), size))  # block rows' sums before s
         v = np.full(size, xi_path[0])
         x = np.zeros(size)
         for k in range(n):
@@ -372,10 +398,15 @@ def _simulate_rough(p: RoughHestonParams, tau: float, cfg: SimConfig) -> np.ndar
             vp = np.maximum(v, 0.0)
             sq = np.sqrt(vp)
             x += -0.5 * vp * dt + sq * (p.rho * dw[k] + rho_perp * math.sqrt(dt) * g_perp[k])
-            hist[k] = sq * dw[k]
             kern = sq * (slope * dw[k] + resid * g_resid[k])
-            if k >= 1:
-                kern = kern + weights[1:k + 1][::-1] @ hist[:k]
+            dw[k] *= sq  # from here on the record sqrt(v_k^+) dW_k
+            s = k - k % _ROUGH_BLOCK
+            if k == s:
+                # the block's rows of W; entries with j >= k are never read
+                end = min(s + _ROUGH_BLOCK, n)
+                w_blk = weights[np.subtract.outer(np.arange(s, end), np.arange(end))]
+                np.matmul(w_blk[:, :s], dw[:s], out=older[:end - s])
+            kern += older[k - s] + w_blk[k - s, s:k] @ dw[s:k]
             v = xi_path[k + 1] + p.nu * kern
         if p.lambda_j > 0.0:
             counts = rng.poisson(p.lambda_j * tau, size)

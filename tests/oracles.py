@@ -7,8 +7,9 @@ quadrature written from scratch).  The test-only references live here too:
 the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
 finite-difference smile check, sample cumulants, the direct per-node
 midpoint sum of a slice's calls, the benchmark CFs solved at every
-frequency and their Chebyshev interpolant evaluated point by point.  Run directly from the repository root to reprint all frozen
-values:
+frequency and their Chebyshev interpolant evaluated point by point, and
+the per-step loops of the affine and rough path simulators.  Run directly
+from the repository root to reprint all frozen values:
 
     PYTHONPATH=src python3 tests/oracles.py
 """
@@ -22,6 +23,7 @@ from math import gamma
 import mpmath as mp
 import numpy as np
 
+from ustvol import mc_oracle
 from ustvol.benchmarks import (
     HestonMertonParams,
     RoughHestonParams,
@@ -554,6 +556,131 @@ def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureCon
     leg_k = step * np.sum(np.real(phase * psi_plain / iu), axis=1)
     raw = spot * (0.5 + leg_s / math.pi) - disc_k * (0.5 + leg_k / math.pi)
     return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot)
+
+
+# ---------------------------------------------------------------------------
+# benchmark path simulators: the direct per-step loops
+# ---------------------------------------------------------------------------
+
+def simulate_affine_direct(p: HestonMertonParams, tau: float, cfg) -> np.ndarray:
+    """Full-truncation Euler for the affine model, every draw on every path.
+
+    Same grid, chunks, streams, draws and negative-variance guard as
+    ``mc_oracle._simulate_affine``, but each step makes its gamma and
+    normal jump draws over all paths (jump-free paths draw zero-shape
+    gammas and zero-scale normals) and integrates the second factor even
+    when it is identically zero.
+    """
+    two_factor = p.factor_count == 2
+    kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
+    grid = mc_oracle._step_grid(tau, cfg.steps_per_tenor, p.shifts)
+    dts = np.diff(grid)
+    phi_left = p.shifts.phi(grid[:-1]) if p.shifts is not None else np.zeros(len(dts))
+    r1p = math.sqrt(max(0.0, 1.0 - p.rho1**2))
+    r2p = math.sqrt(max(0.0, 1.0 - p.rho2**2))
+
+    out = np.empty(cfg.paths)
+    neg_cells = 0
+    offset = 0
+    for size, rng in mc_oracle._chunk_streams(cfg):
+        v1 = np.full(size, p.v1_0)
+        v2 = np.full(size, p.v2_0)
+        x = np.zeros(size)
+        for k in range(len(dts)):
+            dt = dts[k]
+            sq_dt = math.sqrt(dt)
+            v1p = np.maximum(v1, 0.0)
+            v2p = np.maximum(v2, 0.0)
+            phv = max(phi_left[k], 0.0)
+            neg_cells += int(((v1 < 0.0) | (v2 < 0.0)).sum())
+
+            g = mc_oracle._normals(rng, 5, size, cfg.antithetic)
+            db1 = p.rho1 * g[0] + r1p * g[2]
+            db2 = p.rho2 * g[1] + r2p * g[3]
+            x += (
+                -0.5 * (v1p + v2p + phv) * dt
+                + np.sqrt(v1p * dt) * db1
+                + np.sqrt(v2p * dt) * db2
+                + math.sqrt(phv * dt) * g[4]
+            )
+
+            intensity = p.c0 + p.c1 * (v1p + phv) + p.c2 * v2p
+            counts = rng.poisson(intensity * dt)
+            if p.m_v > 0.0:
+                zv = rng.gamma(counts.astype(float), p.m_v)
+            else:
+                zv = np.zeros(size)
+            zx = rng.normal(counts * p.mu_x + p.rho_jump * zv,
+                            p.sigma_x * np.sqrt(counts))
+            x += zx - intensity * kbar * dt
+
+            v1 = v1 + p.kappa1 * (p.theta1 - v1p) * dt \
+                + p.zeta1 * np.sqrt(v1p) * sq_dt * g[0] + zv
+            if two_factor:
+                v2 = v2 + p.kappa2 * (p.theta2 - v2p) * dt \
+                    + p.zeta2 * np.sqrt(v2p) * sq_dt * g[1]
+        out[offset:offset + size] = x
+        offset += size
+
+    mc_oracle._check_negative_cells(neg_cells, cfg.paths * len(dts))
+    return out
+
+
+def simulate_rough_direct(p: RoughHestonParams, tau: float, cfg) -> np.ndarray:
+    """Kernel-discretized rough variance with the history sum made per step.
+
+    Same weights, chunks, streams, draws and guard as
+    ``mc_oracle._simulate_rough``; at step k the history term is the
+    matrix-vector product of the k reversed lag weights with all k earlier
+    ``sqrt(v_j^+) dW_j`` records, with no blocking in time.
+    """
+    alpha = p.hurst + 0.5
+    n = cfg.steps_per_tenor
+    dt = tau / n
+    ga = gamma(alpha)
+
+    lag = np.arange(1, n + 1, dtype=float) * dt
+    panel_var = (lag ** (2.0 * alpha - 1.0)
+                 - (lag - dt) ** (2.0 * alpha - 1.0)) / (2.0 * alpha - 1.0)
+    weights = np.sqrt(panel_var / dt) / ga
+    var_last = dt ** (2.0 * p.hurst) / (2.0 * p.hurst) / ga**2
+    cov_last = dt ** (p.hurst + 0.5) / (p.hurst + 0.5) / ga
+    slope = cov_last / dt
+    resid = math.sqrt(max(var_last - cov_last**2 / dt, 0.0))
+    rho_perp = math.sqrt(max(0.0, 1.0 - p.rho**2))
+
+    xi_path = p.xi(np.arange(n + 1) * dt)
+    kbar = math.expm1(p.mu_j + 0.5 * p.sigma_j**2)
+
+    out = np.empty(cfg.paths)
+    neg_cells = 0
+    offset = 0
+    for size, rng in mc_oracle._chunk_streams(cfg, mc_oracle._ROUGH_CHUNK_CAP):
+        dw = mc_oracle._normals(rng, n, size, cfg.antithetic) * math.sqrt(dt)
+        g_resid = mc_oracle._normals(rng, n, size, cfg.antithetic)
+        g_perp = mc_oracle._normals(rng, n, size, cfg.antithetic)
+        hist = np.empty((n, size))
+        v = np.full(size, xi_path[0])
+        x = np.zeros(size)
+        for k in range(n):
+            neg_cells += int((v < 0.0).sum())
+            vp = np.maximum(v, 0.0)
+            sq = np.sqrt(vp)
+            x += -0.5 * vp * dt + sq * (p.rho * dw[k] + rho_perp * math.sqrt(dt) * g_perp[k])
+            hist[k] = sq * dw[k]
+            kern = sq * (slope * dw[k] + resid * g_resid[k])
+            if k >= 1:
+                kern = kern + weights[1:k + 1][::-1] @ hist[:k]
+            v = xi_path[k + 1] + p.nu * kern
+        if p.lambda_j > 0.0:
+            counts = rng.poisson(p.lambda_j * tau, size)
+            x += rng.normal(counts * p.mu_j, p.sigma_j * np.sqrt(counts))
+            x -= p.lambda_j * kbar * tau
+        out[offset:offset + size] = x
+        offset += size
+
+    mc_oracle._check_negative_cells(neg_cells, cfg.paths * n)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Path-simulation checks: exact terminal laws, scheme cross-validation,
 martingale preservation, reproducibility, and sample I/O."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import simulate_affine_direct, simulate_rough_direct
 from ustvol.benchmarks import (
     HestonMertonParams,
     RoughHestonParams,
@@ -129,20 +131,73 @@ def test_exact_requires_collapsed_dynamics():
 # reproducibility
 # ---------------------------------------------------------------------------
 
+_AFFINE_1F = HestonMertonParams(
+    v1_0=0.04, kappa1=4.0, theta1=0.04, zeta1=0.5, rho1=-0.7,
+    rho_jump=0.2, mu_x=-0.02, sigma_x=0.03, c0=30.0, c1=50.0,
+)
+_AFFINE_2F = HestonMertonParams(
+    v1_0=0.03, kappa1=4.0, theta1=0.04, zeta1=0.5, rho1=-0.7,
+    v2_0=0.02, kappa2=10.0, theta2=0.02, zeta2=0.8, rho2=-0.5,
+    rho_jump=0.3, mu_x=-0.02, sigma_x=0.03, c0=10.0, c1=50.0, c2=30.0,
+    factor_count=2,
+)
+_SHIFTS = Displacement(tenors=(TAU / 2.0, TAU), shifts=(0.01,))
+_AFFINE = {
+    "heston_merton_1f": _AFFINE_1F,
+    "heston_merton_1f_pp": dataclasses.replace(_AFFINE_1F, shifts=_SHIFTS),
+    "heston_merton_2f": _AFFINE_2F,
+    "heston_merton_2f_pp": dataclasses.replace(_AFFINE_2F, shifts=_SHIFTS),
+}
+_ROUGH = RoughHestonParams(hurst=0.1, nu=0.15, rho=-0.6,
+                           xi_tenors=(TAU / 2.0, TAU), xi_levels=(0.04, 0.05),
+                           lambda_j=40.0, mu_j=-0.01, sigma_j=0.02)
+
+
 def test_rng_reproducibility_and_chunk_stability(monkeypatch):
     monkeypatch.setattr(mc_oracle, "_CHUNK_PATHS", 400)
-    p = _no_jump(beta_tilde0=0.4)
-    cfg = SimConfig(paths=800, steps_per_tenor=20, rng_seed=42)
-    a = simulate_edgeworth_submodel(p, None, TAU, cfg).z_continuous
-    b = simulate_edgeworth_submodel(p, None, TAU, cfg).z_continuous
-    assert np.array_equal(a, b)
-    other = SimConfig(paths=800, steps_per_tenor=20, rng_seed=43)
-    c = simulate_edgeworth_submodel(p, None, TAU, other).z_continuous
-    assert not np.array_equal(a, c)
-    # growing the path count appends chunks without disturbing earlier draws
-    grown = SimConfig(paths=1200, steps_per_tenor=20, rng_seed=42)
-    d = simulate_edgeworth_submodel(p, None, TAU, grown).z_continuous
-    assert np.array_equal(d[:800], a)
+    monkeypatch.setattr(mc_oracle, "_ROUGH_CHUNK_CAP", 200)
+    simulators = [
+        lambda cfg: simulate_edgeworth_submodel(
+            _no_jump(beta_tilde0=0.4), None, TAU, cfg).z_continuous,
+        lambda cfg: simulate_benchmark("heston_merton_2f", _AFFINE_2F, TAU, cfg),
+        lambda cfg: simulate_benchmark("rough_heston_merton_pp", _ROUGH, TAU, cfg),
+    ]
+    for simulate in simulators:
+        # 40 steps cross a block edge of the rough history sum
+        cfg = SimConfig(paths=800, steps_per_tenor=40, rng_seed=42)
+        a = simulate(cfg)
+        assert np.array_equal(a, simulate(cfg))
+        assert not np.array_equal(a, simulate(dataclasses.replace(cfg, rng_seed=43)))
+        # growing the path count appends chunks without disturbing earlier draws
+        grown = simulate(dataclasses.replace(cfg, paths=1_300))
+        assert np.array_equal(grown[:800], a)
+
+
+@pytest.mark.parametrize("model_id", sorted(_AFFINE))
+@pytest.mark.parametrize("m_v", [0.0, 0.02])
+def test_affine_matches_direct_oracle_exactly(model_id, m_v, monkeypatch):
+    # jump draws made on the jumping paths only leave every output bit
+    # unchanged; three chunks, so later chunks' streams are checked too
+    monkeypatch.setattr(mc_oracle, "_CHUNK_PATHS", 700)
+    p = dataclasses.replace(_AFFINE[model_id], m_v=m_v)
+    for antithetic in (False, True):
+        cfg = SimConfig(paths=1_500, steps_per_tenor=30, rng_seed=71,
+                        antithetic=antithetic)
+        x = simulate_benchmark(model_id, p, TAU, cfg)
+        assert np.array_equal(x, simulate_affine_direct(p, TAU, cfg))
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+def test_rough_blocked_history_matches_direct_oracle(hurst):
+    # step counts on both sides of each block edge, and one that is not a
+    # multiple of the block: only the rounding of the history sum moves
+    block = mc_oracle._ROUGH_BLOCK
+    p = dataclasses.replace(_ROUGH, hurst=hurst)
+    for steps in (1, block - 1, block, block + 1, 2 * block + 5):
+        cfg = SimConfig(paths=400, steps_per_tenor=steps, rng_seed=79)
+        x = simulate_benchmark("rough_heston_merton_pp", p, TAU, cfg)
+        direct = simulate_rough_direct(p, TAU, cfg)
+        assert np.max(np.abs(x - direct)) <= 1e-15, steps
 
 
 def test_antithetic_pairs_cancel_exactly():
