@@ -9,19 +9,20 @@ the tests exploit.  Wrapping into standardized-return form for the Fourier
 pricer happens in the registry.
 
 Each CF is exp of an exponent from a direct solve: A + B1 v1_0 + B2 v2_0
-from the Riccati system, integrated with an embedded Dormand-Prince 5(4)
+from the Riccati system, integrated with the embedded Dormand-Prince 8(5,3)
 pair and one adaptive step shared by all frequencies of a call, or the
 forward-variance integral omega · F of the fractional Riccati equation
 D^alpha psi = F(u, psi), alpha = H + 1/2, solved with the Adams
 predictor-corrector.
 
 A solve holds at most a few hundred frequencies, so its cost is the number
-of numpy calls per step, not their arithmetic.  The Dormand-Prince stages
-live in one (7, 3, m) array; the Butcher weights are real, so each stage
-state and the error estimate are one product of a weight row with the
-stages' float view.  The right-hand side writes into its stage row, treats
-B1 and B2 as one stacked (2, m) pair, and takes every term that depends on
-u alone from arrays formed once per call.
+of numpy calls per step, not their arithmetic; an eighth-order pair meets
+rtol 1e-10 in a few large steps.  The Dormand-Prince stages live in one
+(12, rows, m) array; the Butcher weights are real, so each stage state and
+both error estimates are one product of a weight block with the stages'
+float view.  The right-hand side writes into its stage row, treats B1 and
+B2 as one stacked (2, m) pair (B2 only where it reaches the exponent), and
+takes every term that depends on u alone from arrays formed once per call.
 
 The pricer asks, in one call per tenor, for thousands of frequencies on each
 of two lines Im u = const, along which the exponent is analytic in Re u.
@@ -120,6 +121,10 @@ class HestonMertonParams:
         for name in ("rho1", "rho2"):
             if not -1.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [-1, 1], got {getattr(self, name)}")
+        if self.factor_count == 1 and self.v2_0 != 0.0:
+            # the CF would drop v2_0 while the spot variance and the
+            # simulator keep it: two different models under one name
+            raise ValueError(f"a one-factor model has v2_0 = 0, got {self.v2_0}")
         if self.sigma_x < 0.0:
             raise ValueError(f"sigma_x must be >= 0, got {self.sigma_x}")
         if self.m_v * self.rho_jump >= 1.0:
@@ -185,77 +190,135 @@ class RoughHestonParams:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4), vectorized over the frequency grid with a shared step
+# Dormand-Prince 8(5,3), vectorized over the frequency grid with a shared step
 # ---------------------------------------------------------------------------
 
-_DP_A = np.array([
-    [0.0] * 7,
-    [1 / 5] + [0.0] * 6,
-    [3 / 40, 9 / 40] + [0.0] * 5,
-    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],  # the 5th-order weights
-])
-# 5th- minus 4th-order weights: their product with the stages is y5 - y4
-_DP_E = _DP_A[6] - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Hairer, Nørsett & Wanner, Solving ODEs I (1993), §II.10.  Rows 0-11 of
+# _DP_A weight the stages that form each stage's state; row 12 holds the
+# 8th-order weights, whose state is the step's result and the FSAL stage's.
+_DP_C = (
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    1 / 3, 0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142, 1.0,
 )
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = np.zeros((13, 12))
+_DP_A[1, 0] = 5.26001519587677318785587544488e-2
+_DP_A[2, :2] = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
+_DP_A[3, [0, 2]] = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
+_DP_A[4, [0, 2, 3]] = (2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+                       9.24834003261792003115737966543e-1)
+_DP_A[5, [0, 3, 4]] = (3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+                       1.25467687566822425016691814123e-1)
+_DP_A[6, [0, 3, 4, 5]] = (3.7109375e-2, 1.70252211019544039314978060272e-1,
+                          6.02165389804559606850219397283e-2, -1.7578125e-2)
+_DP_A[7, [0, 3, 4, 5, 6]] = (
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3)
+_DP_A[8, [0, 3, 4, 5, 6, 7]] = (
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1)
+_DP_A[9, [0, 3, 4, 5, 6, 7, 8]] = (
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2)
+_DP_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = (
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022)
+_DP_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = (
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1)
+_DP_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = (  # the 8th-order weights
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
+# error weights: their products with the stages are the 5th-order error
+# estimate (row 0) and the 3rd-order one (row 1, 8th-order weights minus
+# those of the 3rd-order pair)
+_DP_E = np.zeros((2, 12))
+_DP_E[0, [0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+_DP_E[1] = _DP_A[12]
+_DP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                         0.220588235294117647058823529412e-1)
 
 
-def _dopri45(f, y0, t0, t1, rtol=1e-10, atol=1e-12, norm_cap=_EXPLOSION_NORM):
+def _dop853(f, y0, t0, t1, rtol=1e-10, atol=1e-12, norm_cap=_EXPLOSION_NORM):
     """Integrate y' = f(t, y) from t0 to t1; y complex of any shape.
 
-    ``f(t, y, out)`` writes the derivative into ``out``, a row of the (7, ...)
-    stage array.  The weights are real, so each stage state is one product
-    of a row of h·``_DP_A`` with the float view of the stages, and the error
-    estimate one product with ``_DP_E``.  One shared adaptive step for the
-    whole array (error = max over entries).  FSAL: the 7th stage of an
-    accepted step seeds the next, and the step's |y5| is the next one's |y|.
-    Raises :class:`RiccatiExplosionError` when the state norm passes
-    ``norm_cap`` (callers scale it with the forcing so that smooth
-    high-frequency states are not mistaken for blow-up) or on step collapse.
+    ``f(t, y, out)`` writes the derivative into ``out``, a row of the (12,
+    ...) stage array.  The weights are real, so each stage state and the
+    step's 8th-order result are one product of a row of h·``_DP_A`` with the
+    float view of the stages, and both error estimates one product with
+    h·``_DP_E``.  Each entry's error is Hairer's e5²/√(e5² + 0.01·e3²) of its
+    two estimates scaled by atol + rtol·max(|y|, |y8|); one shared adaptive
+    step serves the whole array (error = max over entries).  No step
+    exceeds a quarter of the span: solves of nearby arrays take different
+    step sequences, and at the cap their results differ by little enough
+    that one Chebyshev interpolant fits values from several solves
+    (:func:`_exponent_on_line`).  FSAL: an accepted step evaluates
+    ``f`` at its result into stage 0 of the next.  Raises
+    :class:`RiccatiExplosionError` when the state norm passes ``norm_cap``
+    (callers scale it with the forcing so that smooth high-frequency states
+    are not mistaken for blow-up) or on step collapse.
     """
     span = t1 - t0
     t = t0
     y = y0.astype(np.complex128)
     h = span / 100.0
-    k = np.empty((7,) + y.shape, dtype=np.complex128)
-    k_flat = k.view(np.float64).reshape(7, -1)
+    k = np.empty((12,) + y.shape, dtype=np.complex128)
+    k_flat = k.view(np.float64).reshape(12, -1)
     f(t, y, k[0])
     abs_y = np.abs(y)
     while t < t1 - 1e-14 * span:
-        h = min(h, t1 - t)
+        h = min(h, 0.25 * span, t1 - t)
         ha = h * _DP_A
         y_flat = y.view(np.float64).reshape(-1)
-        for i in range(1, 7):
+        for i in range(1, 13):
             yi = ha[i, :i] @ k_flat[:i]
             yi += y_flat
             yi = yi.view(np.complex128).reshape(y.shape)
-            f(t + h * _DP_C[i], yi, k[i])
-        # the last stage is taken at y5 (FSAL)
-        y5, abs_y5 = yi, np.abs(yi)
-        scale = np.maximum(abs_y, abs_y5)
+            if i < 12:
+                f(t + h * _DP_C[i], yi, k[i])
+        y8, abs_y8 = yi, np.abs(yi)
+        scale = np.maximum(abs_y, abs_y8)
         scale *= rtol
         scale += atol
-        err_abs = np.abs(((h * _DP_E) @ k_flat).view(np.complex128))
-        err_abs /= scale.reshape(-1)
-        err = float(np.max(err_abs))
+        err_sq = np.abs(((h * _DP_E) @ k_flat).view(np.complex128))
+        err_sq /= scale.reshape(-1)
+        np.square(err_sq, out=err_sq)
+        e5_sq, e3_sq = err_sq
+        # e5² / sqrt(e5² + 0.01 e3²); the tiny term turns 0/0 into 0 and
+        # leaves every non-finite error non-finite
+        denom = np.sqrt(0.01 * e3_sq + e5_sq)
+        denom += np.finfo(float).tiny
+        err = float(np.max(e5_sq / denom))
         if not math.isfinite(err):
             raise RiccatiExplosionError(
                 f"non-finite Riccati state at t={t + h:.6g}", t=t + h
             )
         if err <= 1.0:
             t += h
-            y, abs_y = y5, abs_y5
+            y, abs_y = y8, abs_y8
             if np.max(abs_y) > norm_cap:
                 raise RiccatiExplosionError(
                     f"Riccati state norm exceeded {norm_cap:g} at t={t:.6g} "
                     "(moment explosion)", t=t
                 )
-            k[0] = k[6]  # FSAL
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+            f(t, y, k[0])  # FSAL
+        h *= min(10.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 10.0
         if h < span * 1e-12:
             raise RiccatiExplosionError(
                 f"step size collapsed at t={t:.6g} (moment explosion)", t=t
@@ -432,16 +495,18 @@ def heston_merton_cf(u, tau: float, params: HestonMertonParams):
 
 def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
     """log CF = A + B1 v1_0 + B2 v2_0 at every frequency of ``uu`` (1-D
-    complex), from one shared-step Riccati solve; a one-factor model
-    (``factor_count`` 1) solves A and B1 only."""
+    complex), from one shared-step Riccati solve.  B2 reaches the exponent
+    only through v2_0 and kappa2 theta2, so it is solved only when
+    ``factor_count`` is 2 and one of them is nonzero; otherwise the solve
+    holds A and B1 alone."""
     p = params
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
     quad = -0.5 * (uu * uu + 1j * uu)
     jump_num = np.exp(1j * uu * p.mu_x - 0.5 * uu * uu * p.sigma_x**2)
     # u-only terms, folded once per call.  The B_i are one stacked
-    # (factor_count, m) row block: B' = b_const + (sq B + lin) B + c J with
+    # (nf, m) row block: B' = b_const + (sq B + lin) B + c J with
     # b_const = quad - iu kbar c_i - c_i, and A' = kt · B + a_const + a_jump J
-    nf = p.factor_count
+    nf = 2 if p.factor_count == 2 and (p.v2_0 != 0.0 or p.kappa2 * p.theta2 != 0.0) else 1
     iu = 1j * uu
     pole_base = 1.0 - p.m_v * p.rho_jump * iu
     lin = np.stack([iu * p.rho1 * p.zeta1 - p.kappa1, iu * p.rho2 * p.zeta2 - p.kappa2][:nf])
@@ -486,7 +551,7 @@ def _heston_merton_exponent(uu, tau: float, params: HestonMertonParams):
     norm_cap = _EXPLOSION_NORM * max(1.0, float(np.max(np.abs(quad))) * tau)
     y = np.zeros((1 + nf, uu.size), dtype=np.complex128)
     for s_lo, s_hi, level in _shift_segments_time_to_go(p.shifts, tau):
-        y = _dopri45(make_rhs(level), y, s_lo, s_hi, norm_cap=norm_cap)
+        y = _dop853(make_rhs(level), y, s_lo, s_hi, norm_cap=norm_cap)
 
     exponent = y[0] + y[1] * p.v1_0
     return exponent + y[2] * p.v2_0 if nf == 2 else exponent

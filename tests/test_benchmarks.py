@@ -71,6 +71,14 @@ def test_params_validation():
         # compensator divergence: m_v * rho_jump >= 1
         HestonMertonParams(v1_0=0.04, kappa1=1.0, theta1=0.04, zeta1=0.3, rho1=0.0,
                            m_v=2.0, rho_jump=0.6)
+    with pytest.raises(ValueError, match="v2_0"):
+        # a one-factor CF has no B2 to carry v2_0, while the simulator and
+        # spot_variance would keep it
+        HestonMertonParams(v1_0=0.03, kappa1=1.0, theta1=0.04, zeta1=0.3, rho1=0.0,
+                           v2_0=0.02)
+    two = HestonMertonParams(v1_0=0.03, kappa1=1.0, theta1=0.04, zeta1=0.3, rho1=0.0,
+                             v2_0=0.02, factor_count=2)
+    assert two.spot_variance == 0.05
 
 
 def test_rough_params_validation():
@@ -177,13 +185,27 @@ def test_dopri_matches_exponential_of_complex_diagonal_system():
     def rhs(t, y, out):
         np.multiply(lam, y, out=out)
 
-    got = benchmarks._dopri45(rhs, y0, 0.0, t1, rtol=rtol, atol=atol)
+    got = benchmarks._dop853(rhs, y0, 0.0, t1, rtol=rtol, atol=atol)
     want = np.exp(lam * t1) * y0
-    # the global error of a 5(4) pair stays within a few local tolerances
+    # the global error of the 8(5,3) pair stays within a few local tolerances
     assert np.max(np.abs(got - want) / (atol + rtol * np.abs(want))) < 10.0
     # and the solve follows the requested tolerance
-    loose = benchmarks._dopri45(rhs, y0, 0.0, t1, rtol=1e-6, atol=1e-8)
+    loose = benchmarks._dop853(rhs, y0, 0.0, t1, rtol=1e-6, atol=1e-8)
     assert 1e-10 < np.max(np.abs(loose - want)) < 1e-5
+
+
+def test_dop853_tableau_satisfies_its_order_conditions():
+    # exact sums of the stored doubles, so only their own rounding counts
+    a, b, c = benchmarks._DP_A[:12], benchmarks._DP_A[12], np.array(benchmarks._DP_C)
+    for k in range(1, 9):  # b integrates c^(k-1) exactly through order 8
+        assert abs(math.fsum(b * c ** (k - 1)) - 1.0 / k) <= 1e-15, k
+    # each stage state sits at its node; the rows with entries near 28 carry
+    # their own rounding of about 2e-15, so the bound scales with the row
+    for row, node in zip(a, c):
+        assert abs(math.fsum(np.append(row, -node))) <= 1e-15 * max(1.0, np.sum(np.abs(row)))
+    # both error estimates vanish on a constant derivative
+    for weights in benchmarks._DP_E:
+        assert abs(math.fsum(weights)) <= 1e-15
 
 
 def test_affine_1f_matches_heston_closed_form_times_merton():
@@ -570,20 +592,51 @@ def test_slice_makes_its_probe_calls_then_one_call_of_both_legs(model_id, tau, s
     assert solved[len(sizes) - 1] == 2 * benchmarks._CHEB_ORDER
 
 
+@pytest.mark.parametrize(("tau", "evals_5_4", "grid_solves"),
+                         [(BENCH_TENORS[0], 453, 2), (BENCH_TENORS[-1], 1298, 1)],
+                         ids=["5.5h", "7d"])
+def test_affine_slice_takes_few_riccati_evaluations(tau, evals_5_4, grid_solves, solved,
+                                                    monkeypatch):
+    # probe + grid right-hand-side evaluations of a 2000-node heston_merton_2f
+    # slice at its start: at most 60% of what the Dormand-Prince 5(4) pair
+    # took, without more order rounds of the grid call's line interpolant
+    model, theta = _at_start("heston_merton_2f")
+    evals, grid_start = [0], []
+
+    def spy(f, y0, *args, _real=benchmarks._dop853, **kwargs):
+        def counted(t, y, out):
+            evals[0] += 1
+            f(t, y, out)
+        return _real(counted, y0, *args, **kwargs)
+
+    def cf(u):
+        if np.size(u) > 8:
+            grid_start.append(len(solved))
+        return model.cf_standardized(u, tau, theta)
+
+    monkeypatch.setattr(benchmarks, "_dop853", spy)
+    sigma0 = model.spot_vol(theta)
+    strikes = 100.0 * np.exp(np.linspace(-3.0, 3.0, 7) * sigma0 * math.sqrt(tau))
+    _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=2000))
+    assert evals[0] <= 0.6 * evals_5_4
+    assert len(grid_start) == 1 and len(solved) - grid_start[0] <= grid_solves
+
+
 @pytest.mark.parametrize("model_id", ["heston_merton_1f", "heston_merton_1f_pp",
                                       "heston_merton_2f", "heston_merton_2f_pp"])
 def test_affine_state_has_one_b_row_per_factor(model_id, monkeypatch):
-    # a one-factor model integrates A and B1 only; its prices match the
-    # three-row solve of the same parameters (factor_count 2 with factor 2 at
-    # zero), which integrates the dead B2 row beside them
+    # a one-factor model integrates A and B1 only, and so does a two-factor
+    # layout of the same parameters (factor_count 2 with factor 2 at zero):
+    # its B2 row cannot reach the exponent, so it is not solved, and the
+    # prices match
     model, theta = _at_start(model_id)
     shapes = []
 
-    def spy(f, y0, *args, _real=benchmarks._dopri45, **kwargs):
+    def spy(f, y0, *args, _real=benchmarks._dop853, **kwargs):
         shapes.append(y0.shape[0])
         return _real(f, y0, *args, **kwargs)
 
-    monkeypatch.setattr(benchmarks, "_dopri45", spy)
+    monkeypatch.setattr(benchmarks, "_dop853", spy)
     rows = 1 + theta.factor_count
     twin = dataclasses.replace(theta, factor_count=2)
     spot, sigma0, quad = 100.0, model.spot_vol(theta), QuadratureConfig(node_count=2000)
@@ -594,6 +647,8 @@ def test_affine_state_has_one_b_row_per_factor(model_id, monkeypatch):
                              sigma0, tau, spot, 0.03, strikes, quad)[0]
         assert shapes and set(shapes) == {rows}
         if rows == 2:
+            shapes.clear()
             want = _slice_calls(lambda u: model.cf_standardized(u, tau, twin),
                                 sigma0, tau, spot, 0.03, strikes, quad)[0]
+            assert shapes and set(shapes) == {2}
             assert np.max(np.abs(calls - want)) <= 1e-9 * spot
