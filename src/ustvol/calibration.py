@@ -3,12 +3,15 @@ derivative-free box-constrained optimizer with restarts.
 
 The objective is the nested average of squared implied-vol errors -- per
 tenor first, then across tenors -- rooted and quoted in vol points (x100).
-Market IVs come from mid premiums and are computed once per calibration.
-Every evaluation re-prices each tenor slice once, its strikes as one array
-from one set of CF grids, then inverts the slice's model IVs in one array
-solve.  The fit report (RMSE, bucket RMSEs and the bid/ask hit share) comes
-out of that same single pass.  The search box is the registry's
-``default_bounds`` and the start the BS++ bootstrap of the ATM term structure.
+The quotes are frozen once per calibration as flat arrays, with their market
+IVs from mid premiums.  Every evaluation is one flat pass: each tenor's
+distinct strikes are priced once, from one set of CF grids, the calls
+scattered to the quotes (puts by parity), and every quote of the surface is
+inverted in one array solve.  The fit report (RMSE, bucket RMSEs, the
+bid/ask hit share and the count of model IVs clamped to the bracket edge)
+comes from the same pass at the final vector.  The search box is the
+registry's ``default_bounds`` and the start the BS++ bootstrap of the ATM
+term structure.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from .fourier_pricer import (
     _checked_slice_calls,
     _implied_vols,
     _put_from_call,
+    _tenor_factors,
     implied_vol,
 )
-from .market_data import Surface, bucket_of
+from .market_data import MoneynessBucket, Surface, bucket_of
 from .registry import ModelSpec, get_model
 
 __all__ = [
@@ -51,6 +55,7 @@ class CalibrationResult:
     rmse: float
     bucket_rmse: dict = field(compare=False)
     bid_ask_fraction: float = 0.0
+    iv_clamps: int = 0
     iterations: int = 0
     wall_time: float = 0.0
     converged: bool = False
@@ -67,82 +72,137 @@ class CalibrationResult:
 # objective pieces
 # ---------------------------------------------------------------------------
 
+_BUCKETS = tuple(MoneynessBucket)
+
+
 @dataclass(frozen=True)
-class _SliceView:
-    """Per-tenor market data frozen before optimization starts."""
+class _MarketView:
+    """The surface's quotes as flat arrays in slice order, frozen before
+    optimization starts.
 
-    tau: float
-    strikes: tuple
-    is_call: tuple
-    bids: tuple
-    asks: tuple
-    market_ivs: tuple
-    buckets: tuple
-
-
-def _market_view(surface: Surface, rate: float) -> list:
-    """Per-tenor market data; a mid without an implied vol is a ValueError."""
-    views = []
-    for sl in surface.slices:
-        ivs = _implied_vols([q.mid for q in sl.quotes], surface.spot,
-                            [q.strike for q in sl.quotes], sl.tau, rate,
-                            [q.is_call for q in sl.quotes])
-        try:  # the scalar inversion of the first mid without an IV raises and says why
-            for q, iv in zip(sl.quotes, ivs):
-                if math.isnan(iv):
-                    implied_vol(q.mid, surface.spot, q.strike, sl.tau, rate, is_call=q.is_call)
-        except ArbitrageBoundsError as exc:
-            raise ValueError(
-                f"quote K={q.strike} tau={sl.tau} has no finite mid "
-                f"implied vol: {exc}"
-            ) from exc
-        views.append(_SliceView(
-            tau=sl.tau,
-            strikes=tuple(q.strike for q in sl.quotes),
-            is_call=tuple(q.is_call for q in sl.quotes),
-            bids=tuple(q.bid for q in sl.quotes),
-            asks=tuple(q.ask for q in sl.quotes),
-            market_ivs=tuple(ivs),
-            buckets=tuple(bucket_of(m) for m in sl.moneyness),
-        ))
-    return views
-
-
-def _slice_model_quotes(model, theta, view: _SliceView, spot, rate, quad):
-    """Model premium (on each quote's side) and model IV per retained quote.
-
-    IV inversion failures on the model side are clamped to the bracket edge
-    nearer the price: a far-off parameter vector then scores a large finite
-    error instead of poisoning the whole evaluation.
+    Per tenor: ``tenors``, the sorted distinct strikes ``distinct``, the
+    index ``starts`` of its first quote and its quote ``counts``.
+    ``scatter`` maps each quote to its strike in the concatenated distinct
+    strikes.  Per quote: ``tau``, ``strikes``, ``is_call``, the discounted
+    strike ``disc_k``, the intrinsic ``floor`` and the ``cap`` (S₀ or
+    Ke^{−rτ}) on its side, ``bids``, ``asks``, ``market_ivs`` and ``cells``,
+    the bucket cell tenor·len(_BUCKETS) + bucket.
     """
-    calls = _checked_slice_calls(
-        lambda u: model.cf_standardized(u, view.tau, theta),
-        model.spot_vol(theta), view.tau, spot, rate, view.strikes, quad,
+
+    tenors: tuple
+    distinct: tuple
+    starts: np.ndarray
+    counts: np.ndarray
+    scatter: np.ndarray
+    tau: np.ndarray
+    strikes: np.ndarray
+    is_call: np.ndarray
+    disc_k: np.ndarray
+    floor: np.ndarray
+    cap: np.ndarray
+    bids: np.ndarray
+    asks: np.ndarray
+    market_ivs: np.ndarray
+    cells: np.ndarray
+
+
+def _market_view(surface: Surface, rate: float) -> _MarketView:
+    """Flat market data; a tenor without quotes or a mid without an implied
+    vol is a ValueError."""
+    for sl in surface.slices:
+        if not sl.quotes:
+            raise ValueError(f"tenor {sl.tau} has no quotes")
+    quotes = [(sl.tau, q) for sl in surface.slices for q in sl.quotes]
+    tau = np.array([t for t, _ in quotes])
+    strikes = np.array([q.strike for _, q in quotes])
+    is_call = np.array([q.is_call for _, q in quotes])
+    mids = np.array([q.mid for _, q in quotes])
+    market_ivs = _implied_vols(mids, surface.spot, strikes, tau, rate, is_call)
+    try:  # the scalar inversion of the first mid without an IV raises and says why
+        for j in np.flatnonzero(np.isnan(market_ivs)).tolist():
+            implied_vol(mids[j], surface.spot, strikes[j], tau[j], rate, is_call=is_call[j])
+    except ArbitrageBoundsError as exc:
+        raise ValueError(
+            f"quote K={strikes[j]} tau={tau[j]} has no finite mid implied vol: {exc}"
+        ) from exc
+
+    counts = np.array([len(sl.quotes) for sl in surface.slices])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    disc_k = strikes * _tenor_factors(tau, rate)[1]
+    distinct, scatter, offset = [], [], 0
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        unique, inverse = np.unique(strikes[start:start + count], return_inverse=True)
+        distinct.append(unique)
+        scatter.append(inverse + offset)
+        offset += unique.size
+    cells = [idx * len(_BUCKETS) + _BUCKETS.index(bucket_of(m))
+             for idx, sl in enumerate(surface.slices) for m in sl.moneyness]
+    return _MarketView(
+        tenors=surface.tenors,
+        distinct=tuple(distinct),
+        starts=starts,
+        counts=counts,
+        scatter=np.concatenate(scatter),
+        tau=tau,
+        strikes=strikes,
+        is_call=is_call,
+        disc_k=disc_k,
+        floor=np.maximum(np.where(is_call, surface.spot - disc_k, disc_k - surface.spot), 0.0),
+        cap=np.where(is_call, surface.spot, disc_k),
+        bids=np.array([q.bid for _, q in quotes]),
+        asks=np.array([q.ask for _, q in quotes]),
+        market_ivs=market_ivs,
+        cells=np.array(cells),
     )
-    disc_k = np.multiply(view.strikes, math.exp(-rate * view.tau))
-    prices = np.where(view.is_call, calls, _put_from_call(calls, spot, disc_k))
+
+
+def _model_quotes(view: _MarketView, model, theta, spot, rate, quad) -> tuple:
+    """Model premium on each quote's side, model IV per quote, and the mask
+    of IVs clamped to the bracket edge.
+
+    Each tenor's distinct strikes are priced by one slice kernel call, the
+    calls scattered to the quotes and the puts taken by parity; all quotes'
+    IVs then come from one solve.  IV inversion failures on the model side
+    are clamped to the bracket edge nearer the price: a far-off parameter
+    vector then scores a large finite error instead of poisoning the whole
+    evaluation.
+    """
+    sigma0 = model.spot_vol(theta)
+    calls = np.concatenate([
+        _checked_slice_calls(lambda u, tau=tau: model.cf_standardized(u, tau, theta),
+                             sigma0, tau, spot, rate, strikes, quad)
+        for tau, strikes in zip(view.tenors, view.distinct)
+    ])[view.scatter]
+    prices = np.where(view.is_call, calls, _put_from_call(calls, spot, view.disc_k))
     ivs = _implied_vols(prices, spot, view.strikes, view.tau, rate, view.is_call)
-    intrinsic = np.maximum(np.where(view.is_call, spot - disc_k, disc_k - spot), 0.0)
-    near_floor = np.abs(prices - intrinsic) < np.abs(prices - np.where(view.is_call, spot, disc_k))
-    return prices, np.where(np.isnan(ivs), np.where(near_floor, *_IV_BRACKET), ivs)
+    clamped = np.isnan(ivs)
+    near_floor = np.abs(prices - view.floor) < np.abs(prices - view.cap)
+    return prices, np.where(clamped, np.where(near_floor, *_IV_BRACKET), ivs), clamped
 
 
-def _report(views, model, theta, spot, rate, quad) -> tuple:
-    """One pass that prices every slice once: (vol-points RMSE, bucket RMSEs,
-    share of quotes priced inside their bid/ask)."""
-    per_tenor, cells, hits = [], {}, 0
-    for idx, view in enumerate(views):
-        if not view.strikes:
-            raise ValueError(f"tenor {view.tau} has no quotes")
-        prices, ivs = _slice_model_quotes(model, theta, view, spot, rate, quad)
-        err = np.asarray(ivs) - np.asarray(view.market_ivs)
-        per_tenor.append(float(np.mean(err * err)))
-        for iv, miv, bucket in zip(ivs, view.market_ivs, view.buckets):
-            cells.setdefault((idx, bucket), []).append((iv - miv) ** 2)
-        hits += sum(b <= p <= a for p, b, a in zip(prices, view.bids, view.asks))
-    buckets = {key: 100.0 * math.sqrt(float(np.mean(errs))) for key, errs in cells.items()}
-    total = sum(len(view.strikes) for view in views)
-    return 100.0 * math.sqrt(float(np.mean(per_tenor))), buckets, hits / total
+def _nested_rmse(view: _MarketView, ivs) -> float:
+    """100·√(mean over tenors of the mean squared IV error within the tenor)."""
+    err = ivs - view.market_ivs
+    per_tenor = np.add.reduceat(err * err, view.starts) / view.counts
+    return 100.0 * math.sqrt(float(np.mean(per_tenor)))
+
+
+def _report(view: _MarketView, model, theta, spot, rate, quad) -> tuple:
+    """The fit report at theta from one flat pass: (vol-points RMSE, bucket
+    RMSEs, share of quotes priced inside their bid/ask, count of model IVs
+    clamped to the bracket edge)."""
+    prices, ivs, clamped = _model_quotes(view, model, theta, spot, rate, quad)
+    err = ivs - view.market_ivs
+    sums = np.bincount(view.cells, weights=err * err)
+    sizes = np.bincount(view.cells)
+    buckets = {
+        (cell // len(_BUCKETS), _BUCKETS[cell % len(_BUCKETS)]):
+            100.0 * math.sqrt(float(sums[cell] / sizes[cell]))
+        for cell in np.flatnonzero(sizes).tolist()
+    }
+    hits = np.count_nonzero((view.bids <= prices) & (prices <= view.asks))
+    return (_nested_rmse(view, ivs), buckets, hits / prices.size,
+            int(np.count_nonzero(clamped)))
 
 
 def _resolve(model, params, tenors):
@@ -231,7 +291,7 @@ def calibrate(
     scipy_bounds = list(model.default_bounds(len(tenors)))
     lo, hi = np.array(scipy_bounds).T
     quad = quad or QuadratureConfig()
-    views = _market_view(surface, rate)
+    view = _market_view(surface, rate)
     start = np.clip(_bootstrap_start(model, surface), lo, hi)
 
     evals = 0
@@ -244,7 +304,8 @@ def calibrate(
         evals += 1
         try:
             theta = model.unpack(tuple(float(x) for x in vec), tenors)
-            val = _report(views, model, theta, surface.spot, rate, quad)[0]
+            val = _nested_rmse(view, _model_quotes(view, model, theta, surface.spot,
+                                                   rate, quad)[1])
         except (ValueError, ArithmeticError, RuntimeError):
             val = _PENALTY
         if val < best_val:
@@ -288,13 +349,14 @@ def calibrate(
         run_nm(best_vec, max(budget - evals, 50))
 
     theta = model.unpack(tuple(float(x) for x in best_vec), tenors)
-    final_rmse, cells, fraction = _report(views, model, theta, surface.spot, rate, quad)
+    final_rmse, cells, fraction, clamps = _report(view, model, theta, surface.spot, rate, quad)
     result = CalibrationResult(
         model_id=model_id,
         params=tuple(float(x) for x in best_vec),
         rmse=final_rmse,
         bucket_rmse=cells,
         bid_ask_fraction=fraction,
+        iv_clamps=clamps,
         iterations=evals,
         wall_time=time.perf_counter() - t_start,
         converged=stagnated or best_val <= _STAGNATION_TOL,

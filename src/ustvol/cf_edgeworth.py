@@ -149,27 +149,32 @@ class Displacement:
         prevailing level) and ``seg_levels[k]`` applies on
         [bounds[k-1], bounds[k]) with bounds[-1] := 0.
         """
+        bounds, levels = self._segment_lists(tau)
+        return np.array(bounds, dtype=float), np.array(levels)
+
+    def _segment_lists(self, tau: float) -> tuple:
+        """:meth:`segments_to` as lists of Python floats."""
         if not tau > 0.0:
             raise ValueError(f"tau must be > 0, got {tau}")
-        ten = np.asarray(self.tenors)
-        lev = np.asarray(self.levels)
-        bounds = np.append(ten[ten < tau], tau)
-        if len(bounds) <= len(lev):
-            seg = lev[: len(bounds)]
-        else:
-            seg = np.append(lev, lev[-1])
-        return bounds, seg
+        bounds = [t for t in self.tenors if t < tau] + [tau]
+        return bounds, list(self.levels + self.levels[-1:])[:len(bounds)]
 
 
-def _phi_tilde_column(seg_levels, sigma0: float) -> np.ndarray:
-    col = 1.0 + np.asarray(seg_levels) / sigma0
-    if np.any(col <= 0.0):
-        k = int(np.argmax(col <= 0.0))
-        raise ValueError(
-            f"shift level {seg_levels[k]} makes the shifted volatility "
-            f"non-positive for sigma0={sigma0}"
-        )
-    return col
+def _phi_tilde_segments(tau: float, sigma0: float, displacement: Displacement | None) -> tuple:
+    """Segment bounds on [0, tau] and the phi_tilde level on each, as Python
+    floats; ValueError where a level makes the shifted volatility
+    non-positive."""
+    if displacement is None:
+        return (tau,), (1.0,)
+    bounds, levels = displacement._segment_lists(tau)
+    phi_tilde = [1.0 + a / sigma0 for a in levels]
+    for a, p in zip(levels, phi_tilde):
+        if p <= 0.0:
+            raise ValueError(
+                f"shift level {a} makes the shifted volatility "
+                f"non-positive for sigma0={sigma0}"
+            )
+    return bounds, phi_tilde
 
 
 def _as_freq(u):
@@ -181,14 +186,20 @@ def _as_freq(u):
 
 def _damped(lead_exponent: np.ndarray, bracket: np.ndarray, scalar: bool):
     """exp(lead) * bracket with exact zero where the damping underflows."""
-    safe = np.where(lead_exponent.real < _UNDERFLOW_LOG, -np.inf, lead_exponent)
-    damp = np.exp(safe)
-    out = np.where(damp == 0.0, 0.0 + 0.0j, damp * bracket)
+    under = lead_exponent.real < _UNDERFLOW_LOG
+    if under.any():
+        lead_exponent = np.where(under, -np.inf, lead_exponent)
+    damp = np.exp(lead_exponent)
+    out = damp * bracket
+    zero = damp == 0.0
+    if zero.any():
+        out[zero] = 0.0
     return complex(out[0]) if scalar else out
 
 
-def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals):
-    """The second-order expansion of the standardized continuous-return CF.
+def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals, jumps: bool = False):
+    """The second-order expansion of the standardized continuous-return CF,
+    times the jump CF when ``jumps``.
 
     ``integrals`` holds the eight nested integrals of phi_tilde over [0, tau],
     built from the running integrals F(s) = int_0^s phi_tilde,
@@ -202,7 +213,9 @@ def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals):
     The leading Gaussian factor uses the shift-weighted variance i_var/tau
     and the bracket is 1 + c2 u^2 - i c3 u^3 + c4 u^4 + c6 u^6.  The drift
     split uses alpha0 = delta0 = alpha_prime0; vb and vp weight the
-    vol-of-vol loadings on the price and the orthogonal Brownian.
+    vol-of-vol loadings on the price and the orthogonal Brownian.  The
+    coefficients are Python floats.  The jump exponent of :func:`psi_jump`
+    joins the Gaussian one under a single exponential.
     """
     i_var, i_skew, i_delta, i_alpha, i_eta, i_b3, i_m1, i_m2 = integrals
     s0 = params.sigma0
@@ -219,24 +232,29 @@ def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals):
 
     uu, scalar = _as_freq(u)
     u2 = uu * uu
-    bracket = 1.0 + u2 * (c2 - 1j * c3 * uu + u2 * (c4 + c6 * u2))
-    return _damped(-0.5 * u2 * (i_var / t), bracket, scalar)
+    bracket = 1.0 + u2 * (c2 + uu * (-1j * c3) + u2 * (c4 + c6 * u2))
+    lead = u2 * (-0.5 * (i_var / t))
+    if jumps and params.lambda0 != 0.0:
+        rate, m, v, mu_bar = _jump_terms(tau, params)
+        iu = uu * 1j
+        lead += rate * (np.exp(iu * m - u2 * v) - 1.0 - iu * mu_bar)
+    return _damped(lead, bracket, scalar)
 
 
 def _segment_integrals(bounds, levels) -> tuple:
     """Exact bracket integrals of a piecewise-constant phi_tilde.
 
-    ``levels[k]`` applies on [bounds[k-1], bounds[k]) with bounds[-1] := 0.
-    Only five moments are carried across the breakpoints: F, K1, i_var,
-    i_eta and i_m1.  The rest follow from F and K1 for any phi_tilde:
-    H = F^2/2, M = F^3/6, i_m2 = F^4/24 and, by parts, G(s) = s F - K1.
+    ``levels[k]`` applies on [bounds[k-1], bounds[k]) with bounds[-1] := 0;
+    both are sequences of Python floats.  Only five moments are carried
+    across the breakpoints: F, K1, i_var, i_eta and i_m1.  The rest follow
+    from F and K1 for any phi_tilde: H = F^2/2, M = F^3/6, i_m2 = F^4/24
+    and, by parts, G(s) = s F - K1.
     The totals read the running values at the segment start, so they are
     updated first.
     """
     F = K1 = i_var = i_eta = i_m1 = 0.0
     a = 0.0
-    for b, c in zip(np.asarray(bounds, dtype=float).tolist(),
-                    np.asarray(levels, dtype=float).tolist()):
+    for b, c in zip(bounds, levels):
         h = b - a
         h2 = h * h
         h3 = h2 * h
@@ -280,9 +298,23 @@ def psi_c_piecewise(u, tau_k: float, params: EdgeworthParams, displacement: Disp
     Raises ValueError when a shift level below tau_k makes the shifted
     volatility non-positive.
     """
-    bounds, seg = displacement.segments_to(tau_k)
-    levels = _phi_tilde_column(seg, params.sigma0)
+    bounds, levels = _phi_tilde_segments(tau_k, params.sigma0, displacement)
     return _psi_from_integrals(u, tau_k, params, _segment_integrals(bounds, levels))
+
+
+def _jump_terms(tau: float, params: EdgeworthParams) -> tuple:
+    """(lambda0*tau, m, v, mu_bar) of the standardized jump exponent
+    lambda0*tau*(e^{iu m - u^2 v} - 1 - iu mu_bar); OverflowError when the
+    compensator exponent mu_J + sigma_J^2/2 exceeds float64 range."""
+    st = params.sigma0 * math.sqrt(tau)
+    m = params.mu_J / st
+    v = params.sigma_J**2 / (2.0 * params.sigma0**2 * tau)
+    comp = params.mu_J + 0.5 * params.sigma_J**2
+    if comp > _OVERFLOW_LOG:
+        raise OverflowError(
+            f"jump compensator exponent {comp:.1f} exceeds float64 range"
+        )
+    return params.lambda0 * tau, m, v, math.expm1(comp) / st
 
 
 def psi_jump(u, tau: float, params: EdgeworthParams):
@@ -304,27 +336,21 @@ def psi_jump(u, tau: float, params: EdgeworthParams):
     if params.lambda0 == 0.0:
         out = np.ones_like(uu)
         return complex(out[0]) if scalar else out
-    st = params.sigma0 * math.sqrt(tau)
-    m = params.mu_J / st
-    v = params.sigma_J**2 / (2.0 * params.sigma0**2 * tau)
-    comp = params.mu_J + 0.5 * params.sigma_J**2
-    if comp > _OVERFLOW_LOG:
-        raise OverflowError(
-            f"jump compensator exponent {comp:.1f} exceeds float64 range"
-        )
-    mu_bar = math.expm1(comp) / st
-    out = np.exp(params.lambda0 * tau * (np.exp(1j * uu * m - uu * uu * v) - 1.0 - 1j * uu * mu_bar))
+    rate, m, v, mu_bar = _jump_terms(tau, params)
+    out = np.exp(rate * (np.exp(1j * uu * m - uu * uu * v) - 1.0 - 1j * uu * mu_bar))
     return complex(out[0]) if scalar else out
 
 
 def psi_full(u, tau: float, params: EdgeworthParams, displacement: Displacement | None = None):
     """Product of the continuous-part and jump-part characteristic functions.
 
-    Uses :func:`psi_c_piecewise` when a displacement is given, otherwise
-    :func:`psi_c_no_shift`.
+    The continuous part is :func:`psi_c_piecewise` when a displacement is
+    given, otherwise :func:`psi_c_no_shift`, and the jump part
+    :func:`psi_jump`.  The two exponents are summed under one exponential,
+    e^{-u^2 i_var/(2 tau) + jump exponent} * bracket, exactly zero where the
+    sum's real part underflows.
     """
-    if displacement is None:
-        psi_c = psi_c_no_shift(u, tau, params)
-    else:
-        psi_c = psi_c_piecewise(u, tau, params, displacement)
-    return psi_c * psi_jump(u, tau, params)
+    if not tau > 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    bounds, levels = _phi_tilde_segments(tau, params.sigma0, displacement)
+    return _psi_from_integrals(u, tau, params, _segment_integrals(bounds, levels), jumps=True)

@@ -356,6 +356,7 @@ def cmd_calibrate(args) -> int:
         "params": model.to_json_dict(theta),
         "rmse_vol_points": res.rmse,
         "bid_ask_fraction": res.bid_ask_fraction,
+        "iv_clamps": res.iv_clamps,
         "bucket_rmse": {
             f"tenor_{idx + 1}:{bucket.name}": val
             for (idx, bucket), val in sorted(

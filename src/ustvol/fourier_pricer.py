@@ -21,10 +21,11 @@ solver-backed CF solves together; the uniform nodes then factor each
 strike's phase sum over a coarse × fine grid, for about 2√n complex
 exponentials instead of n (the fractional FFT's algebra, Bailey &
 Swarztrauber 1991, without an FFT, so strikes stay arbitrary).
-Implied vols of a slice take one array solve of fixed length: each quote's
-normalized out-of-the-money price is inverted from Jäckel's rational initial
-guess ("Let's be rational", Wilmott 2015) by two Householder steps of order
-3, so every quote gets the same arithmetic whatever slice it is in.  Puts
+Implied vols of a slice, or of a whole surface with one tenor per quote,
+take one array solve of fixed length: each quote's normalized
+out-of-the-money price is inverted from Jäckel's rational initial guess
+("Let's be rational", Wilmott 2015) by two Householder steps of order 3, so
+every quote gets the same arithmetic whatever array it is in.  Puts
 come from parity.  Plain Black–Scholes pricing and the scalar `implied_vol`
 live here as well, since every consumer of the pricer needs them.
 """
@@ -213,12 +214,24 @@ def _put_from_call(call, spot: float, disc_k):
     return np.minimum(np.maximum(call - spot + disc_k, np.maximum(disc_k - spot, 0.0)), disc_k)
 
 
-def _bs_prices(spot: float, strikes, tau: float, rate: float, vol, sign):
-    """Black–Scholes prices (``sign`` +1 calls, −1 puts) at vols > 0."""
-    sq = vol * math.sqrt(tau)
+def _tenor_factors(tau, rate: float) -> tuple:
+    """√τ and e^{−rτ} for one tenor or one tenor per quote, each distinct
+    tenor by ``math`` once, so a quote's bits do not depend on how its tenor
+    was passed."""
+    if np.ndim(tau) == 0:
+        return math.sqrt(tau), math.exp(-rate * tau)
+    taus, inverse = np.unique(tau, return_inverse=True)
+    factors = np.array([(math.sqrt(t), math.exp(-rate * t)) for t in taus.tolist()])
+    return factors[inverse, 0], factors[inverse, 1]
+
+
+def _bs_prices(spot: float, strikes, tau, rate: float, vol, sign, factors=None):
+    """Black–Scholes prices (``sign`` +1 calls, −1 puts) at vols > 0;
+    ``factors`` is :func:`_tenor_factors` of ``tau`` where a caller has it."""
+    root_tau, disc = factors or _tenor_factors(tau, rate)
+    sq = vol * root_tau
     d1 = (np.log(spot / strikes) + (rate + 0.5 * vol * vol) * tau) / sq
-    disc_k = strikes * math.exp(-rate * tau)
-    return sign * (spot * ndtr(sign * d1) - disc_k * ndtr(sign * (d1 - sq)))
+    return sign * (spot * ndtr(sign * d1) - strikes * disc * ndtr(sign * (d1 - sq)))
 
 
 def bs_price(
@@ -389,25 +402,29 @@ def _normalized_implied_vols(beta, gap, x) -> np.ndarray:
     return s
 
 
-def _implied_vols(prices, spot: float, strikes, tau: float, rate: float, is_call) -> np.ndarray:
-    """Black–Scholes implied vols of same-shaped arrays of quotes at one tenor.
+def _implied_vols(prices, spot: float, strikes, tau, rate: float, is_call) -> np.ndarray:
+    """Black–Scholes implied vols of same-shaped arrays of quotes, at one
+    tenor ``tau`` or at one tenor per quote.
 
     NaN where a quote has none: a price at or below intrinsic, at or above
     S₀ (calls) or Ke^{−rτ} (puts), or outside the bracket's Black–Scholes
     prices.  The out-of-the-money time value, price − intrinsic, is reduced
     to the normalized price β = (price − intrinsic)/√(S₀Ke^{−rτ}) at
     x = −|log(F/K)| and inverted by :func:`_normalized_implied_vols` in a
-    fixed number of steps; vols are clipped to the bracket.
+    fixed number of steps; vols are clipped to the bracket.  Every operation
+    is elementwise, so a quote's vol is the same bits whether its tenor came
+    alone or per quote.
     """
     prices, strikes = np.asarray(prices, dtype=float), np.asarray(strikes, dtype=float)
     lo, hi = _IV_BRACKET
     sign = np.where(is_call, 1.0, -1.0)
-    disc_k = strikes * math.exp(-rate * tau)
+    factors = root_tau, disc = _tenor_factors(tau, rate)
+    disc_k = strikes * disc
     intrinsic = np.maximum(sign * (spot - disc_k), 0.0)
     cap = np.where(is_call, spot, disc_k)
     ok = ((prices > intrinsic) & (prices < cap)
-          & (_bs_prices(spot, strikes, tau, rate, lo, sign) <= prices)
-          & (_bs_prices(spot, strikes, tau, rate, hi, sign) >= prices))
+          & (_bs_prices(spot, strikes, tau, rate, lo, sign, factors) <= prices)
+          & (_bs_prices(spot, strikes, tau, rate, hi, sign, factors) >= prices))
     disc_k = disc_k[ok]
     root = np.sqrt(spot * disc_k)
     # by parity the out-of-the-money option's distance to its cap is the
@@ -415,7 +432,7 @@ def _implied_vols(prices, spot: float, strikes, tau: float, rate: float, is_call
     s = _normalized_implied_vols((prices - intrinsic)[ok] / root, (cap - prices)[ok] / root,
                                  -np.abs(np.log(spot / disc_k)))
     out = np.full(prices.shape, np.nan)
-    out[ok] = np.minimum(np.maximum(s / math.sqrt(tau), lo), hi)
+    out[ok] = np.minimum(np.maximum(s / (root_tau[ok] if np.ndim(root_tau) else root_tau), lo), hi)
     return out
 
 

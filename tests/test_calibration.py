@@ -4,15 +4,24 @@ optimizer's determinism, trace monotonicity and round-trip recovery."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from ustvol import calibration
+from ustvol import calibration, fourier_pricer
 
 from ustvol.bspp_bootstrap import shift_weighted_variance
 from ustvol.calibration import CalibrationResult, calibrate, rmse
 from ustvol.cf_edgeworth import Displacement
-from ustvol.fourier_pricer import QuadratureConfig, bs_price
+from ustvol.diagnostics import BENCH_TENORS
+from ustvol.fourier_pricer import (
+    QuadratureConfig,
+    _implied_vols,
+    _put_from_call,
+    bs_price,
+    price_surface,
+)
 from ustvol.market_data import (
+    IngestConfig,
     MoneynessBucket,
     OptionQuote,
     Surface,
@@ -36,8 +45,8 @@ def _bspp_quotes(sigma0, disp, tenors, strikes, spot=100.0, half_spread=0.002):
 
 
 def _fit_report(surf, model_id, vec):
-    """(RMSE, bucket RMSEs, bid/ask hit share) at the flat vector ``vec``,
-    from the report pass that ``calibrate`` makes."""
+    """(RMSE, bucket RMSEs, bid/ask hit share, IV clamps) at the flat vector
+    ``vec``, from the report pass that ``calibrate`` makes."""
     model = calibration.get_model(model_id)
     theta = model.unpack(vec, surf.tenors)
     return calibration._report(calibration._market_view(surf, 0.0), model, theta,
@@ -153,7 +162,8 @@ def test_calibrate_reeval_identity_trace_and_determinism():
     assert a.trace == b.trace
     # re-evaluation identity: the stored report is the one at the params
     assert a.rmse == rmse(surf, "bs_pp", a.params, quad=QUAD)
-    assert (a.rmse, a.bucket_rmse, a.bid_ask_fraction) == _fit_report(surf, "bs_pp", a.params)
+    assert ((a.rmse, a.bucket_rmse, a.bid_ask_fraction, a.iv_clamps)
+            == _fit_report(surf, "bs_pp", a.params))
     # monotone improvement trace
     assert all(x >= y for x, y in zip(a.trace, a.trace[1:]))
     assert a.iterations > 0 and a.wall_time > 0.0
@@ -228,7 +238,7 @@ def test_model_iv_clamps_to_bracket_edges():
         p = bs_price(100.0, k, tau, 0.0, 0.5)
         quotes.append(OptionQuote(k, tau, p, p, is_call=True))
     surf = Surface(100.0, (TenorSlice(tau, 100.0, 0.5, tuple(quotes), (0.0, 4.0)),))
-    view = calibration._market_view(surf, 0.0)[0]
+    view = calibration._market_view(surf, 0.0)
     model = calibration.get_model("bs_pp")
     low, high = calibration._IV_BRACKET
     assert (low, high) == (1e-6, 10.0)
@@ -239,12 +249,106 @@ def test_model_iv_clamps_to_bracket_edges():
     # -1e-4*S0 error band, while the ATM call (P ~ 1/2) barely moves
     leaky = dataclasses.replace(model, _cf=lambda u, t, th: (1.0 - 1e-6) * model._cf(u, t, th))
     theta = model.unpack((0.2,), (tau,))
-    prices, ivs = calibration._slice_model_quotes(leaky, theta, view, 100.0, 0.0, QUAD)
+    prices, ivs, clamped = calibration._model_quotes(view, leaky, theta, 100.0, 0.0, QUAD)
     assert prices[1] == 0.0 and ivs[1] == low
     assert abs(ivs[0] - 0.2) < 1e-4
-    _, ivs = calibration._slice_model_quotes(model, model.unpack((60.0,), (tau,)),
-                                             view, 100.0, 0.0, QUAD)
-    assert list(ivs) == [high, high]
+    assert list(clamped) == [False, True]
+    _, ivs, clamped = calibration._model_quotes(view, model, model.unpack((60.0,), (tau,)),
+                                                100.0, 0.0, QUAD)
+    assert list(ivs) == [high, high] and clamped.all()
 
     assert math.isfinite(rmse(surf, leaky, (0.2,), quad=QUAD))
     assert rmse(surf, "bs_pp", (60.0,), quad=QUAD) == pytest.approx(100.0 * (high - 0.5), rel=1e-9)
+
+
+def test_iv_clamps_counted_in_the_fit_report():
+    surf = _flat_surface()
+    res = calibrate(surf, "bs_pp", quad=QUAD, budget=400, rng_seed=0)
+    assert res.rmse < 1e-3 and res.iv_clamps == 0
+    # vol 60 prices every quote above its vol-10 Black-Scholes value
+    assert _fit_report(surf, "bs_pp", (60.0, 0.0, 0.0))[3] == sum(len(s.quotes) for s in surf.slices)
+
+
+RATE = 0.03
+
+
+def _two_sided_surface(tenors, zs, spot=100.0, rate=RATE):
+    """A call and a put at every strike, mids on a smile, at a nonzero rate."""
+    quotes = []
+    for tau in tenors:
+        for z in zs:
+            strike = spot * math.exp(z * 0.2 * math.sqrt(tau))
+            vol = 0.2 * (1.0 + 0.02 * z * z - 0.05 * z)
+            for is_call in (True, False):
+                p = bs_price(spot, strike, tau, rate, vol, is_call)
+                quotes.append(OptionQuote(strike, tau, 0.99 * p, 1.01 * p, is_call))
+    return filter_surface(quotes, spot, IngestConfig(rate=rate))
+
+
+def test_flat_pass_prices_and_ivs_are_bitwise_the_per_slice_path():
+    surf = _two_sided_surface(BENCH_TENORS[::2], np.linspace(-3.0, 2.5, 9))
+    assert all(len(sl.quotes) == 18 for sl in surf.slices)
+    view = calibration._market_view(surf, RATE)
+    n = len(surf.tenors)
+    # edgeworth_pp near gate 8's truth, and bs_pp at vols whose IVs clamp:
+    # 1e-3 floors every wing at intrinsic, 60 prices above the vol-10 value
+    cases = [("edgeworth_pp", (0.2, 0.6, -0.6, 0.2, 0.1, 30.0, -0.01, 0.02, 0.01, -0.005)),
+             ("bs_pp", (1e-3,) + (0.0,) * (n - 1)), ("bs_pp", (60.0,) + (0.0,) * (n - 1))]
+    clamps = 0
+    for model_id, vec in cases:
+        model = calibration.get_model(model_id)
+        theta = model.unpack(vec, surf.tenors)
+        prices, ivs, clamped = calibration._model_quotes(view, model, theta, surf.spot, RATE, QUAD)
+        per_tenor = []
+        for sl, start in zip(surf.slices, view.starts.tolist()):
+            part = slice(start, start + len(sl.quotes))
+            strikes = [q.strike for q in sl.quotes]
+            is_call = np.array([q.is_call for q in sl.quotes])
+            rows = price_surface([(k, sl.tau) for k in strikes], model, theta, surf.spot, RATE, QUAD)
+            calls = np.array([r["call"] for r in rows])
+            disc_k = np.multiply(strikes, math.exp(-RATE * sl.tau))
+            want = np.where(is_call, calls, _put_from_call(calls, surf.spot, disc_k))
+            assert np.array_equal(prices[part], want)
+            # the per-slice objective's solve, and its clamps
+            one = _implied_vols(want, surf.spot, strikes, sl.tau, RATE, is_call)
+            assert np.array_equal(clamped[part], np.isnan(one))
+            assert np.array_equal(ivs[part][~clamped[part]], one[~clamped[part]])
+            per_tenor.append(one)
+        flat = _implied_vols(prices, surf.spot, view.strikes, view.tau, RATE, view.is_call)
+        assert np.array_equal(flat, np.concatenate(per_tenor), equal_nan=True)
+        clamps += int(clamped.sum())
+    assert clamps > 0
+
+
+def test_an_objective_evaluation_prices_distinct_strikes_and_inverts_once(monkeypatch):
+    surf = _flat_surface()
+    spec = calibration.get_model("bs_pp")
+    unpacked, priced, inverted = [], [], []
+
+    def unpack(x, tenors, _real=spec._unpack):
+        theta = _real(x, tenors)
+        unpacked.append(tenors)
+        return theta
+
+    def slice_spy(cf, sigma0, tau, *args, _real=fourier_pricer._slice_calls):
+        priced.append((tau, list(args[2])))
+        return _real(cf, sigma0, tau, *args)
+
+    def iv_spy(prices, *args, _real=calibration._implied_vols):
+        inverted.append(np.size(prices))
+        return _real(prices, *args)
+
+    monkeypatch.setattr(calibration, "get_model",
+                        lambda model_id: dataclasses.replace(spec, _unpack=unpack))
+    monkeypatch.setattr(fourier_pricer, "_slice_calls", slice_spy)
+    monkeypatch.setattr(calibration, "_implied_vols", iv_spy)
+    res = calibrate(surf, "bs_pp", quad=QUAD, budget=60, restarts=0)
+    # every evaluation and the final report unpack once and price
+    evals = len(unpacked)
+    assert evals == res.iterations + 1
+    quotes = sum(len(sl.quotes) for sl in surf.slices)
+    assert quotes == 2 * 3 * len(surf.slices)  # a call and a put at each of 3 strikes
+    # the market view's solve, then one solve of every quote per evaluation
+    assert inverted == [quotes] * (evals + 1)
+    distinct = [(sl.tau, sorted({q.strike for q in sl.quotes})) for sl in surf.slices]
+    assert priced == distinct * evals

@@ -15,6 +15,8 @@ from ustvol.cf_edgeworth import (
     psi_full,
     psi_jump,
 )
+from ustvol.diagnostics import BENCH_TENORS
+from ustvol.fourier_pricer import _adaptive_u_max
 from ustvol.mc_oracle import SimConfig, empirical_cf, simulate_edgeworth_submodel
 
 # Frozen from tests/oracles.py (independent 50-digit polynomial evaluation):
@@ -338,6 +340,25 @@ def test_full_reduces_to_continuous_part():
     u = _u_grid()
     got = psi_full(u, 1 / 252, p, None)
     np.testing.assert_array_equal(got, psi_c_no_shift(u, 1 / 252, p))
+
+
+def test_full_is_the_product_of_its_factors_on_the_pricer_lines():
+    # one exponential for the Gaussian damping and the jump exponent: within
+    # 1e-15 of the product of the two CFs on the pricer's grid call, the
+    # plain line Im u = 0 and the shifted line Im u = -sigma0*sqrt(tau) with
+    # the normalizer point, at gate 8's truth
+    p = EdgeworthParams(sigma0=0.2, beta_tilde0=0.6, rho0=-0.6, eta0=0.2,
+                        alpha_prime0=0.1, lambda0=30.0, mu_J=-0.01, sigma_J=0.02)
+    d = Displacement(tenors=BENCH_TENORS, shifts=(0.01, 0.02, -0.005, 0.005, 0.0))
+    n = 2048
+    for tau in BENCH_TENORS:
+        shift = -1j * p.sigma0 * math.sqrt(tau)
+        u_max = _adaptive_u_max(lambda u: psi_full(u, tau, p, d), shift)
+        u = u_max / n * (np.arange(n) + 0.5)
+        for line in (u, np.concatenate([[shift], u + shift])):
+            want = psi_c_piecewise(line, tau, p, d) * psi_jump(line, tau, p)
+            err = np.max(np.abs(psi_full(line, tau, p, d) - want))
+            assert err <= 1e-15 * np.max(np.abs(want)), tau
 
 
 @given(st.floats(-40.0, 40.0))
