@@ -4,14 +4,15 @@ derivative-free box-constrained optimizer with restarts.
 The objective is the nested average of squared implied-vol errors -- per
 tenor first, then across tenors -- rooted and quoted in vol points (x100).
 The quotes are frozen once per calibration as flat arrays, with their market
-IVs from mid premiums.  Every evaluation is one flat pass: each tenor's
-distinct strikes are priced once, from one set of CF grids, the calls
-scattered to the quotes (puts by parity), and every quote of the surface is
-inverted in one array solve.  The fit report (RMSE, bucket RMSEs, the
-bid/ask hit share and the count of model IVs clamped to the bracket edge)
-comes from the same pass at the final vector.  The search box is the
-registry's ``default_bounds`` and the start the BS++ bootstrap of the ATM
-term structure.
+IVs from mid premiums.  Every evaluation is one flat pass: one u_max probe
+pass over the tenors, then each tenor's distinct strikes priced once, from
+one set of CF grids, the calls scattered to the quotes (puts by parity), and
+every quote of the surface inverted in one array solve.  The fit report
+(RMSE, bucket RMSEs, the bid/ask hit share, the count of model IVs clamped
+to the bracket edge and the count of tenors whose Fourier cutoff u_max is a
+truncation rather than a decay point) comes from the same pass at the final
+vector.  The search box is the registry's ``default_bounds`` and the start
+the BS++ bootstrap of the ATM term structure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .fourier_pricer import (
     _checked_slice_calls,
     _implied_vols,
     _put_from_call,
+    _surface_u_max,
     _tenor_factors,
     implied_vol,
 )
@@ -56,6 +58,7 @@ class CalibrationResult:
     bucket_rmse: dict = field(compare=False)
     bid_ask_fraction: float = 0.0
     iv_clamps: int = 0
+    u_max_truncations: int = 0
     iterations: int = 0
     wall_time: float = 0.0
     converged: bool = False
@@ -157,27 +160,32 @@ def _market_view(surface: Surface, rate: float) -> _MarketView:
 
 
 def _model_quotes(view: _MarketView, model, theta, spot, rate, quad) -> tuple:
-    """Model premium on each quote's side, model IV per quote, and the mask
-    of IVs clamped to the bracket edge.
+    """Model premium on each quote's side, model IV per quote, the mask of
+    IVs clamped to the bracket edge, and the count of tenors whose u_max is
+    a truncation (a CF failure or the cap, not the decay point).
 
-    Each tenor's distinct strikes are priced by one slice kernel call, the
-    calls scattered to the quotes and the puts taken by parity; all quotes'
-    IVs then come from one solve.  IV inversion failures on the model side
+    One probe pass sets every tenor's u_max; each tenor's distinct strikes
+    are then priced by one slice kernel call, the calls scattered to the
+    quotes and the puts taken by parity; all quotes' IVs then come from one
+    solve.  IV inversion failures on the model side
     are clamped to the bracket edge nearer the price: a far-off parameter
     vector then scores a large finite error instead of poisoning the whole
     evaluation.
     """
     sigma0 = model.spot_vol(theta)
+    u_max, truncated = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta),
+                                      sigma0, view.tenors)
     calls = np.concatenate([
         _checked_slice_calls(lambda u, tau=tau: model.cf_standardized(u, tau, theta),
-                             sigma0, tau, spot, rate, strikes, quad)
-        for tau, strikes in zip(view.tenors, view.distinct)
+                             sigma0, tau, spot, rate, strikes, quad, top)
+        for tau, strikes, top in zip(view.tenors, view.distinct, u_max)
     ])[view.scatter]
     prices = np.where(view.is_call, calls, _put_from_call(calls, spot, view.disc_k))
     ivs = _implied_vols(prices, spot, view.strikes, view.tau, rate, view.is_call)
     clamped = np.isnan(ivs)
     near_floor = np.abs(prices - view.floor) < np.abs(prices - view.cap)
-    return prices, np.where(clamped, np.where(near_floor, *_IV_BRACKET), ivs), clamped
+    return (prices, np.where(clamped, np.where(near_floor, *_IV_BRACKET), ivs), clamped,
+            sum(truncated))
 
 
 def _nested_rmse(view: _MarketView, ivs) -> float:
@@ -190,8 +198,8 @@ def _nested_rmse(view: _MarketView, ivs) -> float:
 def _report(view: _MarketView, model, theta, spot, rate, quad) -> tuple:
     """The fit report at theta from one flat pass: (vol-points RMSE, bucket
     RMSEs, share of quotes priced inside their bid/ask, count of model IVs
-    clamped to the bracket edge)."""
-    prices, ivs, clamped = _model_quotes(view, model, theta, spot, rate, quad)
+    clamped to the bracket edge, count of u_max truncations)."""
+    prices, ivs, clamped, truncations = _model_quotes(view, model, theta, spot, rate, quad)
     err = ivs - view.market_ivs
     sums = np.bincount(view.cells, weights=err * err)
     sizes = np.bincount(view.cells)
@@ -202,7 +210,7 @@ def _report(view: _MarketView, model, theta, spot, rate, quad) -> tuple:
     }
     hits = np.count_nonzero((view.bids <= prices) & (prices <= view.asks))
     return (_nested_rmse(view, ivs), buckets, hits / prices.size,
-            int(np.count_nonzero(clamped)))
+            int(np.count_nonzero(clamped)), truncations)
 
 
 def _resolve(model, params, tenors):
@@ -349,7 +357,8 @@ def calibrate(
         run_nm(best_vec, max(budget - evals, 50))
 
     theta = model.unpack(tuple(float(x) for x in best_vec), tenors)
-    final_rmse, cells, fraction, clamps = _report(view, model, theta, surface.spot, rate, quad)
+    final_rmse, cells, fraction, clamps, truncations = _report(
+        view, model, theta, surface.spot, rate, quad)
     result = CalibrationResult(
         model_id=model_id,
         params=tuple(float(x) for x in best_vec),
@@ -357,6 +366,7 @@ def calibrate(
         bucket_rmse=cells,
         bid_ask_fraction=fraction,
         iv_clamps=clamps,
+        u_max_truncations=truncations,
         iterations=evals,
         wall_time=time.perf_counter() - t_start,
         converged=stagnated or best_val <= _STAGNATION_TOL,

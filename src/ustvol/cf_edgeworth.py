@@ -197,12 +197,26 @@ def _damped(lead_exponent: np.ndarray, bracket: np.ndarray, scalar: bool):
     return complex(out[0]) if scalar else out
 
 
-def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals, jumps: bool = False):
-    """The second-order expansion of the standardized continuous-return CF,
-    times the jump CF when ``jumps``.
+def _per_tau(tau, fn):
+    """``fn(tau)``, a tuple of Python numbers, at a scalar ``tau``; at an
+    ndarray of tenors, ``fn`` of each distinct tenor with each item
+    scattered back to an array aligned with ``tau``.  So one τ per
+    frequency costs one ``fn`` call per tenor, and a frequency gets the
+    numbers it gets alone."""
+    if not isinstance(tau, np.ndarray):
+        return fn(tau)
+    distinct, inverse = np.unique(tau, return_inverse=True)
+    rows = [fn(t) for t in distinct.tolist()]
+    return tuple(np.array(col)[inverse] for col in zip(*rows))
 
-    ``integrals`` holds the eight nested integrals of phi_tilde over [0, tau],
-    built from the running integrals F(s) = int_0^s phi_tilde,
+
+def _coefficients(tau: float, params: EdgeworthParams, integrals, jumps: bool = False) -> tuple:
+    """The expansion's coefficients at one tenor from its eight nested
+    integrals of phi_tilde over [0, tau], as Python numbers: the bracket's
+    (c2, -i c3, c4, c6), the Gaussian exponent's -i_var/(2 tau), and where
+    ``jumps`` the jump terms of :func:`_jump_terms`.
+
+    ``integrals`` is built from the running integrals F(s) = int_0^s phi_tilde,
     G(s) = int_0^s F, H(s) = int_0^s phi_tilde F, K1(s) = int_0^s s1 phi_tilde
     and M(s) = int_0^s phi_tilde H::
 
@@ -213,9 +227,7 @@ def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals, jumps
     The leading Gaussian factor uses the shift-weighted variance i_var/tau
     and the bracket is 1 + c2 u^2 - i c3 u^3 + c4 u^4 + c6 u^6.  The drift
     split uses alpha0 = delta0 = alpha_prime0; vb and vp weight the
-    vol-of-vol loadings on the price and the orthogonal Brownian.  The
-    coefficients are Python floats.  The jump exponent of :func:`psi_jump`
-    joins the Gaussian one under a single exponential.
+    vol-of-vol loadings on the price and the orthogonal Brownian.
     """
     i_var, i_skew, i_delta, i_alpha, i_eta, i_b3, i_m1, i_m2 = integrals
     s0 = params.sigma0
@@ -229,16 +241,33 @@ def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals, jumps
           - vb * (4.0 * i_skew - (24.0 * i_b3 + 12.0 * i_m1) / t)
           + 2.0 * vp * i_m1 / t)
     c6 = -24.0 * vb * i_m2 / (t * t)
+    coef = (c2, -1j * c3, c4, c6, -0.5 * (i_var / t))
+    return coef + _jump_terms(tau, params) if jumps else coef
 
+
+def _psi_from_coefficients(u, coef):
+    """exp(lead) * bracket from :func:`_coefficients`' numbers, or from
+    arrays of them aligned with ``u``: the jump exponent of
+    :func:`psi_jump` joins the Gaussian one under a single exponential
+    where the jump terms are present."""
+    c2, c3i, c4, c6, half_var = coef[:5]
     uu, scalar = _as_freq(u)
     u2 = uu * uu
-    bracket = 1.0 + u2 * (c2 + uu * (-1j * c3) + u2 * (c4 + c6 * u2))
-    lead = u2 * (-0.5 * (i_var / t))
-    if jumps and params.lambda0 != 0.0:
-        rate, m, v, mu_bar = _jump_terms(tau, params)
+    bracket = 1.0 + u2 * (c2 + uu * c3i + u2 * (c4 + c6 * u2))
+    lead = u2 * half_var
+    if len(coef) > 5:
+        rate, m, v, mu_bar = coef[5:]
         iu = uu * 1j
         lead += rate * (np.exp(iu * m - u2 * v) - 1.0 - iu * mu_bar)
     return _damped(lead, bracket, scalar)
+
+
+def _psi_from_integrals(u, tau: float, params: EdgeworthParams, integrals, jumps: bool = False):
+    """The second-order expansion of the standardized continuous-return CF at
+    one tenor from its nested integrals (:func:`_coefficients`), times the
+    jump CF when ``jumps``."""
+    return _psi_from_coefficients(
+        u, _coefficients(tau, params, integrals, jumps and params.lambda0 != 0.0))
 
 
 def _segment_integrals(bounds, levels) -> tuple:
@@ -341,16 +370,24 @@ def psi_jump(u, tau: float, params: EdgeworthParams):
     return complex(out[0]) if scalar else out
 
 
-def psi_full(u, tau: float, params: EdgeworthParams, displacement: Displacement | None = None):
+def psi_full(u, tau, params: EdgeworthParams, displacement: Displacement | None = None):
     """Product of the continuous-part and jump-part characteristic functions.
 
     The continuous part is :func:`psi_c_piecewise` when a displacement is
     given, otherwise :func:`psi_c_no_shift`, and the jump part
     :func:`psi_jump`.  The two exponents are summed under one exponential,
     e^{-u^2 i_var/(2 tau) + jump exponent} * bracket, exactly zero where the
-    sum's real part underflows.
+    sum's real part underflows.  ``tau`` is a scalar or an array of one
+    tenor per frequency of ``u``; then each distinct tenor's bracket
+    coefficients and jump terms are computed once and broadcast, so a
+    frequency's value does not depend on the other tenors of the array.
     """
-    if not tau > 0.0:
+    if not (np.all(tau > 0.0) if isinstance(tau, np.ndarray) else tau > 0.0):
         raise ValueError(f"tau must be > 0, got {tau}")
-    bounds, levels = _phi_tilde_segments(tau, params.sigma0, displacement)
-    return _psi_from_integrals(u, tau, params, _segment_integrals(bounds, levels), jumps=True)
+
+    def coefficients(t):
+        bounds, levels = _phi_tilde_segments(t, params.sigma0, displacement)
+        return _coefficients(t, params, _segment_integrals(bounds, levels),
+                             jumps=params.lambda0 != 0.0)
+
+    return _psi_from_coefficients(u, _per_tau(tau, coefficients))

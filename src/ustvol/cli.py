@@ -357,6 +357,7 @@ def cmd_calibrate(args) -> int:
         "rmse_vol_points": res.rmse,
         "bid_ask_fraction": res.bid_ask_fraction,
         "iv_clamps": res.iv_clamps,
+        "u_max_truncations": res.u_max_truncations,
         "bucket_rmse": {
             f"tenor_{idx + 1}:{bucket.name}": val
             for (idx, bucket), val in sorted(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf_edgeworth import EdgeworthParams
-from .fourier_pricer import QuadratureConfig, _checked_slice_calls, _put_from_call
+from .fourier_pricer import QuadratureConfig, _checked_slice_calls, _put_from_call, _surface_u_max
 from .registry import get_model
 
 __all__ = [
@@ -96,10 +96,11 @@ def _price_tenors(model, theta, tenors, spot: float, quad: QuadratureConfig) -> 
     strikes = np.array([spot,
                         spot * math.exp(-_BENCH_LOG_MONEYNESS),
                         spot * math.exp(_BENCH_LOG_MONEYNESS)])
+    u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0, tenors)[0]
     total = 0.0
-    for tau in tenors:
+    for tau, top in zip(tenors, u_max):
         calls = _checked_slice_calls(lambda u: model.cf_standardized(u, tau, theta),
-                                     sigma0, tau, spot, 0.0, strikes, quad)
+                                     sigma0, tau, spot, 0.0, strikes, quad, top)
         # puts at and below spot via parity, matching the fixture's
         # ATM-put / OTM-put / OTM-call mix at identical cost
         total += float(np.where(strikes > spot, calls, _put_from_call(calls, spot, strikes)).sum())

@@ -15,9 +15,11 @@ of weight u_max/n, u_max adaptive (smallest U where |Ψ(U − iσ₀√τ)|/U dr
 below 1e−12, capped at 2000).  Each leg's integrand is even in u and its
 singularity at 0 removable, so this is half the shifted trapezoid over the
 whole line, geometrically convergent (Trefethen & Weideman, SIAM Rev. 2014).
-Every caller prices a tenor slice through one kernel: after the u_max probe,
-one CF call holds the normalizer point −iσ₀√τ and both legs' grids, which a
-solver-backed CF solves together; the uniform nodes then factor each
+Every caller first runs one u_max probe pass over its surface's tenors,
+each round one CF call with one τ per frequency, then prices each tenor
+slice through one kernel: one CF call holds the normalizer point −iσ₀√τ
+and both legs' grids, which a solver-backed CF solves together; the
+uniform nodes then factor each
 strike's phase sum over a coarse × fine grid, for about 2√n complex
 exponentials instead of n (the fractional FFT's algebra, Bailey &
 Swarztrauber 1991, without an FFT, so strikes stay arbitrary).
@@ -112,36 +114,72 @@ class QuadratureConfig:
             raise ValueError(f"node_count must be >= 100, got {self.node_count}")
 
 
-def _adaptive_u_max(cf: Callable, shift: complex) -> float:
-    """Smallest probe U with |Ψ(U + shift)|/U < 1e−12, capped at 2000.
+def _surface_u_max(cf: Callable, sigma0: float, taus) -> tuple:
+    """u_max of each tenor of a surface: its smallest probe U with
+    |Ψ(U − iσ₀√τ)|/U < 1e−12, capped at 2000.  Returns ``(u_max,
+    truncated)``, two lists over ``taus``; a tenor is truncated where its
+    u_max came from a failure or the cap rather than from the decay test.
 
-    Probes in blocks of increasing frequency: CFs backed by numerical solvers
-    can fail far beyond the decay point (where their true value has underflown
-    anyway), so the scan truncates at the last healthy probe instead of
-    letting one far-out failure poison the whole pricing call.
+    ``cf(u, tau)`` takes τ as a scalar or as an array of one tenor per
+    frequency.  The probes are scanned in chunks of 8, every tenor still
+    scanning in the same round, and each round is one CF call holding the
+    chunk of each such tenor on its own shifted line, one τ per frequency (a
+    lone tenor passes its scalar τ).  CFs backed by numerical solvers can
+    fail far beyond the decay point (where their true value has underflown
+    anyway), so a tenor whose chunk raises ValueError, ArithmeticError or
+    RuntimeError, or turns non-finite before it decays, stops at the end of
+    its last healthy chunk (at the cap if there is none) instead of letting
+    one far-out failure poison its slice.  A round that raises is re-run
+    tenor by tenor, so each tenor stops exactly where it stops when probed
+    alone.  Any other exception propagates.
+
+    The affine solve shares one adaptive step across the tenors of a call,
+    so an affine tenor's probe values move by about 1e-12 relative with the
+    set of tenors in its round; the grids are solved per tenor, so prices do
+    not move with it.
     """
-    last_ok = None
+    taus = [float(t) for t in taus]
+    shifts = [-1j * sigma0 * math.sqrt(t) for t in taus]
+    u_max, truncated = np.full(len(taus), _U_MAX_CAP), np.ones(len(taus), dtype=bool)
+    scanning = np.arange(len(taus))
     for lo in range(0, _PROBES.size, 8):
+        if not scanning.size:
+            break
         chunk = _PROBES[lo:lo + 8]
-        try:
-            vals = np.abs(np.atleast_1d(cf(chunk + shift)))
-        except (ValueError, ArithmeticError, RuntimeError):
-            break
-        finite = np.isfinite(vals)
-        stop = chunk.size if finite.all() else int(np.argmin(finite))
-        ratio = vals[:stop] / chunk[:stop]
-        below = np.nonzero(ratio < _DECAY_THRESHOLD)[0]
-        if below.size:
-            return float(chunk[below[0]])
-        if stop < chunk.size:
-            break
-        last_ok = float(chunk[-1])
-    return last_ok if last_ok is not None else _U_MAX_CAP
+        vals = _probe_round(cf, chunk, [shifts[j] for j in scanning], [taus[j] for j in scanning])
+        # a tenor's probes count up to its first non-finite value
+        healthy = np.logical_and.accumulate(np.isfinite(vals), axis=1)
+        hit = healthy & (vals / chunk < _DECAY_THRESHOLD)
+        decayed = hit.any(axis=1)
+        u_max[scanning[decayed]] = chunk[np.argmax(hit[decayed], axis=1)]
+        truncated[scanning[decayed]] = False
+        if lo:  # a failure stops at the last healthy chunk's end
+            u_max[scanning[~decayed & ~healthy[:, -1]]] = _PROBES[lo - 1]
+        scanning = scanning[~decayed & healthy[:, -1]]
+    u_max[scanning] = _PROBES[-1]  # no decay up to the cap
+    return u_max.tolist(), truncated.tolist()
+
+
+def _probe_round(cf: Callable, chunk, shifts: list, taus: list) -> np.ndarray:
+    """|Ψ| on one probe chunk of each tenor, one row per tenor, from one CF
+    call; a round that raises is re-run tenor by tenor, and a tenor whose
+    own call raises gets a row of NaN."""
+    try:
+        if len(taus) == 1:
+            vals = cf(chunk + shifts[0], taus[0])
+        else:
+            vals = cf(np.concatenate([chunk + s for s in shifts]), np.repeat(taus, chunk.size))
+        return np.abs(np.asarray(vals)).reshape(len(taus), chunk.size)
+    except (ValueError, ArithmeticError, RuntimeError):
+        if len(taus) == 1:
+            return np.full((1, chunk.size), np.nan)
+    return np.concatenate([_probe_round(cf, chunk, [s], [t]) for s, t in zip(shifts, taus)])
 
 
 def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: float,
-                 strikes: Sequence[float], quad: QuadratureConfig) -> tuple:
-    """Calls of one tenor slice: the u_max probe, then one CF call for the
+                 strikes: Sequence[float], quad: QuadratureConfig, u_max: float) -> tuple:
+    """Calls of one tenor slice on [0, ``u_max``], which the caller's
+    surface probe gives (:func:`_surface_u_max`): one CF call for the
     normalizer and both legs' grids, then the midpoint sum as one phase sum
     per leg.
 
@@ -162,7 +200,7 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     """
     st = sigma0 * math.sqrt(tau)
     n = quad.node_count
-    step = _adaptive_u_max(cf, -1j * st) / n
+    step = u_max / n
     u = step * (np.arange(n) + 0.5)
     # one call: the normalizer Ψ(−iσ₀√τ) sits on the shifted leg's line, at Re u = 0
     psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
@@ -200,10 +238,10 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot), negative
 
 
-def _checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad) -> np.ndarray:
+def _checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad, u_max) -> np.ndarray:
     """:func:`_slice_calls` for callers without per-contract errors: the
     first negative raw price raises."""
-    calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad)
+    calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad, u_max)
     if negative:
         raise next(iter(negative.values()))
     return calls
@@ -462,9 +500,11 @@ def price_surface(
     """Price a (strike, tenor) grid under one model and invert to IVs.
 
     ``model`` is any object exposing ``cf_standardized(u, tau, params)`` and
-    ``spot_vol(params)`` (the registry model bundles do).  The strikes of
-    each tenor are priced as one array from a single set of CF grids, then
-    inverted by one array solve.  Per-contract failures are collected in the
+    ``spot_vol(params)`` (the registry model bundles do); the CF takes τ as
+    a scalar or one tenor per frequency.  One probe pass sets every tenor's
+    u_max (:func:`_surface_u_max`); the strikes of each tenor are then
+    priced as one array from a single set of CF grids, and inverted by one
+    array solve.  Per-contract failures are collected in the
     result's ``error`` field: an invalid contract, a negative raw price or a
     price without an IV fails that contract alone, a numerical CF failure
     the contracts of its tenor; a programming error (TypeError) propagates.
@@ -487,12 +527,13 @@ def price_surface(
         except (TypeError, ValueError) as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"
 
-    for tau, recs in slices.items():
+    u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, params), sigma0, list(slices))[0]
+    for (tau, recs), top in zip(slices.items(), u_max):
         strikes = np.array([rec["strike"] for rec in recs], dtype=float)
         try:
             calls, errors = _slice_calls(
                 lambda u: model.cf_standardized(u, tau, params),
-                sigma0, tau, spot, rate, strikes, quad,
+                sigma0, tau, spot, rate, strikes, quad, top,
             )
         except (ValueError, ArithmeticError, RuntimeError) as exc:  # fails its tenor only
             calls, errors = np.full(strikes.size, np.nan), dict.fromkeys(range(strikes.size), exc)

@@ -49,7 +49,7 @@ from .benchmarks import (
     rough_heston_cf,
 )
 from .bspp_bootstrap import shift_weighted_variance
-from .cf_edgeworth import Displacement, EdgeworthParams, psi_full
+from .cf_edgeworth import Displacement, EdgeworthParams, _per_tau, psi_full
 
 __all__ = [
     "ModelSpec",
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-def standardized_from_raw(cf_raw_at, u, tau: float, sigma0: float):
+def standardized_from_raw(cf_raw_at, u, tau, sigma0: float):
     """Re-express a raw log-return CF in standardized-return frequencies.
 
     ``cf_raw_at`` evaluates E[e^{iw(X_tau - X_0)}] at zero rate (martingale
@@ -69,8 +69,10 @@ def standardized_from_raw(cf_raw_at, u, tau: float, sigma0: float):
     one in mu0, leaving a rate-free bridge
 
         Psi_Z(u) = exp(iu*sigma0*sqrt(tau)/2) * CF_raw(u/(sigma0*sqrt(tau))).
+
+    ``tau`` is a scalar or one tenor per frequency of ``u``.
     """
-    st = sigma0 * math.sqrt(tau)
+    st = sigma0 * np.sqrt(tau)
     uu = np.asarray(u)
     return np.exp(1j * uu * st / 2.0) * np.asarray(cf_raw_at(uu / st))
 
@@ -126,8 +128,14 @@ class ModelSpec:
         """Flatten native parameters back to the vector layout."""
         return np.asarray(self._pack(theta), dtype=float)
 
-    def cf_standardized(self, u, tau: float, theta):
-        """CF of the standardized return at tenor tau (pricer interface)."""
+    def cf_standardized(self, u, tau, theta):
+        """CF of the standardized return at tenor tau (pricer interface).
+
+        ``tau`` is a scalar, or an array of one tenor per frequency of ``u``
+        (the pricer's surface u_max probe); a frequency's value is then the
+        one it has at its tenor alone, except that the affine solve shares
+        its adaptive step across the tenors of a call (about 1e-12
+        relative)."""
         return self._cf(u, tau, theta)
 
     def spot_vol(self, theta) -> float:
@@ -239,14 +247,15 @@ _EDGEWORTH_PP = ModelSpec(
 )
 
 
-def _bspp_cf(u, tau: float, theta):
+def _bspp_cf(u, tau, theta):
     """Exact lognormal CF: Z is Gaussian with mean sigma0*(tau - V)/(2*sqrt(tau))
-    and variance V/tau, V the shift-weighted integrated variance ratio."""
+    and variance V/tau, V the shift-weighted integrated variance ratio, one
+    V per distinct tenor where ``tau`` gives one tenor per frequency."""
     sigma0, disp = theta
-    v = shift_weighted_variance(sigma0, disp, tau)
+    v, root = _per_tau(tau, lambda t: (shift_weighted_variance(sigma0, disp, t), math.sqrt(t)))
     uu = np.asarray(u)
     out = np.exp(
-        1j * uu * sigma0 * (tau - v) / (2.0 * math.sqrt(tau)) - uu * uu * v / (2.0 * tau)
+        1j * uu * sigma0 * (tau - v) / (2.0 * root) - uu * uu * v / (2.0 * tau)
     )
     return out if out.ndim else complex(out)
 
@@ -290,7 +299,7 @@ _HM2F_BOUNDS = (
 )
 
 
-def _hm_cf(u, tau: float, th: HestonMertonParams):
+def _hm_cf(u, tau, th: HestonMertonParams):
     s0 = math.sqrt(th.spot_variance)
     return standardized_from_raw(lambda w: heston_merton_cf(w, tau, th), u, tau, s0)
 
@@ -360,7 +369,7 @@ _ROUGH_J_BOUNDS = _ROUGH_BOUNDS + ((0.0, 500.0), (-0.2, 0.2), (0.0, 0.2))
 _XI_BOUNDS = (1e-6, 2.0)
 
 
-def _rough_cf(u, tau: float, th: RoughHestonParams):
+def _rough_cf(u, tau, th: RoughHestonParams):
     s0 = math.sqrt(th.spot_variance)
     return standardized_from_raw(lambda w: rough_heston_cf(w, tau, th), u, tau, s0)
 

@@ -5,10 +5,11 @@ route independent of the library implementation (arbitrary-precision
 arithmetic, brute-force Monte Carlo, classical closed forms, or dense
 quadrature written from scratch).  The test-only references live here too:
 the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
-finite-difference smile check, sample cumulants, the direct per-node
-midpoint sum of a slice's calls, the benchmark CFs solved at every
-frequency and their Chebyshev interpolant evaluated point by point, and
-the per-step loops of the affine and rough path simulators.  Run directly
+finite-difference smile check, sample cumulants, the single-tenor u_max
+scan and the direct per-node midpoint sum of a slice's calls, the benchmark
+CFs solved at every frequency and their Chebyshev interpolant evaluated
+point by point, and the per-step loops of the affine and rough path
+simulators.  Run directly
 from the repository root to reprint all frozen values:
 
     PYTHONPATH=src python3 tests/oracles.py
@@ -32,7 +33,13 @@ from ustvol.benchmarks import (
 )
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, _psi_from_integrals
 from ustvol.diagnostics import smile_expansion
-from ustvol.fourier_pricer import QuadratureConfig, _adaptive_u_max, price_surface
+from ustvol.fourier_pricer import (
+    _DECAY_THRESHOLD,
+    _PROBES,
+    _U_MAX_CAP,
+    QuadratureConfig,
+    price_surface,
+)
 from ustvol.registry import get_model, standardized_from_raw
 
 mp.mp.dps = 50
@@ -528,21 +535,52 @@ def sample_cumulants(samples) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Fourier slice calls: the direct per-node midpoint sum
+# Fourier slice calls: the single-tenor u_max scan and the direct per-node
+# midpoint sum
 # ---------------------------------------------------------------------------
 
-def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureConfig):
+def adaptive_u_max(cf, shift: complex) -> float:
+    """One tenor's u_max by its own scan: the smallest probe U with
+    |Ψ(U + shift)|/U < 1e−12, capped at 2000, from one call of the one-τ
+    ``cf`` per chunk of 8 probes.
+
+    A chunk that raises ValueError, ArithmeticError or RuntimeError, or
+    turns non-finite before it decays, ends the scan at the last healthy
+    chunk's end (the cap if there is none); other exceptions propagate.
+    ``fourier_pricer._surface_u_max`` must give each tenor this value.
+    """
+    last_ok = None
+    for lo in range(0, _PROBES.size, 8):
+        chunk = _PROBES[lo:lo + 8]
+        try:
+            vals = np.abs(np.atleast_1d(cf(chunk + shift)))
+        except (ValueError, ArithmeticError, RuntimeError):
+            break
+        finite = np.isfinite(vals)
+        stop = chunk.size if finite.all() else int(np.argmin(finite))
+        ratio = vals[:stop] / chunk[:stop]
+        below = np.nonzero(ratio < _DECAY_THRESHOLD)[0]
+        if below.size:
+            return float(chunk[below[0]])
+        if stop < chunk.size:
+            break
+        last_ok = float(chunk[-1])
+    return last_ok if last_ok is not None else _U_MAX_CAP
+
+
+def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureConfig,
+                       u_max: float):
     """Calls of one tenor slice by the direct midpoint sum: e^{iu·d₂}
     evaluated at every (strike, node) pair, the route the library kernel
     factorizes, each node weighted u_max/n.
 
-    Same u_max probe, nodes, CF call (normalizer and both legs), floor and
-    cap as ``fourier_pricer._slice_calls``, without its error checks;
-    returns the floored and capped calls.
+    Same nodes on the caller's [0, ``u_max``], CF call (normalizer and both
+    legs), floor and cap as ``fourier_pricer._slice_calls``, without its
+    error checks; returns the floored and capped calls.
     """
     st = sigma0 * math.sqrt(tau)
     n = quad.node_count
-    step = _adaptive_u_max(cf, -1j * st) / n
+    step = u_max / n
     u = step * (np.arange(n) + 0.5)
     psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
     psi_norm, psi_shift, psi_plain = psi[0], psi[1:u.size + 1], psi[u.size + 1:]

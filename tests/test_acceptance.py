@@ -40,6 +40,7 @@ from ustvol.fourier_pricer import (
     QuadratureConfig,
     _checked_slice_calls,
     _put_from_call,
+    _surface_u_max,
     bs_price,
     price_surface,
 )
@@ -81,8 +82,9 @@ def test_bs_reduction():
         cf = lambda u, _t=tau: psi_c_no_shift(u, _t, p)
         strikes = [SPOT * math.exp(m * p.sigma0 * math.sqrt(tau))
                    for m in np.linspace(-5.0, 5.0, 21)]
+        u_max = _surface_u_max(lambda u, t: psi_c_no_shift(u, t, p), p.sigma0, [tau])[0][0]
         calls = _checked_slice_calls(cf, p.sigma0, tau, SPOT, 0.0, strikes,
-                                     QuadratureConfig())
+                                     QuadratureConfig(), u_max)
         for strike, got in zip(strikes, calls):
             worst = max(worst, abs(got - bs_price(SPOT, strike, tau, 0.0, p.sigma0)))
     ok, line = _verdict(1, "black-scholes reduction", worst <= 1e-4,
@@ -368,10 +370,12 @@ def test_martingale_and_parity():
         m = get_model(mid)
         theta = m.unpack(m.default_start(BENCH_TENORS), tenors=BENCH_TENORS)
         sig0 = m.spot_vol(theta)
-        for tg in (BENCH_TENORS[0], 2 / 365):
+        tenors = (BENCH_TENORS[0], 2 / 365)
+        u_max = _surface_u_max(lambda u, t: m.cf_standardized(u, t, theta), sig0, tenors)[0]
+        for tg, top in zip(tenors, u_max):
             strikes = np.linspace(97.0, 103.0, 25)
             cf = lambda u, _t=tg: m.cf_standardized(u, _t, theta)
-            calls = _checked_slice_calls(cf, sig0, tg, SPOT, rate, strikes, quad)
+            calls = _checked_slice_calls(cf, sig0, tg, SPOT, rate, strikes, quad, top)
             disc_k = strikes * math.exp(-rate * tg)
             puts = _put_from_call(calls, SPOT, disc_k)
             parity_worst = max(parity_worst,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    adaptive_u_max,
     barycentric_per_point,
     benchmark_cf_direct,
     cf_standardized_direct,
@@ -25,7 +26,7 @@ from ustvol.benchmarks import (
 )
 from ustvol.cf_edgeworth import Displacement
 from ustvol.diagnostics import BENCH_TENORS
-from ustvol.fourier_pricer import _PROBES, QuadratureConfig, _adaptive_u_max, _slice_calls
+from ustvol.fourier_pricer import _PROBES, QuadratureConfig, _slice_calls, _surface_u_max
 from ustvol.registry import get_model
 
 TAU = 2.0 / 365.0
@@ -455,7 +456,48 @@ def test_u_max_probe_truncates_rough_divergence_at_last_healthy_probe():
             first_bad = k
             break
     assert first_bad is not None and first_bad >= 8
-    assert _adaptive_u_max(cf, shift) == _PROBES[8 * (first_bad // 8) - 1]
+    # the 1-year tenor probed alone and in a surface with a 1-day one (sigma0
+    # 0.5 puts it on the shifted line Im u = -0.5): the round that diverges
+    # is re-run tenor by tenor
+    for taus in ([1.0], [1 / 365, 1.0]):
+        u_max, truncated = _surface_u_max(lambda w, t: rough_heston_cf(w, t, p), 0.5, taus)
+        assert u_max[-1] == _PROBES[8 * (first_bad // 8) - 1] and truncated[-1]
+
+
+def _probe_chunks(theta, chunks):
+    """Raw frequencies of the u_max probe chunks of every BENCH_TENORS
+    tenor, and each frequency's tenor."""
+    st = [math.sqrt(theta.spot_variance * t) for t in BENCH_TENORS]
+    w = [(_PROBES[:8 * chunks] - 1j * s) / s for s in st]
+    return np.concatenate(w), np.repeat(BENCH_TENORS, 8 * chunks)
+
+
+@pytest.mark.parametrize("model_id", ["heston_merton_1f", "heston_merton_2f"])
+def test_scaled_time_affine_solve_matches_per_tau_solves(model_id, monkeypatch):
+    # the first two probe chunks of all six tenors in one shared-step solve in
+    # s/tau, within 1e-11 relative of each tenor's own solve of its exponent
+    _, theta = _at_start(model_id)
+    ends = []
+
+    def spy(f, y0, t0, t1, *args, _real=benchmarks._dop853, **kwargs):
+        ends.append((t0, t1))
+        return _real(f, y0, t0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "_dop853", spy)
+    w, taus = _probe_chunks(theta, 2)
+    got = benchmarks._heston_merton_exponent(w, taus, theta)
+    assert ends == [(0.0, 1.0)]  # one solve over the scaled time
+    want = np.concatenate([benchmarks._heston_merton_exponent(w[taus == t], t, theta)
+                           for t in BENCH_TENORS])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+
+def test_rough_cf_with_one_tau_per_frequency_equals_per_tau_calls():
+    # one Adams solve with one step per column, each tenor's omega on its columns
+    _, theta = _at_start("rough_heston_merton_pp")
+    w, taus = _probe_chunks(theta, 1)
+    want = np.concatenate([rough_heston_cf(w[taus == t], t, theta) for t in BENCH_TENORS])
+    assert np.array_equal(rough_heston_cf(w, taus, theta), want)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +532,14 @@ def test_line_interpolant_matches_direct_solve(model_id, tau, n, solved):
     strikes = spot * np.exp(np.linspace(-15.0, 5.0, 41) * sigma0 * math.sqrt(tau))
     quad = QuadratureConfig(node_count=n)
     grids, direct = [], []
+    u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0, [tau])[0][0]
     calls = _slice_calls(_recording(lambda u: model.cf_standardized(u, tau, theta), grids),
-                         sigma0, tau, spot, 0.0, strikes, quad)[0]
+                         sigma0, tau, spot, 0.0, strikes, quad, u_max)[0]
     # the two legs' lines (the normalizer on the shifted one) took at most
     # 257 solved frequencies each
     assert sum(size for size in solved if size > 8) <= 2 * 257
     want = _slice_calls(_recording(lambda u: cf_standardized_direct(u, tau, theta), direct),
-                        sigma0, tau, spot, 0.0, strikes, quad)[0]
+                        sigma0, tau, spot, 0.0, strikes, quad, u_max)[0]
     assert len(grids) == len(direct) == 1  # one call: the normalizer and both legs
     for got, ref in zip(grids, direct):
         assert np.max(np.abs(got - ref)) <= 1e-14
@@ -524,7 +567,7 @@ def _pricer_line(theta, tau: float):
     """Raw frequencies of the pricer's plain leg at 2000 nodes."""
     st = math.sqrt(theta.spot_variance * tau)
     cf = lambda u: benchmark_cf_direct(u / st, tau, theta)  # noqa: E731
-    step = _adaptive_u_max(cf, -1j * st) / 2000
+    step = adaptive_u_max(cf, -1j * st) / 2000
     return step * (np.arange(2000) + 0.5) / st
 
 
@@ -576,6 +619,7 @@ def test_two_lines_and_scattered_points_take_one_solve_per_order_round(model_id,
 @pytest.mark.parametrize("tau", [BENCH_TENORS[0], BENCH_TENORS[-1]], ids=["5.5h", "7d"])
 @pytest.mark.parametrize("model_id", _ODE_MODELS)
 def test_slice_makes_its_probe_calls_then_one_call_of_both_legs(model_id, tau, solved):
+    # a one-tenor surface: its probe pass, then its slice
     model, theta = _at_start(model_id)
     sizes = []
 
@@ -585,7 +629,8 @@ def test_slice_makes_its_probe_calls_then_one_call_of_both_legs(model_id, tau, s
 
     sigma0, n = model.spot_vol(theta), 2000
     strikes = 100.0 * np.exp(np.linspace(-3.0, 3.0, 7) * sigma0 * math.sqrt(tau))
-    _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=n))
+    u_max = _surface_u_max(lambda u, _t: cf(u), sigma0, [tau])[0][0]
+    _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=n), u_max)
     assert len(sizes) >= 2 and sizes == [8] * (len(sizes) - 1) + [2 * n + 1]
     # the normalizer is an end node of the shifted leg's line, so the call's
     # first solve is both lines' first nodes and nothing else
@@ -617,7 +662,8 @@ def test_affine_slice_takes_few_riccati_evaluations(tau, evals_5_4, grid_solves,
     monkeypatch.setattr(benchmarks, "_dop853", spy)
     sigma0 = model.spot_vol(theta)
     strikes = 100.0 * np.exp(np.linspace(-3.0, 3.0, 7) * sigma0 * math.sqrt(tau))
-    _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=2000))
+    u_max = _surface_u_max(lambda u, _t: cf(u), sigma0, [tau])[0][0]
+    _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=2000), u_max)
     assert evals[0] <= 0.6 * evals_5_4
     assert len(grid_start) == 1 and len(solved) - grid_start[0] <= grid_solves
 
@@ -643,12 +689,15 @@ def test_affine_state_has_one_b_row_per_factor(model_id, monkeypatch):
     for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
         strikes = spot * np.exp(np.linspace(-8.0, 5.0, 27) * sigma0 * math.sqrt(tau))
         shapes.clear()
+        u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0, [tau])[0][0]
         calls = _slice_calls(lambda u: model.cf_standardized(u, tau, theta),
-                             sigma0, tau, spot, 0.03, strikes, quad)[0]
+                             sigma0, tau, spot, 0.03, strikes, quad, u_max)[0]
         assert shapes and set(shapes) == {rows}
         if rows == 2:
             shapes.clear()
+            u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, twin),
+                                   sigma0, [tau])[0][0]
             want = _slice_calls(lambda u: model.cf_standardized(u, tau, twin),
-                                sigma0, tau, spot, 0.03, strikes, quad)[0]
+                                sigma0, tau, spot, 0.03, strikes, quad, u_max)[0]
             assert shapes and set(shapes) == {2}
             assert np.max(np.abs(calls - want)) <= 1e-9 * spot

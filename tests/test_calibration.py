@@ -45,8 +45,9 @@ def _bspp_quotes(sigma0, disp, tenors, strikes, spot=100.0, half_spread=0.002):
 
 
 def _fit_report(surf, model_id, vec):
-    """(RMSE, bucket RMSEs, bid/ask hit share, IV clamps) at the flat vector
-    ``vec``, from the report pass that ``calibrate`` makes."""
+    """(RMSE, bucket RMSEs, bid/ask hit share, IV clamps, u_max truncations)
+    at the flat vector ``vec``, from the report pass that ``calibrate``
+    makes."""
     model = calibration.get_model(model_id)
     theta = model.unpack(vec, surf.tenors)
     return calibration._report(calibration._market_view(surf, 0.0), model, theta,
@@ -162,7 +163,7 @@ def test_calibrate_reeval_identity_trace_and_determinism():
     assert a.trace == b.trace
     # re-evaluation identity: the stored report is the one at the params
     assert a.rmse == rmse(surf, "bs_pp", a.params, quad=QUAD)
-    assert ((a.rmse, a.bucket_rmse, a.bid_ask_fraction, a.iv_clamps)
+    assert ((a.rmse, a.bucket_rmse, a.bid_ask_fraction, a.iv_clamps, a.u_max_truncations)
             == _fit_report(surf, "bs_pp", a.params))
     # monotone improvement trace
     assert all(x >= y for x, y in zip(a.trace, a.trace[1:]))
@@ -249,12 +250,12 @@ def test_model_iv_clamps_to_bracket_edges():
     # -1e-4*S0 error band, while the ATM call (P ~ 1/2) barely moves
     leaky = dataclasses.replace(model, _cf=lambda u, t, th: (1.0 - 1e-6) * model._cf(u, t, th))
     theta = model.unpack((0.2,), (tau,))
-    prices, ivs, clamped = calibration._model_quotes(view, leaky, theta, 100.0, 0.0, QUAD)
+    prices, ivs, clamped, _ = calibration._model_quotes(view, leaky, theta, 100.0, 0.0, QUAD)
     assert prices[1] == 0.0 and ivs[1] == low
     assert abs(ivs[0] - 0.2) < 1e-4
     assert list(clamped) == [False, True]
-    _, ivs, clamped = calibration._model_quotes(view, model, model.unpack((60.0,), (tau,)),
-                                                100.0, 0.0, QUAD)
+    _, ivs, clamped, _ = calibration._model_quotes(view, model, model.unpack((60.0,), (tau,)),
+                                                   100.0, 0.0, QUAD)
     assert list(ivs) == [high, high] and clamped.all()
 
     assert math.isfinite(rmse(surf, leaky, (0.2,), quad=QUAD))
@@ -267,6 +268,17 @@ def test_iv_clamps_counted_in_the_fit_report():
     assert res.rmse < 1e-3 and res.iv_clamps == 0
     # vol 60 prices every quote above its vol-10 Black-Scholes value
     assert _fit_report(surf, "bs_pp", (60.0, 0.0, 0.0))[3] == sum(len(s.quotes) for s in surf.slices)
+
+
+def test_u_max_truncations_counted_in_the_fit_report():
+    # an edgeworth_pp fit's CF decays on every tenor; rough_heston_pp at its
+    # start diverges in its second probe chunk on the 2 d and 3 d tenors,
+    # whose u_max is then the first chunk's end
+    surf = _flat_surface()
+    res = calibrate(surf, "edgeworth_pp", quad=QUAD, budget=30, restarts=0)
+    assert res.u_max_truncations == 0
+    start = calibration.get_model("rough_heston_pp").default_start(surf.tenors)
+    assert _fit_report(surf, "rough_heston_pp", start)[4] == 2
 
 
 RATE = 0.03
@@ -298,7 +310,8 @@ def test_flat_pass_prices_and_ivs_are_bitwise_the_per_slice_path():
     for model_id, vec in cases:
         model = calibration.get_model(model_id)
         theta = model.unpack(vec, surf.tenors)
-        prices, ivs, clamped = calibration._model_quotes(view, model, theta, surf.spot, RATE, QUAD)
+        prices, ivs, clamped, _ = calibration._model_quotes(view, model, theta, surf.spot, RATE,
+                                                            QUAD)
         per_tenor = []
         for sl, start in zip(surf.slices, view.starts.tolist()):
             part = slice(start, start + len(sl.quotes))

@@ -16,7 +16,7 @@ from ustvol.cf_edgeworth import (
     psi_jump,
 )
 from ustvol.diagnostics import BENCH_TENORS
-from ustvol.fourier_pricer import _adaptive_u_max
+from ustvol.fourier_pricer import _surface_u_max
 from ustvol.mc_oracle import SimConfig, empirical_cf, simulate_edgeworth_submodel
 
 # Frozen from tests/oracles.py (independent 50-digit polynomial evaluation):
@@ -351,9 +351,9 @@ def test_full_is_the_product_of_its_factors_on_the_pricer_lines():
                         alpha_prime0=0.1, lambda0=30.0, mu_J=-0.01, sigma_J=0.02)
     d = Displacement(tenors=BENCH_TENORS, shifts=(0.01, 0.02, -0.005, 0.005, 0.0))
     n = 2048
-    for tau in BENCH_TENORS:
+    u_maxes = _surface_u_max(lambda u, t: psi_full(u, t, p, d), p.sigma0, BENCH_TENORS)[0]
+    for tau, u_max in zip(BENCH_TENORS, u_maxes):
         shift = -1j * p.sigma0 * math.sqrt(tau)
-        u_max = _adaptive_u_max(lambda u: psi_full(u, tau, p, d), shift)
         u = u_max / n * (np.arange(n) + 0.5)
         for line in (u, np.concatenate([[shift], u + shift])):
             want = psi_c_piecewise(line, tau, p, d) * psi_jump(line, tau, p)

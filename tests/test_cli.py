@@ -168,6 +168,7 @@ def test_calibrate_json_and_report_grid(tmp_path):
     assert trace and all(a >= b for a, b in zip(trace, trace[1:]))
     assert 0.0 <= res["bid_ask_fraction"] <= 1.0
     assert res["iv_clamps"] == 0
+    assert res["u_max_truncations"] == 0
 
     header, rows = _read_csv(rep, manifest_name=out.name + ".manifest.json")
     assert header == ["bucket"] + [f"tenor_{j}" for j in range(1, 4)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bs_price_highprec, slice_calls_direct
+from oracles import adaptive_u_max, bs_price_highprec, slice_calls_direct
 from test_acceptance import CAL_SHIFTS, CAL_TRUTH
 from ustvol import fourier_pricer
 from ustvol.bspp_bootstrap import bspp_atm_vol
@@ -17,16 +17,17 @@ from ustvol.fourier_pricer import (
     CFNormalizationError,
     NegativePriceError,
     QuadratureConfig,
-    _adaptive_u_max,
+    _PROBES,
     _checked_slice_calls,
     _implied_vols,
     _put_from_call,
     _slice_calls,
+    _surface_u_max,
     bs_price,
     implied_vol,
     price_surface,
 )
-from ustvol.registry import get_model
+from ustvol.registry import get_model, model_ids
 
 # Frozen from tests/oracles.py bs_price_highprec (50-digit closed form):
 BS_ATM_CALL_1_12 = 2.30297446780243      # S=K=100, r=0, tau=1/12, sigma=0.2
@@ -42,11 +43,17 @@ def _bs_cf(tau):
     return lambda u: psi_c_no_shift(u, tau, BS_PARAMS)
 
 
+def _u_max(cf, tau, sigma0=0.2):
+    """The surface probe's u_max of the one tenor of a one-tau ``cf``."""
+    return _surface_u_max(lambda u, _t: cf(u), sigma0, [tau])[0][0]
+
+
 def _calls(strikes, cf=None, rate=0.0, quad=None):
-    """Calls of one TAU slice (spot 100, sigma0 0.2) through the kernel that
-    ``price_surface`` runs."""
-    return _checked_slice_calls(cf or _bs_cf(TAU), 0.2, TAU, 100.0, rate,
-                                np.asarray(strikes, dtype=float), quad or QuadratureConfig())
+    """Calls of one TAU slice (spot 100, sigma0 0.2) through the probe and
+    the kernel that ``price_surface`` runs."""
+    cf = cf or _bs_cf(TAU)
+    return _checked_slice_calls(cf, 0.2, TAU, 100.0, rate, np.asarray(strikes, dtype=float),
+                                quad or QuadratureConfig(), _u_max(cf, TAU))
 
 
 def _puts(strikes, rate=0.0):
@@ -76,15 +83,16 @@ def test_slice_calls_match_direct_trapezoid():
             def cf(u):
                 return model.cf_standardized(u, tau, theta)
             strikes = spot * np.exp(np.linspace(-15.0, 5.0, 41) * sigma0 * math.sqrt(tau))
-            calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad)
-            direct = slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad)
+            u_max = _u_max(cf, tau, sigma0)
+            calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad, u_max)
+            direct = slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad, u_max)
             assert not negative
             assert np.max(np.abs(calls - direct)) <= 1e-13 * spot, (n, tau)
             # a strike's call does not depend on the slice it is priced in
-            rev = _slice_calls(cf, sigma0, tau, spot, rate, strikes[::-1], quad)[0]
+            rev = _slice_calls(cf, sigma0, tau, spot, rate, strikes[::-1], quad, u_max)[0]
             assert np.array_equal(rev[::-1], calls)
             for sub in ([3, 30], [3], [30]):
-                part = _slice_calls(cf, sigma0, tau, spot, rate, strikes[sub], quad)[0]
+                part = _slice_calls(cf, sigma0, tau, spot, rate, strikes[sub], quad, u_max)[0]
                 assert np.array_equal(part, calls[sub])
 
 
@@ -140,18 +148,104 @@ def test_cf_normalization_error():
 
 
 def test_u_max_probe_truncates_only_numerical_failures():
-    # a CF solver failing far out truncates the probe scan; a TypeError is a
-    # bug and must propagate
+    # a CF solver failing far out truncates the probe scan of every tenor of
+    # the surface, flagged as truncated; a TypeError is a bug and must
+    # propagate
     def non_decaying_cf(exc):
-        def cf(u):
+        def cf(u, tau):
             if np.max(np.abs(u)) > 50.0:
                 raise exc("far-out failure")
             return np.ones_like(u)
         return cf
 
-    assert 5.0 <= _adaptive_u_max(non_decaying_cf(RuntimeError), 0j) <= 50.0
-    with pytest.raises(TypeError):
-        _adaptive_u_max(non_decaying_cf(TypeError), 0j)
+    for taus in ([TAU], BENCH_TENORS):
+        u_max, truncated = _surface_u_max(non_decaying_cf(RuntimeError), 0.2, taus)
+        assert all(5.0 <= top <= 50.0 for top in u_max) and all(truncated)
+        with pytest.raises(TypeError):
+            _surface_u_max(non_decaying_cf(TypeError), 0.2, taus)
+
+
+def _at_start(model_id):
+    model = get_model(model_id)
+    return model, model.unpack(model.default_start(BENCH_TENORS), BENCH_TENORS)
+
+
+def _probe_cases():
+    for model_id in model_ids():
+        yield pytest.param(*_at_start(model_id), id=model_id)
+    yield pytest.param(get_model("edgeworth_pp"),
+                       (CAL_TRUTH, Displacement(tenors=BENCH_TENORS, shifts=CAL_SHIFTS)),
+                       id="edgeworth_pp-gate8-truth")
+
+
+@pytest.mark.parametrize(("model", "theta"), _probe_cases())
+def test_surface_probe_gives_each_tenor_its_single_tenor_u_max(model, theta):
+    # one probe pass over the six tenors, one tau per frequency, against each
+    # tenor's own scan of its one-tau CF
+    sigma0 = model.spot_vol(theta)
+    u_max, _ = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0,
+                              BENCH_TENORS)
+    want = [adaptive_u_max(lambda u, t=t: model.cf_standardized(u, t, theta),
+                           -1j * sigma0 * math.sqrt(t)) for t in BENCH_TENORS]
+    assert u_max == want
+
+
+def test_surface_probe_flags_truncations_not_decay_points():
+    # rough_heston_pp diverges in the second probe chunk on the tenors of
+    # 2 d and more, which then stop at the first chunk's end, u = 14.66;
+    # heston_merton_2f decays on every tenor
+    model, theta = _at_start("rough_heston_pp")
+    u_max, truncated = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta),
+                                      model.spot_vol(theta), BENCH_TENORS)
+    assert truncated == [False, False, True, True, True, True]
+    assert u_max[2:] == [_PROBES[7]] * 4 and round(_PROBES[7], 2) == 14.66
+    model, theta = _at_start("heston_merton_2f")
+    assert not any(_surface_u_max(lambda u, t: model.cf_standardized(u, t, theta),
+                                  model.spot_vol(theta), BENCH_TENORS)[1])
+
+
+@pytest.mark.parametrize("model_id", model_ids())
+def test_surface_makes_one_probe_call_per_round(model_id):
+    # a 6-tenor price_surface: each probe round is one CF call holding the
+    # chunk of every tenor still scanning; only a round that raised is re-run,
+    # once per tenor, each with its scalar tau.  The rough models raise in
+    # their second round (four tenors diverge there); every other model's
+    # tenors decay in the first.  A CF whose one-tau-per-frequency path
+    # raised by mistake would show here as a re-run round
+    rounds, calls = (2, 2 + 6) if model_id.startswith("rough") else (1, 1)
+    spec, theta = _at_start(model_id)
+    probes = []  # [round, distinct tenors, scalar tau, raised] per probe call
+
+    class Spy:
+        def spot_vol(self, th):
+            return spec.spot_vol(th)
+
+        def cf_standardized(self, u, tau, th):
+            if np.size(u) > 8 * len(BENCH_TENORS):  # a slice's grid call
+                return spec.cf_standardized(u, tau, th)
+            lo = int(np.flatnonzero(_PROBES == np.real(u[0]))[0])
+            call = [lo // 8, tuple(np.unique(tau).tolist()), np.ndim(tau) == 0, False]
+            probes.append(call)
+            try:
+                return spec.cf_standardized(u, tau, th)
+            except (ValueError, ArithmeticError, RuntimeError):
+                call[3] = True
+                raise
+
+    sigma0 = spec.spot_vol(theta)
+    grid = [(100.0 * math.exp(z * sigma0 * math.sqrt(t)), t) for t in BENCH_TENORS
+            for z in (-2.0, 0.0, 2.0)]
+    rows = price_surface(grid, Spy(), theta, 100.0, 0.0, QuadratureConfig(node_count=256))
+    assert all(r["error"] is None for r in rows)
+    assert sorted({call[0] for call in probes}) == list(range(rounds)) and len(probes) == calls
+    scanning = tuple(BENCH_TENORS)
+    for k in range(rounds):
+        (tenors, scalar, raised), *rest = [call[1:] for call in probes if call[0] == k]
+        assert set(tenors) <= set(scanning) and (k or tenors == scanning)
+        assert scalar == (len(tenors) == 1)
+        retried = [((t,), True) for t in tenors] if raised and len(tenors) > 1 else []
+        assert [(t, one) for t, one, _ in rest] == retried
+        scanning = tenors
 
 
 def test_negative_price_error_on_misconfigured_quadrature():
@@ -196,9 +290,11 @@ def test_bspp_slice_calls_match_the_closed_form_across_the_window():
     for tau in (BENCH_TENORS[0], BENCH_TENORS[-1]):
         model, theta, vol, strikes, _ = _bspp_window(tau, np.linspace(-10.0, 5.0, 31))
         want = np.array([float(bs_price_highprec(spot, k, rate, tau, vol)) for k in strikes])
+        cf = lambda u: model.cf_standardized(u, tau, theta)  # noqa: E731
+        u_max = _u_max(cf, tau)
         for n in (256, 2000, 2048, 10_000):
-            calls = _checked_slice_calls(lambda u: model.cf_standardized(u, tau, theta), 0.2,
-                                         tau, spot, rate, strikes, QuadratureConfig(node_count=n))
+            calls = _checked_slice_calls(cf, 0.2, tau, spot, rate, strikes,
+                                         QuadratureConfig(node_count=n), u_max)
             assert np.max(np.abs(calls - want)) <= 1e-12 * spot, (tau, n)
 
 
@@ -510,7 +606,7 @@ def test_price_surface_18_contracts_full_model():
     for r in res:
         cf = lambda u, _t=r["tau"]: model.cf_standardized(u, _t, None)
         one = _checked_slice_calls(cf, 0.2, r["tau"], 100.0, 0.0, [r["strike"]],
-                                   QuadratureConfig())
+                                   QuadratureConfig(), _u_max(cf, r["tau"]))
         assert r["call"] == one[0]
 
 

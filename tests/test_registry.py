@@ -10,7 +10,13 @@ import pytest
 from ustvol.benchmarks import heston_merton_cf
 from ustvol.bspp_bootstrap import shift_weighted_variance
 from ustvol.cf_edgeworth import psi_full
-from ustvol.fourier_pricer import QuadratureConfig, _checked_slice_calls, bs_price, price_surface
+from ustvol.fourier_pricer import (
+    QuadratureConfig,
+    _checked_slice_calls,
+    _surface_u_max,
+    bs_price,
+    price_surface,
+)
 from ustvol.registry import MODELS, get_model, model_ids, standardized_from_raw
 
 TENORS = (5.5 / (24 * 365), 1 / 365, 2 / 365, 3 / 365, 5 / 365, 7 / 365)
@@ -145,6 +151,26 @@ def test_edgeworth_cf_delegates_to_psi_full():
     assert spec.spot_vol(theta) == 0.2
 
 
+@pytest.mark.parametrize("mid", ["edgeworth", "edgeworth_pp", "bs_pp", "rough_heston_pp",
+                                 "rough_heston_merton_pp", "heston_merton_2f_pp"])
+def test_cf_with_one_tau_per_frequency_equals_per_tau_calls(mid):
+    # psi_full, _bspp_cf, _rough_cf (rough_heston_cf) and the displaced
+    # affine solve: the first probe chunk of every tenor in one call, and
+    # both pricer lines (with the normalizer) of two tenors in one call
+    spec = get_model(mid)
+    theta = spec.unpack(spec.default_start(TENORS), TENORS)
+    st = [spec.spot_vol(theta) * math.sqrt(t) for t in TENORS]
+    probes = np.geomspace(5.0, 2000.0, 40)[:8]
+    nodes = 12.0 / 2000 * (np.arange(2000) + 0.5)
+    cases = [[probes - 1j * s for s in st],
+             [np.concatenate([[-1j * s], nodes - 1j * s, nodes]) for s in (st[0], st[-1])]]
+    for parts, taus in zip(cases, (TENORS, (TENORS[0], TENORS[-1]))):
+        want = np.concatenate([spec.cf_standardized(u, t, theta) for u, t in zip(parts, taus)])
+        got = spec.cf_standardized(np.concatenate(parts),
+                                   np.repeat(taus, [u.size for u in parts]), theta)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), mid
+
+
 def test_bspp_prices_exact_black_scholes():
     spec = get_model("bs_pp")
     x = np.array([0.2, 0.05, -0.03, 0.0, 0.02, 0.01])
@@ -154,7 +180,8 @@ def test_bspp_prices_exact_black_scholes():
     vol = 0.2 * math.sqrt(v / tau)
     cf = lambda u: spec.cf_standardized(u, tau, theta)
     strikes = (97.0, 100.0, 103.0)
-    calls = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, strikes, QuadratureConfig())
+    u_max = _surface_u_max(lambda u, t: spec.cf_standardized(u, t, theta), 0.2, [tau])[0][0]
+    calls = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, strikes, QuadratureConfig(), u_max)
     for strike, got in zip(strikes, calls):
         want = bs_price(100.0, strike, tau, 0.0, vol)
         assert abs(got - want) < 1e-6  # Fourier grid resolution
@@ -167,7 +194,8 @@ def test_hm_bridge_degenerate_bs():
     assert abs(spec.spot_vol(theta) - 0.2) < 1e-15
     tau = TENORS[2]
     cf = lambda u: spec.cf_standardized(u, tau, theta)
-    got = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, [100.0], QuadratureConfig())[0]
+    u_max = _surface_u_max(lambda u, t: spec.cf_standardized(u, t, theta), 0.2, [tau])[0][0]
+    got = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, [100.0], QuadratureConfig(), u_max)[0]
     want = bs_price(100.0, 100.0, tau, 0.0, 0.2)
     assert abs(got - want) < 2e-5
 
