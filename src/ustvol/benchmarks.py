@@ -22,7 +22,9 @@ rtol 1e-10 in a few large steps.  The Dormand-Prince stages live in one
 both error estimates are one product of a weight block with the stages'
 float view.  The right-hand side writes into its stage row, treats B1 and
 B2 as one stacked (2, m) pair (B2 only where it reaches the exponent), and
-takes every term that depends on u alone from arrays formed once per call.
+takes every term that depends on u alone from arrays formed once per call:
+each row of the state adds one stacked constant block and its loading on
+the jump transform, which is folded into the constants when m_v = 0.
 
 The pricer asks, in one call per tenor, for thousands of frequencies on each
 of two lines Im u = const, along which the exponent is analytic in Re u.
@@ -31,7 +33,10 @@ range, or at 257, 513, ... where the exponent needs them, and a barycentric
 interpolant carries the exponent to the caller's frequencies
 (``_exponent_on_line``).  The lines of a call share one solve per order
 round, with its short lines and scattered points solved directly in the
-same solve.
+same solve.  The pricer's two lines have the same real parts (its plain
+leg also carries u = 0), so they share their nodes, and the lines that
+converge in one round with the same real parts share one barycentric
+kernel, their values side by side.
 
 Both CFs also take one tenor per frequency, which the pricer's u_max probe
 uses to put a chunk of every tenor of a surface into one call; a line is
@@ -43,16 +48,22 @@ so it is solved in scaled time s/tau over [0, 1], each column's right-hand
 side times its tau, with one shared step and each tenor's explosion cap; a
 tenor's values then move by about 1e-12 relative with the other tenors of
 the solve, and a displaced system solves its tenors one after another.
-Grid calls stay one per tenor: the shared affine step would make a tenor's
-prices depend on the surface it is priced in, and a rough solve of the six
-tenors' first Chebyshev nodes at once (1554 columns, a 6 MB F history) took
-43 ms on a 2-core host, against 33 ms for the six solves one at a time.
+Grid calls stay one per tenor, because the shared affine step would make
+a tenor's prices depend on the surface it is priced in.  A rough solve of
+the six tenors' first Chebyshev nodes at once (1548 columns, a 6 MB F
+history) now takes 17 ms on a 2-core host, against 27 ms for the six
+solves one at a time, so a surface-wide rough grid call would pay off; it
+would need the pricer to make one grid call per surface.
 
-The Adams step is a weighted sum over the whole F history.  The weights are
-real, so they multiply the float view of the history: one real (2, n+1)
-matrix gives the predictor and corrector sums in one product.  The weights
-of all steps are built once per (alpha, n_steps) and cached read-only, and
-F is evaluated in place as P + psi (L + Q psi).
+The Adams step is a weighted sum over the F history, blocked in time as in
+Hairer, Lubich & Schlichte (1985): each block of 32 steps takes its sums
+over the rows before it from one matrix product with the history, so the
+history is read once per block rather than once per step, and each step
+adds only the rows written inside its block.  The weights are real, so
+they multiply the float view of the history, and a step's predictor and
+corrector sums come from one (2, rows) weight block.  The weights of all
+steps are built once per (alpha, n_steps) and cached read-only, and F is
+evaluated in place as P + psi (L + Q psi).
 """
 
 from __future__ import annotations
@@ -370,37 +381,40 @@ def _chebyshev_tail(vals) -> float:
 
 def _barycentric(x, nodes, vals):
     """Interpolant through ``vals`` at the second-kind Chebyshev ``nodes``,
-    at the real points ``x``, in blocks of ``_CHEB_BLOCK`` points.
+    at the real points ``x``, in blocks of ``_CHEB_BLOCK`` points.  ``vals``
+    is one value per node, or one column of values per line that shares the
+    nodes; the result has one value, or one column, per point.
 
     Three passes over each (block, order) kernel: the differences x - x_j,
-    their reciprocals in place, and one product with the columns w Re f,
-    w Im f and w, which gives both numerators and the denominator of the
-    second barycentric form.  A point on a node makes its denominator
-    infinite, and such a point takes the value of its nearest node, which
-    is that node's value exactly.
+    their reciprocals in place, and one product with the columns w Re f and
+    w Im f of every line and w, which gives every numerator and the shared
+    denominator of the second barycentric form.  A point on a node makes
+    its denominator infinite, and such a point takes the values of its
+    nearest node, which are that node's values exactly.
     """
     # barycentric weights of second-kind points: (-1)^j, halved at the ends
     weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    # columns w Re f, w Im f and w: one product gives both numerators and
-    # the denominator
-    cols = np.empty((nodes.size, 3))
-    cols[:, :2] = weights[:, None] * vals.view(np.float64).reshape(nodes.size, 2)
-    cols[:, 2] = weights
-    out = np.empty(x.size, dtype=np.complex128)
+    table = vals.reshape(nodes.size, -1)
+    # columns w Re f and w Im f of each line, then w: one product gives
+    # every numerator and the denominator
+    cols = np.empty((nodes.size, 2 * table.shape[1] + 1))
+    cols[:, :-1] = weights[:, None] * table.view(np.float64)
+    cols[:, -1] = weights
+    out = np.empty((x.size, table.shape[1]), dtype=np.complex128)
+    out_flat = out.view(np.float64)
     for start in range(0, x.size, _CHEB_BLOCK):
         blk = slice(start, start + _CHEB_BLOCK)
         kernel = np.subtract.outer(x[blk], nodes)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.reciprocal(kernel, out=kernel)
             sums = kernel @ cols
-            np.divide(sums[:, 0], sums[:, 2], out=out.real[blk])
-            np.divide(sums[:, 1], sums[:, 2], out=out.imag[blk])
-        on_node = np.flatnonzero(~np.isfinite(sums[:, 2]))
+            np.divide(sums[:, :-1], sums[:, -1:], out=out_flat[blk])
+        on_node = np.flatnonzero(~np.isfinite(sums[:, -1]))
         if on_node.size:
             near = np.argmin(np.abs(np.subtract.outer(x[blk][on_node], nodes)), axis=1)
-            out[blk][on_node] = vals[near]
-    return out
+            out[blk][on_node] = table[near]
+    return out.reshape(x.shape + vals.shape[1:])
 
 
 def _chebyshev_nodes(lo: float, hi: float, order: int):
@@ -434,7 +448,10 @@ def _exponent_on_line(solve, uu, tau):
     points and ``_CHEB_ORDER`` nodes of every long line; each later one
     doubles the order of the lines whose coefficient tail is still above
     ``_CHEB_TAIL_TOL``, solving only their new points, or solves a line at
-    its own points where the new order would reach its size.
+    its own points where the new order would reach its size.  The lines
+    that converge in a round share its order, so those with the same real
+    parts (the pricer's two legs) share their nodes, and one
+    :func:`_barycentric` kernel carries all of them, one value column each.
     """
     per_point = np.ndim(tau) != 0
     key = np.stack([uu.imag, tau]) if per_point else uu.imag
@@ -464,7 +481,7 @@ def _exponent_on_line(solve, uu, tau):
             vals = solve(points, tau)
         out[direct] = vals[: direct.size]
         pieces = np.split(vals[direct.size:], np.cumsum([x.size for x in new], dtype=int)[:-1])
-        order, still = 2 * order - 1, []
+        order, still, done = 2 * order - 1, [], []
         todo[:] = False
         for line, x, piece, old in zip(lines, nodes, pieces, known):
             if old is not None:
@@ -472,11 +489,21 @@ def _exponent_on_line(solve, uu, tau):
                 merged[::2], merged[1::2] = old, piece
                 piece = merged
             if _chebyshev_tail(piece) <= _CHEB_TAIL_TOL:
-                out[line[0]] = _barycentric(uu.real[line[0]], x, piece)
+                done.append((line[0], x, piece))
             elif order >= line[0].size:  # the new order would reach the line's size
                 todo[line[0]] = True
             else:
                 still.append((line, piece))
+        # the converged lines of a round share their order, so lines with
+        # equal real parts share their nodes and one barycentric kernel
+        while done:
+            idx, x, _ = done[0]
+            same = [np.array_equal(uu.real[d[0]], uu.real[idx]) for d in done]
+            group = [d for d, s in zip(done, same) if s]
+            values = _barycentric(uu.real[idx], x, np.stack([d[2] for d in group], axis=1))
+            for k, d in enumerate(group):
+                out[d[0]] = values[:, k]
+            done = [d for d, s in zip(done, same) if not s]
         lines, known = [line for line, _ in still], [piece for _, piece in still]
     return out
 
@@ -562,9 +589,10 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
     quad = -0.5 * (uu * uu + 1j * uu)
     jump_num = np.exp(1j * uu * p.mu_x - 0.5 * uu * uu * p.sigma_x**2)
-    # u-only terms, folded once per call.  The B_i are one stacked
-    # (nf, m) row block: B' = b_const + (sq B + lin) B + c J with
-    # b_const = quad - iu kbar c_i - c_i, and A' = kt · B + a_const + a_jump J
+    # u-only terms, folded once per call.  The state is A over the stacked
+    # (nf, m) B_i rows: B' = (sq B + lin) B + b_const + c J with
+    # b_const = quad - iu kbar c_i - c_i, and A' = kt · B + a_const + a_jump J,
+    # so every row adds its constant and its jump loading times J
     nf = 2 if p.factor_count == 2 and (p.v2_0 != 0.0 or p.kappa2 * p.theta2 != 0.0) else 1
     iu = 1j * uu
     pole_base = 1.0 - p.m_v * p.rho_jump * iu
@@ -574,12 +602,13 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
     b_const = quad - iu * kbar * c - c
     kt = np.array([p.kappa1 * p.theta1, p.kappa2 * p.theta2][:nf])
     a_const0 = -iu * kbar * p.c0 - p.c0
+    # the right-hand side's work buffers
+    denom, abs_denom = np.empty(uu.size, dtype=np.complex128), np.empty(uu.size)
+    jump_terms = np.empty((1 + nf, uu.size), dtype=np.complex128)
 
     def transform(b1):
-        if p.m_v == 0.0:
-            return jump_num
-        denom = pole_base - p.m_v * b1
-        if np.min(np.abs(denom)) < _POLE_TOL:
+        np.add(pole_base, np.multiply(b1, -p.m_v, out=denom), out=denom)
+        if np.abs(denom, out=abs_denom).min() < _POLE_TOL:
             raise JumpTransformPoleError(
                 "variance-jump transform pole: |1 - m_v(iu rho_jump + B1)| "
                 f"< {_POLE_TOL:g}"
@@ -588,21 +617,23 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
 
     def make_rhs(phi_level: float):
         # the shifted variance loads like factor 1: quad - iu kbar c1 - c1 + c1 J
-        a_const = a_const0 + phi_level * b_const[0]
-        a_jump = p.c0 + phi_level * p.c1
+        const = np.empty((1 + nf, uu.size), dtype=np.complex128)
+        const[0] = a_const0 + phi_level * b_const[0]
+        const[1:] = b_const
+        load = np.concatenate([[[p.c0 + phi_level * p.c1]], c])  # each row's loading on J
+        if p.m_v == 0.0:  # J = jump_num does not depend on the state
+            const += load * jump_num
 
         def rhs(s, y, out):
             b = y[1:]
-            jump = transform(y[1])
             np.matmul(kt, b.view(np.float64), out=out[0].view(np.float64))
-            out[0] += a_const
-            out[0] += a_jump * jump
             out_b = out[1:]
             np.multiply(sq, b, out=out_b)
             out_b += lin
             out_b *= b
-            out_b += b_const
-            out_b += c * jump
+            out += const
+            if p.m_v != 0.0:
+                out += np.multiply(load, transform(y[1]), out=jump_terms)
         return rhs
 
     # a smoothly integrated B is bounded by the forcing scale |quad|*tau;
@@ -631,6 +662,11 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
 # ---------------------------------------------------------------------------
 # Rough Heston CF (fractional Adams predictor-corrector)
 # ---------------------------------------------------------------------------
+
+# Adams steps per history block: each block reads the history once, in one
+# product whose (2 B, rows) weight block keeps BLAS in its matrix kernels
+_ADAMS_BLOCK = 32
+
 
 @functools.lru_cache(maxsize=4)
 def _adams_weights(alpha: float, n_steps: int):
@@ -705,20 +741,25 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h, n_steps:
     ``RuntimeError`` with the first step at which psi turns non-finite at
     any frequency.
 
-    Each step is one product of the cached real weights
-    (:func:`_adams_weights`) with the float view of the history, and two
-    in-place evaluations of F = P + psi (L + Q psi): at the predictor, then
-    at the corrected psi, which goes straight into the next history row.
+    The history sums are blocked in time (Hairer, Lubich & Schlichte 1985):
+    at the start of each block of ``_ADAMS_BLOCK`` steps one product of the
+    block's cached real weight rows (:func:`_adams_weights`) with the float
+    view of the history rows known so far gives every step of the block its
+    predictor and corrector sums over them, so the history is read once per
+    block, not once per step.  Each step then adds the rows written inside
+    its block, and makes two in-place evaluations of F = P + psi (L + Q psi):
+    at the predictor, then at the corrected psi, which goes straight into
+    the next history row.  The block's psi rows are checked for finiteness
+    once at its end; the first non-finite row names the step.
     """
     weights = _adams_weights(alpha, n_steps)
     pred_scale, corr_scale = _per_tau(
         h, lambda x: (x**alpha / gamma(alpha + 1.0), x**alpha / gamma(alpha + 2.0)))
-    f_hist = np.empty((n_steps + 1, outer.shape[0]), dtype=np.complex128)
+    m = outer.shape[0]
+    f_hist = np.empty((n_steps + 1, m), dtype=np.complex128)
     f_hist[0] = outer  # psi(0) = 0
-    # real weights on the float view: one dgemm gives the predictor sum and
-    # the corrector history sum from one pass over the history
     f_flat = f_hist.view(np.float64)
-    psi_next = np.empty_like(outer)
+    psi_rows = np.empty((min(_ADAMS_BLOCK, n_steps), m), dtype=np.complex128)
 
     def f_of(psi, out):
         """F(u, psi) = P + psi (L + Q psi), written into ``out``."""
@@ -730,17 +771,28 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h, n_steps:
     # overflow in the intermediate arithmetic is caught by the finiteness
     # guard below and reported as divergence; silence the raw numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            sums = (weights[n, :, : n + 1] @ f_flat[: n + 1]).view(np.complex128)
-            sums[0] *= pred_scale  # the predictor psi
-            f_of(sums[0], psi_next)
-            psi_next += sums[1]
-            psi_next *= corr_scale
-            if not np.isfinite(psi_next).all():
+        for start in range(0, n_steps, _ADAMS_BLOCK):
+            stop = min(start + _ADAMS_BLOCK, n_steps)
+            # rows 0..start of every step's (predictor, corrector) weights,
+            # (steps, 2, start + 1) merged to one (2 steps, start + 1) matrix
+            block = weights[start:stop, :, : start + 1].reshape(-1, start + 1)
+            sums = (block @ f_flat[: start + 1]).view(np.complex128).reshape(stop - start, 2, m)
+            for n in range(start, stop):
+                step_sums, psi = sums[n - start], psi_rows[n - start]
+                if n > start:  # the rows written inside the block
+                    step_sums += (weights[n, :, start + 1: n + 1]
+                                  @ f_flat[start + 1: n + 1]).view(np.complex128)
+                step_sums[0] *= pred_scale  # the predictor psi
+                f_of(step_sums[0], psi)
+                psi += step_sums[1]
+                psi *= corr_scale
+                f_of(psi, f_hist[n + 1])
+            finite = np.isfinite(psi_rows[: stop - start]).all(axis=1)
+            if not finite.all():
                 raise RuntimeError(
-                    f"fractional Riccati solver diverged at step {n + 1}/{n_steps}"
+                    f"fractional Riccati solver diverged at step "
+                    f"{start + int(np.argmin(finite)) + 1}/{n_steps}"
                 )
-            f_of(psi_next, f_hist[n + 1])
     return f_hist
 
 

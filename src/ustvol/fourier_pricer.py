@@ -18,10 +18,10 @@ whole line, geometrically convergent (Trefethen & Weideman, SIAM Rev. 2014).
 Every caller first runs one u_max probe pass over its surface's tenors,
 each round one CF call with one τ per frequency, then prices each tenor
 slice through one kernel: one CF call holds the normalizer point −iσ₀√τ
-and both legs' grids, which a solver-backed CF solves together; the
-uniform nodes then factor each
-strike's phase sum over a coarse × fine grid, for about 2√n complex
-exponentials instead of n (the fractional FFT's algebra, Bailey &
+and both legs' grids on two lines with the same real parts, which a
+solver-backed CF solves and interpolates together; the uniform nodes then
+factor each strike's phase sum over a coarse × fine grid, for about 2√n
+complex exponentials instead of n (the fractional FFT's algebra, Bailey &
 Swarztrauber 1991, without an FFT, so strikes stay arbitrary).
 Implied vols of a slice, or of a whole surface with one tenor per quote,
 take one array solve of fixed length: each quote's normalized
@@ -181,7 +181,11 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     """Calls of one tenor slice on [0, ``u_max``], which the caller's
     surface probe gives (:func:`_surface_u_max`): one CF call for the
     normalizer and both legs' grids, then the midpoint sum as one phase sum
-    per leg.
+    per leg.  The call's 2n + 2 frequencies are the normalizer −iσ₀√τ, the
+    shifted grid, u = 0 and the plain grid: each leg's line then spans the
+    same real parts [0, u_{n−1}], so a solver-backed CF interpolates both
+    legs from the same Chebyshev nodes through one kernel
+    (``benchmarks._exponent_on_line``).
 
     The n nodes u_k = (k + ½)Δu are uniform, so with F = ⌈√n⌉, A = ⌈n/F⌉ and
     k = aF + b the phase factors exactly, e^{iu_k d₂} = e^{iu_{aF} d₂}·e^{ibΔu d₂}.
@@ -202,9 +206,11 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     n = quad.node_count
     step = u_max / n
     u = step * (np.arange(n) + 0.5)
-    # one call: the normalizer Ψ(−iσ₀√τ) sits on the shifted leg's line, at Re u = 0
-    psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
-    psi_norm, psi_shift, psi_plain = complex(psi[0]), psi[1:n + 1], psi[n + 1:]
+    # one call: the normalizer Ψ(−iσ₀√τ) sits on the shifted leg's line, at
+    # Re u = 0, and the plain leg carries u = 0 (Ψ = 1, unused), so both
+    # lines have the same real parts
+    psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, [0.0], u])))
+    psi_norm, psi_shift, psi_plain = complex(psi[0]), psi[1:n + 1], psi[n + 2:]
     if abs(psi_norm) < _DECAY_THRESHOLD:
         raise CFNormalizationError(
             f"|Psi(-i*sigma0*sqrt(tau))| = {abs(psi_norm):.3e} "

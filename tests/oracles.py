@@ -582,8 +582,8 @@ def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureCon
     n = quad.node_count
     step = u_max / n
     u = step * (np.arange(n) + 0.5)
-    psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, u])))
-    psi_norm, psi_shift, psi_plain = psi[0], psi[1:u.size + 1], psi[u.size + 1:]
+    psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, [0.0], u])))
+    psi_norm, psi_shift, psi_plain = psi[0], psi[1:u.size + 1], psi[u.size + 2:]
 
     drift = (rate - 0.5 * sigma0**2) * tau
     d2 = np.array([(math.log(spot) - math.log(k) + drift) / st for k in strikes])

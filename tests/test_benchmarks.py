@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oracles import (
+    _fractional_adams as fractional_adams_per_step,
     adaptive_u_max,
     barycentric_per_point,
     benchmark_cf_direct,
@@ -324,6 +326,25 @@ def test_rough_merton_factor():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("n_steps", [8, 31, 32, 33, 100, 256])
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+def test_blocked_adams_matches_per_step_oracle(n_steps, hurst):
+    # the history summed in blocks of _ADAMS_BLOCK steps against per-step
+    # sums, with one step for every column and with one step per column
+    u = np.concatenate([np.linspace(-30.0, 30.0, 41) - 0.5j, np.linspace(0.5, 20.0, 20)])
+    nu, rho = 0.4, -0.65
+    outer, linear, quad_coef = -0.5 * (u * u + 1j * u), 1j * u * rho * nu, 0.5 * nu * nu
+    per_column = np.where(np.arange(u.size) % 3, 7 / 365, 1 / 365)
+    for tau in (7 / 365, per_column):
+        got = benchmarks._fractional_adams(outer, linear, quad_coef, hurst + 0.5,
+                                           tau / n_steps, n_steps)
+        for t, cols in benchmarks._tenor_columns(np.broadcast_to(tau, u.shape)):
+            want = fractional_adams_per_step(outer[cols], linear[cols],
+                                             np.full(cols.size, quad_coef), hurst + 0.5, t,
+                                             n_steps)
+            assert np.all(np.abs(got[:, cols] - want) <= 1e-13 * np.abs(want))
+
+
 def test_adams_weights_are_cached_read_only_and_bounded():
     benchmarks._adams_weights.cache_clear()
     cached = benchmarks._adams_weights(0.6, 64)
@@ -416,16 +437,18 @@ def _divergence_message(fn, *args):
 
 
 # nu = 1, tau = 1: the explicit scheme diverges from the 16th pricer probe
-# frequency on, at an earlier step the higher the frequency
+# frequency on, at an earlier step the higher the frequency; just below it,
+# _LATE diverges at step 68, inside the third history block
 _DIVERGING = RoughHestonParams(hurst=0.1, nu=1.0, rho=-0.7, xi_tenors=(0.5,), xi_levels=(0.04,))
-_SLOW, _FAST = _PROBES[15] - 0.5j, _PROBES[39] - 0.5j
+_SLOW, _FAST, _LATE = _PROBES[15] - 0.5j, _PROBES[39] - 0.5j, 47.5 - 0.5j
 
 
 def _reports_first_diverging_step(solved, off_line):
     healthy = np.linspace(0.5, 20.0, 1146) - 0.5j
     for u in (np.array([_SLOW]), np.append(healthy, _SLOW),
               np.concatenate([[_SLOW], healthy, [_FAST]]),
-              np.concatenate([[_FAST], healthy, [_SLOW]])):
+              np.concatenate([[_FAST], healthy, [_SLOW]]),
+              np.array([_LATE]), np.append(healthy, _LATE)):
         u = _placed(u, off_line)
         solved.clear()
         got = _divergence_message(rough_heston_cf, u, 1.0, _DIVERGING)
@@ -438,6 +461,11 @@ def test_rough_divergence_reports_the_first_diverging_step(solved):
     _reports_first_diverging_step(solved, off_line=False)
     assert _divergence_message(rough_heston_cf, _SLOW, 1.0, _DIVERGING) != _divergence_message(
         rough_heston_cf, _FAST, 1.0, _DIVERGING)
+    # the finiteness check runs once per history block and still names the
+    # step: _LATE's lies inside a later block, not on its first row
+    late = int(re.search(r"step (\d+)/", _divergence_message(
+        rough_heston_cf, _LATE, 1.0, _DIVERGING)).group(1))
+    assert late > benchmarks._ADAMS_BLOCK and late % benchmarks._ADAMS_BLOCK != 1
 
 
 def test_rough_off_line_divergence_reports_the_first_diverging_step(solved):
@@ -526,18 +554,26 @@ def _recording(cf, grids: list):
 @pytest.mark.parametrize("n", [2000, 10_000])
 @pytest.mark.parametrize("tau", [BENCH_TENORS[0], BENCH_TENORS[-1]], ids=["5.5h", "7d"])
 @pytest.mark.parametrize("model_id", _ODE_MODELS)
-def test_line_interpolant_matches_direct_solve(model_id, tau, n, solved):
+def test_line_interpolant_matches_direct_solve(model_id, tau, n, solved, monkeypatch):
     model, theta = _at_start(model_id)
     spot, sigma0 = 100.0, model.spot_vol(theta)
     strikes = spot * np.exp(np.linspace(-15.0, 5.0, 41) * sigma0 * math.sqrt(tau))
     quad = QuadratureConfig(node_count=n)
-    grids, direct = [], []
+    grids, direct, kernels = [], [], []
     u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0, [tau])[0][0]
+
+    def spy(x, nodes, vals, _real=benchmarks._barycentric):
+        kernels.append(vals.shape)
+        return _real(x, nodes, vals)
+
+    monkeypatch.setattr(benchmarks, "_barycentric", spy)
     calls = _slice_calls(_recording(lambda u: model.cf_standardized(u, tau, theta), grids),
                          sigma0, tau, spot, 0.0, strikes, quad, u_max)[0]
     # the two legs' lines (the normalizer on the shifted one) took at most
-    # 257 solved frequencies each
+    # 257 solved frequencies each, and share their real parts, so the round
+    # in which both converge evaluates one kernel with both value columns
     assert sum(size for size in solved if size > 8) <= 2 * 257
+    assert [cols for _, cols in kernels] == [2]
     want = _slice_calls(_recording(lambda u: cf_standardized_direct(u, tau, theta), direct),
                         sigma0, tau, spot, 0.0, strikes, quad, u_max)[0]
     assert len(grids) == len(direct) == 1  # one call: the normalizer and both legs
@@ -631,7 +667,7 @@ def test_slice_makes_its_probe_calls_then_one_call_of_both_legs(model_id, tau, s
     strikes = 100.0 * np.exp(np.linspace(-3.0, 3.0, 7) * sigma0 * math.sqrt(tau))
     u_max = _surface_u_max(lambda u, _t: cf(u), sigma0, [tau])[0][0]
     _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=n), u_max)
-    assert len(sizes) >= 2 and sizes == [8] * (len(sizes) - 1) + [2 * n + 1]
+    assert len(sizes) >= 2 and sizes == [8] * (len(sizes) - 1) + [2 * n + 2]
     # the normalizer is an end node of the shifted leg's line, so the call's
     # first solve is both lines' first nodes and nothing else
     assert solved[len(sizes) - 1] == 2 * benchmarks._CHEB_ORDER
