@@ -28,10 +28,9 @@ from .fourier_pricer import (
     ArbitrageBoundsError,
     QuadratureConfig,
     _IV_BRACKET,
-    _checked_slice_calls,
     _implied_vols,
     _put_from_call,
-    _surface_u_max,
+    _surface_calls,
     _tenor_factors,
     implied_vol,
 )
@@ -164,22 +163,21 @@ def _model_quotes(view: _MarketView, model, theta, spot, rate, quad) -> tuple:
     IVs clamped to the bracket edge, and the count of tenors whose u_max is
     a truncation (a CF failure or the cap, not the decay point).
 
-    One probe pass sets every tenor's u_max; each tenor's distinct strikes
-    are then priced by one slice kernel call, the calls scattered to the
-    quotes and the puts taken by parity; all quotes' IVs then come from one
-    solve.  IV inversion failures on the model side
-    are clamped to the bracket edge nearer the price: a far-off parameter
-    vector then scores a large finite error instead of poisoning the whole
-    evaluation.
+    Each tenor's distinct strikes are priced once by the surface core
+    (:func:`~ustvol.fourier_pricer._surface_calls`: one probe pass, then
+    one slice kernel call per tenor), the calls scattered to the quotes and
+    the puts taken by parity; all quotes' IVs then come from one solve per
+    surface.  A failed tenor or strike raises its error.  IV inversion
+    failures on the model side are clamped to the bracket edge nearer the
+    price: a far-off parameter vector then scores a large finite error
+    instead of poisoning the whole evaluation.
     """
-    sigma0 = model.spot_vol(theta)
-    u_max, truncated = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta),
-                                      sigma0, view.tenors)
-    calls = np.concatenate([
-        _checked_slice_calls(lambda u, tau=tau: model.cf_standardized(u, tau, theta),
-                             sigma0, tau, spot, rate, strikes, quad, top)
-        for tau, strikes, top in zip(view.tenors, view.distinct, u_max)
-    ])[view.scatter]
+    calls, errors, truncated = _surface_calls(
+        lambda u, t: model.cf_standardized(u, t, theta), model.spot_vol(theta), spot, rate,
+        view.tenors, view.distinct, quad)
+    if errors:
+        raise next(iter(errors.values()))
+    calls = calls[view.scatter]
     prices = np.where(view.is_call, calls, _put_from_call(calls, spot, view.disc_k))
     ivs = _implied_vols(prices, spot, view.strikes, view.tau, rate, view.is_call)
     clamped = np.isnan(ivs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf_edgeworth import EdgeworthParams
-from .fourier_pricer import QuadratureConfig, _checked_slice_calls, _put_from_call, _surface_u_max
+from .fourier_pricer import QuadratureConfig, _put_from_call, _surface_calls
 from .registry import get_model
 
 __all__ = [
@@ -90,20 +90,26 @@ class TimingReport:
 
 
 def _price_tenors(model, theta, tenors, spot: float, quad: QuadratureConfig) -> float:
-    """Price the 3-contract cross-section of each tenor; returns a checksum
-    so the work cannot be optimized away."""
-    sigma0 = model.spot_vol(theta)
+    """Price the 3-contract cross-section of each tenor through the
+    pricer's surface core (:func:`~ustvol.fourier_pricer._surface_calls`:
+    one probe pass, then one slice kernel call per tenor); a failed tenor or
+    strike raises its error.  Returns a checksum, summed tenor by tenor, so
+    the work cannot be optimized away."""
     strikes = np.array([spot,
                         spot * math.exp(-_BENCH_LOG_MONEYNESS),
                         spot * math.exp(_BENCH_LOG_MONEYNESS)])
-    u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0, tenors)[0]
+    calls, errors, _ = _surface_calls(lambda u, t: model.cf_standardized(u, t, theta),
+                                      model.spot_vol(theta), spot, 0.0, tenors,
+                                      [strikes] * len(tenors), quad)
+    if errors:
+        raise next(iter(errors.values()))
+    # puts at and below spot via parity, matching the fixture's
+    # ATM-put / OTM-put / OTM-call mix at identical cost
+    every = np.tile(strikes, len(tenors))
+    quotes = np.where(every > spot, calls, _put_from_call(calls, spot, every))
     total = 0.0
-    for tau, top in zip(tenors, u_max):
-        calls = _checked_slice_calls(lambda u: model.cf_standardized(u, tau, theta),
-                                     sigma0, tau, spot, 0.0, strikes, quad, top)
-        # puts at and below spot via parity, matching the fixture's
-        # ATM-put / OTM-put / OTM-call mix at identical cost
-        total += float(np.where(strikes > spot, calls, _put_from_call(calls, spot, strikes)).sum())
+    for tenor_quotes in quotes.reshape(len(tenors), strikes.size):
+        total += float(tenor_quotes.sum())
     return total
 
 

@@ -15,16 +15,17 @@ of weight u_max/n, u_max adaptive (smallest U where |Ψ(U − iσ₀√τ)|/U dr
 below 1e−12, capped at 2000).  Each leg's integrand is even in u and its
 singularity at 0 removable, so this is half the shifted trapezoid over the
 whole line, geometrically convergent (Trefethen & Weideman, SIAM Rev. 2014).
-Every caller first runs one u_max probe pass over its surface's tenors,
-each round one CF call with one τ per frequency, then prices each tenor
-slice through one kernel: one CF call holds the normalizer point −iσ₀√τ
-and both legs' grids on two lines with the same real parts, which a
-solver-backed CF solves and interpolates together; the uniform nodes then
-factor each strike's phase sum over a coarse × fine grid, for about 2√n
-complex exponentials instead of n (the fractional FFT's algebra, Bailey &
-Swarztrauber 1991, without an FFT, so strikes stay arbitrary).
-Implied vols of a slice, or of a whole surface with one tenor per quote,
-take one array solve of fixed length: each quote's normalized
+Every caller prices through one surface core (`_surface_calls`): one u_max
+probe pass over its surface's tenors, each round one CF call with one τ per
+frequency, then each tenor slice through one kernel: one CF call holds the
+normalizer point −iσ₀√τ and both legs' grids on two lines with the same
+real parts, which a solver-backed CF solves and interpolates together; the
+uniform nodes then factor each strike's phase sum over a coarse × fine
+grid, for about 2√n complex exponentials instead of n (the fractional FFT's
+algebra, Bailey & Swarztrauber 1991, without an FFT, so strikes stay
+arbitrary).
+The implied vols of a whole surface take one array solve of fixed length,
+with one tenor per quote, not one solve per tenor: each quote's normalized
 out-of-the-money price is inverted from Jäckel's rational initial guess
 ("Let's be rational", Wilmott 2015) by two Householder steps of order 3, so
 every quote gets the same arithmetic whatever array it is in.  Puts
@@ -244,13 +245,33 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot), negative
 
 
-def _checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad, u_max) -> np.ndarray:
-    """:func:`_slice_calls` for callers without per-contract errors: the
-    first negative raw price raises."""
-    calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad, u_max)
-    if negative:
-        raise next(iter(negative.values()))
-    return calls
+def _surface_calls(cf: Callable, sigma0: float, spot: float, rate: float, taus, strikes,
+                   quad: QuadratureConfig) -> tuple:
+    """Calls of a surface's tenor slices: one u_max probe pass over ``taus``
+    (:func:`_surface_u_max`), then one :func:`_slice_calls` per tenor on its
+    array of ``strikes``.  ``cf(u, tau)`` takes τ as a scalar or one tenor
+    per frequency.
+
+    A tenor whose slice raises ValueError, ArithmeticError or RuntimeError
+    fails alone: its calls are NaN and each of its strikes gets the
+    exception; any other exception propagates.  Returns ``(calls, errors,
+    truncated)``: the calls of every tenor's strikes concatenated in tenor
+    order, a dict from the index in ``calls`` of each failed strike to its
+    exception, in index order, and each tenor's u_max truncation flag.
+    """
+    u_max, truncated = _surface_u_max(cf, sigma0, taus)
+    sizes = [len(k) for k in strikes]
+    calls, errors, offset = np.empty(sum(sizes)), {}, 0
+    for tau, slice_strikes, size, top in zip(taus, strikes, sizes, u_max):
+        try:
+            part, failed = _slice_calls(lambda u, tau=tau: cf(u, tau), sigma0, tau, spot, rate,
+                                        slice_strikes, quad, top)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:  # fails its tenor only
+            part, failed = np.nan, dict.fromkeys(range(size), exc)
+        calls[offset:offset + size] = part
+        errors.update((offset + j, exc) for j, exc in failed.items())
+        offset += size
+    return calls, errors, truncated
 
 
 def _put_from_call(call, spot: float, disc_k):
@@ -508,21 +529,27 @@ def price_surface(
     ``model`` is any object exposing ``cf_standardized(u, tau, params)`` and
     ``spot_vol(params)`` (the registry model bundles do); the CF takes τ as
     a scalar or one tenor per frequency.  One probe pass sets every tenor's
-    u_max (:func:`_surface_u_max`); the strikes of each tenor are then
-    priced as one array from a single set of CF grids, and inverted by one
-    array solve.  Per-contract failures are collected in the
-    result's ``error`` field: an invalid contract, a negative raw price or a
-    price without an IV fails that contract alone, a numerical CF failure
-    the contracts of its tenor; a programming error (TypeError) propagates.
+    u_max and the strikes of each tenor are priced as one array from a
+    single set of CF grids (:func:`_surface_calls`); the puts then come from
+    one parity pass and every contract of the surface is inverted by one
+    array solve, one tenor per quote.  Per-contract failures are collected
+    in the result's ``error`` field: an invalid contract, a negative raw
+    price or a price without an IV fails that contract alone, a numerical
+    CF failure the contracts of its tenor; a programming error (TypeError)
+    propagates.
 
     Returns a list of dicts: strike, tau, call (call price), iv (inverted on
-    the out-of-the-money side for conditioning), error (None on success).
+    the out-of-the-money side for conditioning), error (None on success) and
+    u_max_truncated (whether the tenor's Fourier cutoff came from a CF
+    failure or the cap rather than the decay test; False for a contract
+    rejected before pricing).
     """
     quad = quad or QuadratureConfig()
     sigma0 = model.spot_vol(params)
     results: dict = {}
     for k, t in surface_grid:
-        results.setdefault((k, t), {"strike": k, "tau": t, "call": None, "iv": None, "error": None})
+        results.setdefault((k, t), {"strike": k, "tau": t, "call": None, "iv": None,
+                                    "error": None, "u_max_truncated": False})
     slices: dict = {}
     for rec in results.values():
         try:
@@ -533,27 +560,29 @@ def price_surface(
         except (TypeError, ValueError) as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"
 
-    u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, params), sigma0, list(slices))[0]
-    for (tau, recs), top in zip(slices.items(), u_max):
+    if slices:
+        taus, counts = list(slices), [len(recs) for recs in slices.values()]
+        recs = [rec for tenor_recs in slices.values() for rec in tenor_recs]
         strikes = np.array([rec["strike"] for rec in recs], dtype=float)
-        try:
-            calls, errors = _slice_calls(
-                lambda u: model.cf_standardized(u, tau, params),
-                sigma0, tau, spot, rate, strikes, quad, top,
-            )
-        except (ValueError, ArithmeticError, RuntimeError) as exc:  # fails its tenor only
-            calls, errors = np.full(strikes.size, np.nan), dict.fromkeys(range(strikes.size), exc)
-        otm_call = strikes >= spot * math.exp(rate * tau)
-        puts = _put_from_call(calls, spot, strikes * math.exp(-rate * tau))
-        prices = np.where(otm_call, calls, puts)
-        ivs = _implied_vols(prices, spot, strikes, tau, rate, otm_call)
-        for j, rec in enumerate(recs):
+        calls, errors, truncated = _surface_calls(
+            lambda u, t: model.cf_standardized(u, t, params), sigma0, spot, rate, taus,
+            np.split(strikes, np.cumsum(counts)[:-1]), quad)
+        # e^{−rτ} and e^{rτ} by math once per tenor: a contract's bits must
+        # not depend on the other tenors of its surface
+        disc = np.repeat([math.exp(-rate * t) for t in taus], counts)
+        otm_call = strikes >= spot * np.repeat([math.exp(rate * t) for t in taus], counts)
+        prices = np.where(otm_call, calls, _put_from_call(calls, spot, strikes * disc))
+        ivs = _implied_vols(prices, spot, strikes, np.repeat(np.array(taus, dtype=float), counts),
+                            rate, otm_call)
+        for j, (rec, call, iv, flag) in enumerate(zip(recs, calls.tolist(), ivs.tolist(),
+                                                      np.repeat(truncated, counts).tolist())):
+            rec["u_max_truncated"] = flag
             if j not in errors:
-                rec["call"] = float(calls[j])
-                if np.isnan(ivs[j]):
-                    errors[j] = ArbitrageBoundsError(_NO_IV.format(prices[j], rec["strike"], tau))
+                rec["call"] = call
+                if math.isnan(iv):
+                    errors[j] = ArbitrageBoundsError(_NO_IV.format(prices[j], rec["strike"], rec["tau"]))
                 else:
-                    rec["iv"] = float(ivs[j])
+                    rec["iv"] = iv
             if j in errors:
                 rec["error"] = f"{type(errors[j]).__name__}: {errors[j]}"
 

@@ -6,7 +6,8 @@ arithmetic, brute-force Monte Carlo, classical closed forms, or dense
 quadrature written from scratch).  The test-only references live here too:
 the quadrature route to the expansion CF, the exact rho0 = +-1 law, the
 finite-difference smile check, sample cumulants, the single-tenor u_max
-scan and the direct per-node midpoint sum of a slice's calls, the benchmark
+scan, the direct per-node midpoint sum of a slice's calls and the slice
+kernel at a given u_max with its first negative price raised, the benchmark
 CFs solved at every frequency and their Chebyshev interpolant evaluated
 point by point, and the per-step loops of the affine and rough path
 simulators.  Run directly
@@ -38,6 +39,7 @@ from ustvol.fourier_pricer import (
     _PROBES,
     _U_MAX_CAP,
     QuadratureConfig,
+    _slice_calls,
     price_surface,
 )
 from ustvol.registry import get_model, standardized_from_raw
@@ -594,6 +596,17 @@ def slice_calls_direct(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureCon
     leg_k = step * np.sum(np.real(phase * psi_plain / iu), axis=1)
     raw = spot * (0.5 + leg_s / math.pi) - disc_k * (0.5 + leg_k / math.pi)
     return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot)
+
+
+def checked_slice_calls(cf, sigma0, tau, spot, rate, strikes, quad: QuadratureConfig,
+                        u_max: float) -> np.ndarray:
+    """``fourier_pricer._slice_calls`` of one tenor slice at the caller's
+    ``u_max``; the first negative raw price raises its
+    ``NegativePriceError``."""
+    calls, negative = _slice_calls(cf, sigma0, tau, spot, rate, strikes, quad, u_max)
+    if negative:
+        raise next(iter(negative.values()))
+    return calls
 
 
 # ---------------------------------------------------------------------------

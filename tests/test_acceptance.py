@@ -38,7 +38,6 @@ from ustvol.cf_edgeworth import (
 from ustvol.diagnostics import BENCH_TENORS, smile_expansion, timing_bench
 from ustvol.fourier_pricer import (
     QuadratureConfig,
-    _checked_slice_calls,
     _put_from_call,
     _surface_u_max,
     bs_price,
@@ -83,8 +82,8 @@ def test_bs_reduction():
         strikes = [SPOT * math.exp(m * p.sigma0 * math.sqrt(tau))
                    for m in np.linspace(-5.0, 5.0, 21)]
         u_max = _surface_u_max(lambda u, t: psi_c_no_shift(u, t, p), p.sigma0, [tau])[0][0]
-        calls = _checked_slice_calls(cf, p.sigma0, tau, SPOT, 0.0, strikes,
-                                     QuadratureConfig(), u_max)
+        calls = oracles.checked_slice_calls(cf, p.sigma0, tau, SPOT, 0.0, strikes,
+                                            QuadratureConfig(), u_max)
         for strike, got in zip(strikes, calls):
             worst = max(worst, abs(got - bs_price(SPOT, strike, tau, 0.0, p.sigma0)))
     ok, line = _verdict(1, "black-scholes reduction", worst <= 1e-4,
@@ -375,7 +374,7 @@ def test_martingale_and_parity():
         for tg, top in zip(tenors, u_max):
             strikes = np.linspace(97.0, 103.0, 25)
             cf = lambda u, _t=tg: m.cf_standardized(u, _t, theta)
-            calls = _checked_slice_calls(cf, sig0, tg, SPOT, rate, strikes, quad, top)
+            calls = oracles.checked_slice_calls(cf, sig0, tg, SPOT, rate, strikes, quad, top)
             disc_k = strikes * math.exp(-rate * tg)
             puts = _put_from_call(calls, SPOT, disc_k)
             parity_worst = max(parity_worst,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ustvol import calibration, fourier_pricer
+from ustvol import calibration, diagnostics, fourier_pricer
 
 from ustvol.bspp_bootstrap import shift_weighted_variance
 from ustvol.calibration import CalibrationResult, calibrate, rmse
@@ -331,6 +331,34 @@ def test_flat_pass_prices_and_ivs_are_bitwise_the_per_slice_path():
         assert np.array_equal(flat, np.concatenate(per_tenor), equal_nan=True)
         clamps += int(clamped.sum())
     assert clamps > 0
+
+
+def test_surface_callers_price_like_one_price_surface_call():
+    # the objective's quote prices and the timing bench's checksum come from
+    # the same surface core as price_surface: on the same contracts they are
+    # the prices derived from one price_surface call, bit for bit
+    surf = _two_sided_surface(BENCH_TENORS[::2], np.linspace(-3.0, 2.5, 9))
+    view = calibration._market_view(surf, RATE)
+    model = calibration.get_model("edgeworth_pp")
+    theta = model.unpack((0.2, 0.6, -0.6, 0.2, 0.1, 30.0, -0.01, 0.02, 0.01, -0.005), surf.tenors)
+    prices = calibration._model_quotes(view, model, theta, surf.spot, RATE, QUAD)[0]
+    rows = price_surface(list(zip(view.strikes.tolist(), view.tau.tolist())), model, theta,
+                         surf.spot, RATE, QUAD)
+    calls = np.array([r["call"] for r in rows])
+    assert np.array_equal(prices, np.where(view.is_call, calls,
+                                           _put_from_call(calls, surf.spot, view.disc_k)))
+
+    model = calibration.get_model("heston_merton_2f")
+    theta = model.unpack(model.default_start(BENCH_TENORS), BENCH_TENORS)
+    strikes = 100.0 * np.exp([0.0, -diagnostics._BENCH_LOG_MONEYNESS,
+                              diagnostics._BENCH_LOG_MONEYNESS])
+    rows = price_surface([(k, t) for t in BENCH_TENORS for k in strikes.tolist()], model, theta,
+                         100.0, 0.0, QUAD)
+    total = 0.0
+    for t in BENCH_TENORS:
+        calls = np.array([r["call"] for r in rows if r["tau"] == t])
+        total += float(np.where(strikes > 100.0, calls, _put_from_call(calls, 100.0, strikes)).sum())
+    assert diagnostics._price_tenors(model, theta, BENCH_TENORS, 100.0, QUAD) == total
 
 
 def test_an_objective_evaluation_prices_distinct_strikes_and_inverts_once(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import adaptive_u_max, bs_price_highprec, slice_calls_direct
+from oracles import adaptive_u_max, bs_price_highprec, checked_slice_calls, slice_calls_direct
 from test_acceptance import CAL_SHIFTS, CAL_TRUTH
 from ustvol import fourier_pricer
 from ustvol.bspp_bootstrap import bspp_atm_vol
@@ -18,7 +18,6 @@ from ustvol.fourier_pricer import (
     NegativePriceError,
     QuadratureConfig,
     _PROBES,
-    _checked_slice_calls,
     _implied_vols,
     _put_from_call,
     _slice_calls,
@@ -52,8 +51,8 @@ def _calls(strikes, cf=None, rate=0.0, quad=None):
     """Calls of one TAU slice (spot 100, sigma0 0.2) through the probe and
     the kernel that ``price_surface`` runs."""
     cf = cf or _bs_cf(TAU)
-    return _checked_slice_calls(cf, 0.2, TAU, 100.0, rate, np.asarray(strikes, dtype=float),
-                                quad or QuadratureConfig(), _u_max(cf, TAU))
+    return checked_slice_calls(cf, 0.2, TAU, 100.0, rate, np.asarray(strikes, dtype=float),
+                               quad or QuadratureConfig(), _u_max(cf, TAU))
 
 
 def _puts(strikes, rate=0.0):
@@ -293,8 +292,8 @@ def test_bspp_slice_calls_match_the_closed_form_across_the_window():
         cf = lambda u: model.cf_standardized(u, tau, theta)  # noqa: E731
         u_max = _u_max(cf, tau)
         for n in (256, 2000, 2048, 10_000):
-            calls = _checked_slice_calls(cf, 0.2, tau, spot, rate, strikes,
-                                         QuadratureConfig(node_count=n), u_max)
+            calls = checked_slice_calls(cf, 0.2, tau, spot, rate, strikes,
+                                        QuadratureConfig(node_count=n), u_max)
             assert np.max(np.abs(calls - want)) <= 1e-12 * spot, (tau, n)
 
 
@@ -577,6 +576,50 @@ def test_price_surface_slice_matches_single_strike_exactly():
             assert r["iv"] == one["iv"]
 
 
+@pytest.mark.parametrize("model_id, wing_fails",
+                         [("edgeworth_pp", True), ("bs_pp", True), ("heston_merton_2f", False)])
+def test_price_surface_rows_do_not_depend_on_the_surface(model_id, wing_fails, monkeypatch):
+    # a six-tenor surface is priced and inverted as one flat pass, with one
+    # IV solve per price_surface call; each row must still be the same bits
+    # as in a surface of its tenor alone, the expansion models' deep-wing
+    # failures (no IV) included
+    spec, theta = _at_start(model_id)
+    sigma0 = spec.spot_vol(theta)
+    solves = []
+
+    def iv_spy(prices, *args, _real=fourier_pricer._implied_vols):
+        solves.append(np.size(prices))
+        return _real(prices, *args)
+
+    monkeypatch.setattr(fourier_pricer, "_implied_vols", iv_spy)
+    zs = np.linspace(-12.0, 5.0, 18)
+    grid = [(100.0 * math.exp(z * sigma0 * math.sqrt(t)), t) for t in BENCH_TENORS for z in zs]
+    quad = QuadratureConfig(node_count=2048)
+    rows = price_surface(grid, spec, theta, 100.0, 0.03, quad)
+    assert solves == [len(grid)]
+    alone = [row for t in BENCH_TENORS
+             for row in price_surface([g for g in grid if g[1] == t], spec, theta, 100.0, 0.03,
+                                      quad)]
+    assert solves == [len(grid)] + [zs.size] * len(BENCH_TENORS)
+    assert rows == alone
+    assert any(r["error"] is None for r in rows)
+    assert any(r["error"] is not None for r in rows) == wing_fails
+
+
+def test_price_surface_rows_report_u_max_truncation():
+    # each row carries its tenor's probe flag: rough_heston_pp at its start
+    # truncates from 2 d on (test_surface_probe_flags_truncations_not_decay_points),
+    # edgeworth_pp decays on every tenor; a contract rejected before pricing
+    # reports False
+    for model_id, flags in (("rough_heston_pp", [False, False, True, True, True, True]),
+                            ("edgeworth_pp", [False] * 6)):
+        spec, theta = _at_start(model_id)
+        grid = [(k, t) for t in BENCH_TENORS for k in (99.0, 101.0)] + [(0.0, BENCH_TENORS[-1])]
+        rows = price_surface(grid, spec, theta, 100.0, 0.0, QuadratureConfig(node_count=256))
+        assert [r["u_max_truncated"] for r in rows] == np.repeat(flags, 2).tolist() + [False]
+        assert rows[-1]["error"] is not None
+
+
 def test_price_surface_duplicates_identical():
     model = _ShimModel(BS_PARAMS)
     res = price_surface([(100.0, TAU), (100.0, TAU)], model, None, 100.0)
@@ -605,8 +648,8 @@ def test_price_surface_18_contracts_full_model():
     assert all(r["iv"] > 0 for r in res)
     for r in res:
         cf = lambda u, _t=r["tau"]: model.cf_standardized(u, _t, None)
-        one = _checked_slice_calls(cf, 0.2, r["tau"], 100.0, 0.0, [r["strike"]],
-                                   QuadratureConfig(), _u_max(cf, r["tau"]))
+        one = checked_slice_calls(cf, 0.2, r["tau"], 100.0, 0.0, [r["strike"]],
+                                  QuadratureConfig(), _u_max(cf, r["tau"]))
         assert r["call"] == one[0]
 
 

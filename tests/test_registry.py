@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import checked_slice_calls
 from ustvol.benchmarks import heston_merton_cf
 from ustvol.bspp_bootstrap import shift_weighted_variance
 from ustvol.cf_edgeworth import psi_full
 from ustvol.fourier_pricer import (
     QuadratureConfig,
-    _checked_slice_calls,
     _surface_u_max,
     bs_price,
     price_surface,
@@ -181,7 +181,7 @@ def test_bspp_prices_exact_black_scholes():
     cf = lambda u: spec.cf_standardized(u, tau, theta)
     strikes = (97.0, 100.0, 103.0)
     u_max = _surface_u_max(lambda u, t: spec.cf_standardized(u, t, theta), 0.2, [tau])[0][0]
-    calls = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, strikes, QuadratureConfig(), u_max)
+    calls = checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, strikes, QuadratureConfig(), u_max)
     for strike, got in zip(strikes, calls):
         want = bs_price(100.0, strike, tau, 0.0, vol)
         assert abs(got - want) < 1e-6  # Fourier grid resolution
@@ -195,7 +195,7 @@ def test_hm_bridge_degenerate_bs():
     tau = TENORS[2]
     cf = lambda u: spec.cf_standardized(u, tau, theta)
     u_max = _surface_u_max(lambda u, t: spec.cf_standardized(u, t, theta), 0.2, [tau])[0][0]
-    got = _checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, [100.0], QuadratureConfig(), u_max)[0]
+    got = checked_slice_calls(cf, 0.2, tau, 100.0, 0.0, [100.0], QuadratureConfig(), u_max)[0]
     want = bs_price(100.0, 100.0, tau, 0.0, 0.2)
     assert abs(got - want) < 2e-5
 
