@@ -10,12 +10,11 @@ pricer happens in the registry.
 
 Each CF is exp of an exponent from a direct solve: A + B1 v1_0 + B2 v2_0
 from the Riccati system, integrated with the embedded Dormand-Prince 8(5,3)
-pair and one adaptive step shared by all frequencies of a call, or the
-forward-variance integral omega · F of the fractional Riccati equation
-D^alpha psi = F(u, psi), alpha = H + 1/2, solved with the Adams
-predictor-corrector.
+pair in scaled time, one adaptive step per tenor, or the forward-variance
+integral omega · F of the fractional Riccati equation D^alpha psi = F(u, psi),
+alpha = H + 1/2, solved with the Adams predictor-corrector.
 
-A solve holds at most a few hundred frequencies, so its cost is the number
+A solve holds at most a few thousand frequencies, so its cost is the number
 of numpy calls per step, not their arithmetic; an eighth-order pair meets
 rtol 1e-10 in a few large steps.  The Dormand-Prince stages live in one
 (12, rows, m) array; the Butcher weights are real, so each stage state and
@@ -26,8 +25,8 @@ takes every term that depends on u alone from arrays formed once per call:
 each row of the state adds one stacked constant block and its loading on
 the jump transform, which is folded into the constants when m_v = 0.
 
-The pricer asks, in one call per tenor, for thousands of frequencies on each
-of two lines Im u = const, along which the exponent is analytic in Re u.
+The pricer asks for thousands of frequencies on each of two lines
+Im u = const per tenor, along which the exponent is analytic in Re u.
 There the direct solve runs only at 129 Chebyshev points of each line's
 range, or at 257, 513, ... where the exponent needs them, and a barycentric
 interpolant carries the exponent to the caller's frequencies
@@ -38,25 +37,30 @@ leg also carries u = 0), so they share their nodes, and the lines that
 converge in one round with the same real parts share one barycentric
 kernel, their values side by side.
 
-Both CFs also take one tenor per frequency, which the pricer's u_max probe
-uses to put a chunk of every tenor of a surface into one call; a line is
-then a set of frequencies with one Im u and one tenor.  The Adams solve
-steps each column by its own tau/n_steps: the weights do not depend on the
-step, only each column's scale h^alpha, and each tenor's omega multiplies
-its own columns.  The affine system without a displacement is autonomous,
-so it is solved in scaled time s/tau over [0, 1], each column's right-hand
-side times its tau, with one shared step and each tenor's explosion cap; a
-tenor's values then move by about 1e-12 relative with the other tenors of
-the solve, and a displaced system solves its tenors one after another.
-Grid calls stay one per tenor, because the shared affine step would make
-a tenor's prices depend on the surface it is priced in.  For the rough
-models one grid call per surface does pay off end to end, measured through
-the pricer's surface pass with calls equal to the per-tenor ones: a
-``rough_heston_pp`` surface of 6 tenors x 27 strikes at 2000 nodes took
-41.5-42.1 ms against 48.2-48.5 ms per tenor (three market draws, medians of
-9, one BLAS thread, 2-core host).  It pays off only since the lines are
-grouped by one complex key: with a sort of (Im u, tau) rows the same call
-took 88-92 ms against 81-83 ms per tenor on a slower phase of that host.
+Both CFs take one tenor per frequency, and a line is then a set of
+frequencies with one Im u and one tenor.  The pricer's u_max probe puts a
+chunk of every tenor of a surface into one call, and so does its grid call
+of a whole surface: one solve per order round then serves every tenor, and
+each frequency gets the bits it has in a call of its tenor alone.  The
+Adams solve steps each column by its own tau/n_steps: the weights do not
+depend on the step, only each column's scale h^alpha, and each tenor's
+omega multiplies its own columns.  Its F history holds every step's row of
+every column, so a solve takes whole tenors up to 1000 columns: a 6-tenor
+surface's first order round is two solves of three tenors.  On a 2-core
+host one solve of all six was about 2.5 ms faster per ``rough_heston_pp``
+surface, but its 6.4 MB history lifted the surface workload's peak RSS by
+6 MB (numpy asks for huge pages on arrays of 4 MiB and more), against under
+1 MB for two 3.2 MB histories.  The affine system without a
+displacement is autonomous, so it is solved in scaled time s/tau over
+[0, 1], each tenor one group of columns with its own adaptive step, first
+step, step cap and explosion cap: each column's right-hand side is scaled
+by its tau times its group's step, so a stage costs the same numpy calls
+for any number of tenors, and a tenor's columns leave the arrays once it
+reaches s = 1.  A single shared step would instead tie each tenor's values
+to the rest of its surface, and step every tenor at the pace of the
+hardest one.  A displaced system solves its tenors one after another, each
+displacement segment in its own scaled time from the step that ended the
+segment before it.
 
 The Adams step is a weighted sum over the F history, blocked in time as in
 Hairer, Lubich & Schlichte (1985): each block of 32 steps takes its sums
@@ -219,7 +223,7 @@ class RoughHestonParams:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 8(5,3), vectorized over the frequency grid with a shared step
+# Dormand-Prince 8(5,3), vectorized over the frequency grid, one step per tenor
 # ---------------------------------------------------------------------------
 
 # Hairer, Nørsett & Wanner, Solving ODEs I (1993), §II.10.  Rows 0-11 of
@@ -284,78 +288,123 @@ _DP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.7338466882816118573
                          0.220588235294117647058823529412e-1)
 
 
-def _dop853(f, y0, t0, t1, rtol=1e-10, atol=1e-12, norm_cap=_EXPLOSION_NORM):
-    """Integrate y' = f(t, y) from t0 to t1; y complex of any shape.
+def _dop853(rhs_for, y0, scale, sizes=None, h0=0.01, t0=0.0, rtol=1e-10, atol=1e-12,
+            norm_cap=_EXPLOSION_NORM):
+    """Integrate y' = F(y), y complex of shape (rows, m), in scaled time
+    s in [0, 1], each group of columns on its own adaptive step.
 
-    ``f(t, y, out)`` writes the derivative into ``out``, a row of the (12,
-    ...) stage array.  The weights are real, so each stage state and the
-    step's 8th-order result are one product of a row of h·``_DP_A`` with the
-    float view of the stages, and both error estimates one product with
-    h·``_DP_E``.  Each entry's error is Hairer's e5²/√(e5² + 0.01·e3²) of its
-    two estimates scaled by atol + rtol·max(|y|, |y8|); one shared adaptive
-    step serves the whole array (error = max over entries).  No step
-    exceeds a quarter of the span: solves of nearby arrays take different
-    step sequences, and at the cap their results differ by little enough
-    that one Chebyshev interpolant fits values from several solves
-    (:func:`_exponent_on_line`).  FSAL: an accepted step evaluates
-    ``f`` at its result into stage 0 of the next.  Raises
-    :class:`RiccatiExplosionError` when the state norm passes ``norm_cap``
-    (a scalar, or one cap per column of the last axis; callers scale it with
-    the forcing so that smooth high-frequency states are not mistaken for
-    blow-up) or on step collapse.
+    The columns form ``sizes`` contiguous groups (one group when None);
+    group g runs over real time t0 + s·scale_g, s from 0 to 1, so its
+    scaled right-hand side is scale_g·F.  ``scale``, ``h0`` (the first
+    scaled step) and ``norm_cap`` are scalars or one value per group.
+    ``rhs_for(cols)`` gives the right-hand side of the columns ``cols`` of
+    ``y0`` (a slice or an index array): ``f(y, out, factor)`` writes
+    factor·F(y) into ``out``, a row of the (12, rows, m') stage array, with
+    one factor per column.  The solver passes each column its group's
+    h·scale, so every stage holds h·F in scaled time: each stage state and
+    the step's 8th-order result are one product of a row of ``_DP_A`` with
+    the float view of the stages, and both error estimates one product with
+    ``_DP_E``, whatever the groups' steps.
+
+    Each entry's error is Hairer's e5²/√(e5² + 0.01·e3²) of its two
+    estimates scaled by atol + rtol·max(|y|, |y8|), and each group accepts
+    or rejects its step on the largest error of its own columns, so a
+    group's values are the same bits whatever groups it is solved with.  A
+    group whose columns reach s = 1 leaves the arrays, and the right-hand
+    side is rebuilt for the columns left.  No step exceeds a quarter of the
+    span: solves of nearby arrays take different step sequences, and at the
+    cap their results differ by little enough that one Chebyshev
+    interpolant fits values from several solves (:func:`_exponent_on_line`).
+    Each step starts from F at its state, evaluated with the step's own
+    factors.
+
+    Returns the final state and each group's next scaled step.  Raises
+    :class:`RiccatiExplosionError` (with the group's real time t) when a
+    group's state norm passes its ``norm_cap`` (callers scale it with the
+    forcing so that smooth high-frequency states are not mistaken for
+    blow-up), on a non-finite error or on step collapse.
     """
-    span = t1 - t0
-    t = t0
     y = y0.astype(np.complex128)
-    h = span / 100.0
-    k = np.empty((12,) + y.shape, dtype=np.complex128)
-    k_flat = k.view(np.float64).reshape(12, -1)
-    f(t, y, k[0])
+    sizes = [y.shape[-1]] if sizes is None else [int(n) for n in sizes]
+    groups = len(sizes)
+    scale, h, cap = (np.broadcast_to(np.asarray(v, dtype=float), groups).tolist()
+                     for v in (scale, h0, norm_cap))
+    s = [0.0] * groups
+    out = np.empty_like(y)
+    # the groups still in the arrays, in column order, their column counts
+    # and first columns, and the column of y0 of each column of y
+    live, widths, starts = list(range(groups)), sizes, np.cumsum([0] + sizes[:-1])
+    cols = np.arange(y.shape[-1])
+    f = rhs_for(slice(None))
+    cap_cols = np.repeat(cap, sizes)
     abs_y = np.abs(y)
-    while t < t1 - 1e-14 * span:
-        h = min(h, 0.25 * span, t1 - t)
-        ha = h * _DP_A
+    k = k_flat = None
+    while live:
+        if k is None or k.shape[1:] != y.shape:
+            k = np.empty((12,) + y.shape, dtype=np.complex128)
+            k_flat = k.view(np.float64).reshape(12, -1)
+        for g in live:
+            h[g] = min(h[g], 0.25, 1.0 - s[g])
+        factor = np.repeat([h[g] * scale[g] for g in live], widths)
+        f(y, k[0], factor)
         y_flat = y.view(np.float64).reshape(-1)
         for i in range(1, 13):
-            yi = ha[i, :i] @ k_flat[:i]
+            yi = _DP_A[i, :i] @ k_flat[:i]
             yi += y_flat
             yi = yi.view(np.complex128).reshape(y.shape)
             if i < 12:
-                f(t + h * _DP_C[i], yi, k[i])
-        y8, abs_y8 = yi, np.abs(yi)
-        scale = np.maximum(abs_y, abs_y8)
-        scale *= rtol
-        scale += atol
-        err_sq = np.abs(((h * _DP_E) @ k_flat).view(np.complex128))
-        err_sq /= scale.reshape(-1)
+                f(yi, k[i], factor)
+        abs_y8 = np.abs(yi)
+        err_scale = np.maximum(abs_y, abs_y8)
+        err_scale *= rtol
+        err_scale += atol
+        err_sq = np.abs((_DP_E @ k_flat).view(np.complex128))
+        err_sq /= err_scale.reshape(-1)
         np.square(err_sq, out=err_sq)
         e5_sq, e3_sq = err_sq
         # e5² / sqrt(e5² + 0.01 e3²); the tiny term turns 0/0 into 0 and
         # leaves every non-finite error non-finite
         denom = np.sqrt(0.01 * e3_sq + e5_sq)
         denom += np.finfo(float).tiny
-        err = float(np.max(e5_sq / denom))
-        if not math.isfinite(err):
+        errs = np.maximum.reduceat((e5_sq / denom).reshape(y.shape).max(axis=0), starts).tolist()
+        accepted = [err <= 1.0 for err in errs]
+        for g, err in zip(live, errs):
+            if not math.isfinite(err):
+                t = t0 + (s[g] + h[g]) * scale[g]
+                raise RiccatiExplosionError(f"non-finite Riccati state at t={t:.6g}", t=t)
+        if all(accepted):
+            y, abs_y = yi, abs_y8
+        elif any(accepted):
+            take = np.repeat(accepted, widths)
+            y, abs_y = np.where(take, yi, y), np.where(take, abs_y8, abs_y)
+        for g, err, ok in zip(live, errs, accepted):
+            if ok:
+                s[g] += h[g]
+            h[g] *= min(10.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 10.0
+        over = abs_y > cap_cols
+        if over.any():
+            first = np.flatnonzero(over.any(axis=0))[0]
+            g = live[int(np.searchsorted(starts, first, "right")) - 1]
+            t = t0 + s[g] * scale[g]
             raise RiccatiExplosionError(
-                f"non-finite Riccati state at t={t + h:.6g}", t=t + h
-            )
-        if err <= 1.0:
-            t += h
-            y, abs_y = y8, abs_y8
-            over = abs_y > norm_cap
-            if over.any():
-                cap = float(np.broadcast_to(norm_cap, over.shape)[over][0])
+                f"Riccati state norm exceeded {cap[g]:g} at t={t:.6g} (moment explosion)", t=t)
+        for g in live:
+            if h[g] < 1e-12:
+                t = t0 + s[g] * scale[g]
                 raise RiccatiExplosionError(
-                    f"Riccati state norm exceeded {cap:g} at t={t:.6g} "
-                    "(moment explosion)", t=t
-                )
-            f(t, y, k[0])  # FSAL
-        h *= min(10.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 10.0
-        if h < span * 1e-12:
-            raise RiccatiExplosionError(
-                f"step size collapsed at t={t:.6g} (moment explosion)", t=t
-            )
-    return y
+                    f"step size collapsed at t={t:.6g} (moment explosion)", t=t)
+        done = [s[g] >= 1.0 - 1e-14 for g in live]
+        if any(done):  # the finished groups leave the arrays
+            keep = np.repeat(np.logical_not(done), widths)
+            out[:, cols[~keep]] = y[:, ~keep]
+            live = [g for g, d in zip(live, done) if not d]
+            if live:
+                widths = [sizes[g] for g in live]
+                starts = np.cumsum([0] + widths[:-1])
+                y, abs_y = y.compress(keep, axis=1), abs_y.compress(keep, axis=1)
+                cols, cap_cols = cols[keep], cap_cols[keep]
+                f = rhs_for(cols)
+    return out, h
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +491,8 @@ def _exponent_on_line(solve, uu, tau):
     second-kind Chebyshev points of the line's [min Re u, max Re u]
     recovers them to rounding (Berrut & Trefethen 2004).  Both ends of a
     range are nodes, so no frequency outside the caller's range is solved,
-    a frequency at an end keeps its solved value, and the shared adaptive
-    step of the affine solve sees the same highest frequency as a direct
+    a frequency at an end keeps its solved value, and each tenor's adaptive
+    step in the affine solve sees the same highest frequency as a direct
     solve of ``uu``.  Lines of at most 2·``_CHEB_ORDER`` − 1 points and
     scattered points are solved directly.
 
@@ -542,6 +591,20 @@ def _tenor_columns(tau) -> list:
     return [(t, np.flatnonzero(inverse == k)) for k, t in enumerate(taus.tolist())]
 
 
+def _tenor_chunks(groups: list, limit: int) -> list:
+    """The column indices of runs of whole tenors of ``groups`` (as from
+    :func:`_tenor_columns`), each run of at most ``limit`` columns or one
+    larger tenor alone."""
+    chunks, run, size = [], [], 0
+    for _, cols in groups:
+        if run and size + cols.size > limit:
+            chunks.append(np.concatenate(run))
+            run, size = [], 0
+        run.append(cols)
+        size += cols.size
+    return chunks + [np.concatenate(run)]
+
+
 def heston_merton_cf(u, tau, params: HestonMertonParams):
     """CF of the raw log return under the affine Heston-Merton model.
 
@@ -571,25 +634,33 @@ def heston_merton_cf(u, tau, params: HestonMertonParams):
 
 def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
     """log CF = A + B1 v1_0 + B2 v2_0 at every frequency of ``uu`` (1-D
-    complex), from one shared-step Riccati solve.  B2 reaches the exponent
-    only through v2_0 and kappa2 theta2, so it is solved only when
-    ``factor_count`` is 2 and one of them is nonzero; otherwise the solve
-    holds A and B1 alone.
+    complex), from one Riccati solve in scaled time (:func:`_dop853`).  B2
+    reaches the exponent only through v2_0 and kappa2 theta2, so it is
+    solved only when ``factor_count`` is 2 and one of them is nonzero;
+    otherwise the solve holds A and B1 alone.
 
     ``tau`` is a scalar, or an array of one tenor per frequency.  Without a
-    displacement the system is autonomous, so an array is solved in scaled
-    time s/tau over [0, 1], each column's right-hand side times its own tau,
-    with each tenor's explosion cap (a RiccatiExplosionError then reports t
-    in that scaled time); the shared step serves every tenor, and a
-    column's value moves by about 1e-12 relative with the other tenors of
-    the solve.  With a displacement the tenors' segments differ, and they
-    are solved one after another."""
+    displacement the system is autonomous, so each tenor is one group of
+    columns of the solve over s/tau in [0, 1], its right-hand side times its
+    tau, with its own adaptive step and explosion cap: a frequency's value
+    is the same bits alone or with any other tenors, and a
+    RiccatiExplosionError reports its tenor's time to go.  With a
+    displacement the tenors' segments differ, and they are solved one after
+    another; each segment of a tenor is one solve over its own scaled time,
+    started from the step that ended the segment before it."""
     p = params
-    if np.ndim(tau) and p.shifts is not None:
-        out = np.empty(uu.size, dtype=np.complex128)
-        for t, cols in _tenor_columns(tau):
-            out[cols] = _heston_merton_exponent(uu[cols], t, p)
-        return out
+    taus, sizes, order = [tau], None, None
+    if np.ndim(tau):
+        groups = _tenor_columns(tau)
+        if p.shifts is not None:
+            out = np.empty(uu.size, dtype=np.complex128)
+            for t, cols in groups:
+                out[cols] = _heston_merton_exponent(uu[cols], t, p)
+            return out
+        # each tenor's columns side by side, one group of the solve
+        taus, sizes = [t for t, _ in groups], [cols.size for _, cols in groups]
+        order = np.concatenate([cols for _, cols in groups])
+        uu = uu[order]
     kbar = math.exp(p.mu_x + 0.5 * p.sigma_x**2) / (1.0 - p.m_v * p.rho_jump) - 1.0
     quad = -0.5 * (uu * uu + 1j * uu)
     jump_num = np.exp(1j * uu * p.mu_x - 0.5 * uu * uu * p.sigma_x**2)
@@ -606,61 +677,69 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
     b_const = quad - iu * kbar * c - c
     kt = np.array([p.kappa1 * p.theta1, p.kappa2 * p.theta2][:nf])
     a_const0 = -iu * kbar * p.c0 - p.c0
-    # the right-hand side's work buffers
-    denom, abs_denom = np.empty(uu.size, dtype=np.complex128), np.empty(uu.size)
-    jump_terms = np.empty((1 + nf, uu.size), dtype=np.complex128)
 
-    def transform(b1):
-        np.add(pole_base, np.multiply(b1, -p.m_v, out=denom), out=denom)
-        if np.abs(denom, out=abs_denom).min() < _POLE_TOL:
-            raise JumpTransformPoleError(
-                "variance-jump transform pole: |1 - m_v(iu rho_jump + B1)| "
-                f"< {_POLE_TOL:g}"
-            )
-        return np.divide(jump_num, denom, out=denom)
-
-    def make_rhs(phi_level: float):
+    def rhs_at(level: float):
+        """The solver's ``rhs_for`` at displacement ``level``."""
         # the shifted variance loads like factor 1: quad - iu kbar c1 - c1 + c1 J
         const = np.empty((1 + nf, uu.size), dtype=np.complex128)
-        const[0] = a_const0 + phi_level * b_const[0]
+        const[0] = a_const0 + level * b_const[0]
         const[1:] = b_const
-        load = np.concatenate([[[p.c0 + phi_level * p.c1]], c])  # each row's loading on J
+        load = np.concatenate([[[p.c0 + level * p.c1]], c])  # each row's loading on J
         if p.m_v == 0.0:  # J = jump_num does not depend on the state
             const += load * jump_num
 
-        def rhs(s, y, out):
-            b = y[1:]
-            np.matmul(kt, b.view(np.float64), out=out[0].view(np.float64))
-            out_b = out[1:]
-            np.multiply(sq, b, out=out_b)
-            out_b += lin
-            out_b *= b
-            out += const
-            if p.m_v != 0.0:
-                out += np.multiply(load, transform(y[1]), out=jump_terms)
-        return rhs
+        def rhs_for(cols):
+            # the u-only terms of the columns still solved, and work buffers
+            # of their size
+            col_const, col_lin, col_num, col_pole = (
+                const[:, cols], lin[:, cols], jump_num[cols], pole_base[cols])
+            denom, abs_denom = np.empty(col_num.size, dtype=np.complex128), np.empty(col_num.size)
+            jump_terms = np.empty((1 + nf, col_num.size), dtype=np.complex128)
+
+            def rhs(y, out, factor):
+                b = y[1:]
+                np.matmul(kt, b.view(np.float64), out=out[0].view(np.float64))
+                out_b = out[1:]
+                np.multiply(sq, b, out=out_b)
+                out_b += col_lin
+                out_b *= b
+                out += col_const
+                if p.m_v != 0.0:
+                    # the jump transform J = jump_num / (1 - m_v(iu rho_jump + B1))
+                    np.add(col_pole, np.multiply(y[1], -p.m_v, out=denom), out=denom)
+                    if np.abs(denom, out=abs_denom).min() < _POLE_TOL:
+                        raise JumpTransformPoleError(
+                            "variance-jump transform pole: |1 - m_v(iu rho_jump + B1)| "
+                            f"< {_POLE_TOL:g}"
+                        )
+                    out += np.multiply(load, np.divide(col_num, denom, out=denom), out=jump_terms)
+                out *= factor
+            return rhs
+        return rhs_for
 
     # a smoothly integrated B is bounded by the forcing scale |quad|*tau;
     # only growth far beyond that marks a genuine moment explosion
+    starts = np.cumsum([0] + (sizes or [uu.size])[:-1])
+    norm_cap = [_EXPLOSION_NORM * max(1.0, top * t)
+                for top, t in zip(np.maximum.reduceat(np.abs(quad), starts).tolist(), taus)]
     y = np.zeros((1 + nf, uu.size), dtype=np.complex128)
-    if np.ndim(tau):
-        norm_cap = np.empty(uu.size)
-        for t, cols in _tenor_columns(tau):
-            norm_cap[cols] = _EXPLOSION_NORM * max(1.0, float(np.max(np.abs(quad[cols]))) * t)
-        rhs = make_rhs(0.0)
-
-        def scaled_rhs(s, state, out):
-            rhs(s, state, out)
-            out *= tau
-
-        y = _dop853(scaled_rhs, y, 0.0, 1.0, norm_cap=norm_cap)
+    if sizes is not None:
+        y = _dop853(rhs_at(0.0), y, taus, sizes, norm_cap=norm_cap)[0]
     else:
-        norm_cap = _EXPLOSION_NORM * max(1.0, float(np.max(np.abs(quad))) * tau)
+        step, span = 0.01, None  # the scaled step, and the span it is scaled by
         for s_lo, s_hi, level in _shift_segments_time_to_go(p.shifts, tau):
-            y = _dop853(make_rhs(level), y, s_lo, s_hi, norm_cap=norm_cap)
+            first = step if span is None else step * span / (s_hi - s_lo)
+            span = s_hi - s_lo
+            y, (step,) = _dop853(rhs_at(level), y, span, h0=first, t0=s_lo, norm_cap=norm_cap)
 
     exponent = y[0] + y[1] * p.v1_0
-    return exponent + y[2] * p.v2_0 if nf == 2 else exponent
+    if nf == 2:
+        exponent = exponent + y[2] * p.v2_0
+    if order is None:
+        return exponent
+    out = np.empty(uu.size, dtype=np.complex128)
+    out[order] = exponent
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +749,10 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
 # Adams steps per history block: each block reads the history once, in one
 # product whose (2 B, rows) weight block keeps BLAS in its matrix kernels
 _ADAMS_BLOCK = 32
+# columns of one Adams solve of several tenors: its F history is (steps + 1)
+# rows of them, under the 4 MiB at which numpy asks for huge pages at 256
+# steps, so larger sets of tenors are solved in runs of whole tenors
+_ADAMS_COLUMNS = 1000
 
 
 @functools.lru_cache(maxsize=4)
@@ -764,6 +847,7 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h, n_steps:
     f_hist[0] = outer  # psi(0) = 0
     f_flat = f_hist.view(np.float64)
     psi_rows = np.empty((min(_ADAMS_BLOCK, n_steps), m), dtype=np.complex128)
+    sums_buf = np.empty((2 * min(_ADAMS_BLOCK, n_steps), 2 * m))
 
     def f_of(psi, out):
         """F(u, psi) = P + psi (L + Q psi), written into ``out``."""
@@ -780,7 +864,8 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h, n_steps:
             # rows 0..start of every step's (predictor, corrector) weights,
             # (steps, 2, start + 1) merged to one (2 steps, start + 1) matrix
             block = weights[start:stop, :, : start + 1].reshape(-1, start + 1)
-            sums = (block @ f_flat[: start + 1]).view(np.complex128).reshape(stop - start, 2, m)
+            sums = np.matmul(block, f_flat[: start + 1], out=sums_buf[: block.shape[0]])
+            sums = sums.view(np.complex128).reshape(stop - start, 2, m)
             for n in range(start, stop):
                 step_sums, psi = sums[n - start], psi_rows[n - start]
                 if n > start:  # the rows written inside the block
@@ -828,21 +913,41 @@ def _rough_heston_exponent(uu, tau, params: RoughHestonParams, n_steps: int):
     """log CF at every frequency of ``uu`` (1-D complex), from one direct
     Adams solve; the xi integral is one more real-weight product, omega · F
     on the float view of the F history.  With one tenor per frequency each
-    column steps by its own tau/n_steps, and each tenor's omega multiplies
-    its own columns."""
+    column steps by its own tau/n_steps, each tenor's columns side by side,
+    and each tenor's omega multiplies its own block of columns; more than
+    ``_ADAMS_COLUMNS`` columns are solved in runs of whole tenors
+    (:func:`_tenor_chunks`), which keeps each F history small."""
     p = params
+    order = None
+    if np.ndim(tau):
+        groups = _tenor_columns(tau)
+        chunks = _tenor_chunks(groups, _ADAMS_COLUMNS)
+        if len(chunks) > 1:
+            out = np.empty(uu.size, dtype=np.complex128)
+            for cols in chunks:
+                out[cols] = _rough_heston_exponent(uu[cols], tau[cols], p, n_steps)
+            return out
+        order = chunks[0]  # every tenor's columns, side by side
+        uu, tau = uu[order], tau[order]
     f_hist = _fractional_adams(-0.5 * (uu * uu + 1j * uu), 1j * uu * p.rho * p.nu,
                                0.5 * p.nu * p.nu, p.hurst + 0.5, tau / n_steps, n_steps)
-    if np.ndim(tau):
-        exponent = np.empty(uu.size, dtype=np.complex128)
-        for t, cols in _tenor_columns(tau):
-            columns = np.ascontiguousarray(f_hist[:, cols]).view(np.float64)
-            exponent[cols] = (_xi_row_weights(p, t, n_steps) @ columns).view(np.complex128)
+    f_flat = f_hist.view(np.float64)
+    if order is None:
+        exponent = (_xi_row_weights(p, tau, n_steps) @ f_flat).view(np.complex128)
     else:
-        exponent = (_xi_row_weights(p, tau, n_steps) @ f_hist.view(np.float64)).view(np.complex128)
+        exponent, lo = np.empty(uu.size, dtype=np.complex128), 0
+        for t, cols in groups:
+            hi = lo + cols.size
+            exponent[lo:hi] = (_xi_row_weights(p, t, n_steps)
+                               @ f_flat[:, 2 * lo:2 * hi]).view(np.complex128)
+            lo = hi
     if p.lambda_j > 0.0:
         kbar = math.exp(p.mu_j + 0.5 * p.sigma_j**2) - 1.0
         exponent = exponent + tau * p.lambda_j * (
             np.exp(1j * uu * p.mu_j - 0.5 * uu * uu * p.sigma_j**2) - 1.0 - 1j * uu * kbar
         )
-    return exponent
+    if order is None:
+        return exponent
+    out = np.empty(uu.size, dtype=np.complex128)
+    out[order] = exponent
+    return out

@@ -172,9 +172,8 @@ def _model_quotes(view: _MarketView, model, theta, spot, rate, quad) -> tuple:
     price: a far-off parameter vector then scores a large finite error
     instead of poisoning the whole evaluation.
     """
-    calls, errors, truncated = _surface_calls(
-        lambda u, t: model.cf_standardized(u, t, theta), model.spot_vol(theta), spot, rate,
-        view.tenors, view.distinct, quad)
+    calls, errors, truncated = _surface_calls(model, theta, spot, rate, view.tenors,
+                                              view.distinct, quad)
     if errors:
         raise next(iter(errors.values()))
     calls = calls[view.scatter]

@@ -50,7 +50,8 @@ from .fourier_pricer import QuadratureConfig, price_surface
 from .mc_oracle import SimConfig, simulate_benchmark, write_samples_bin
 from .registry import get_model, model_ids
 
-_FORMAT_VERSION = 1
+# 2: the price CSV gained its error and u_max_truncated columns
+_FORMAT_VERSION = 2
 
 
 def _write_manifest(out_path: Path, args, inputs, t0: float) -> str:
@@ -322,11 +323,12 @@ def cmd_price(args) -> int:
     out = Path(args.out)
     name = _write_manifest(out, args, inputs, t0)
     _write_csv(
-        out, name, ("tenor", "strike", "price", "iv"),
+        out, name, ("tenor", "strike", "price", "iv", "error", "u_max_truncated"),
         [
             (r["tau"], r["strike"],
              "" if r["call"] is None else r["call"],
-             "" if r["iv"] is None else r["iv"])
+             "" if r["iv"] is None else r["iv"],
+             r["error"] or "", int(r["u_max_truncated"]))
             for r in rows
         ],
     )

@@ -98,8 +98,7 @@ def _price_tenors(model, theta, tenors, spot: float, quad: QuadratureConfig) -> 
     strikes = np.array([spot,
                         spot * math.exp(-_BENCH_LOG_MONEYNESS),
                         spot * math.exp(_BENCH_LOG_MONEYNESS)])
-    calls, errors, _ = _surface_calls(lambda u, t: model.cf_standardized(u, t, theta),
-                                      model.spot_vol(theta), spot, 0.0, tenors,
+    calls, errors, _ = _surface_calls(model, theta, spot, 0.0, tenors,
                                       [strikes] * len(tenors), quad)
     if errors:
         raise next(iter(errors.values()))

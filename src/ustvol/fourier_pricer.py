@@ -17,13 +17,14 @@ singularity at 0 removable, so this is half the shifted trapezoid over the
 whole line, geometrically convergent (Trefethen & Weideman, SIAM Rev. 2014).
 Every caller prices through one surface core (`_surface_calls`): one u_max
 probe pass over its surface's tenors, each round one CF call with one τ per
-frequency, then each tenor slice through one kernel: one CF call holds the
-normalizer point −iσ₀√τ and both legs' grids on two lines with the same
-real parts, which a solver-backed CF solves and interpolates together; the
-uniform nodes then factor each strike's phase sum over a coarse × fine
-grid, for about 2√n complex exponentials instead of n (the fractional FFT's
-algebra, Bailey & Swarztrauber 1991, without an FFT, so strikes stay
-arbitrary).
+frequency, then each tenor slice through one kernel.  A slice's CF values
+are the normalizer point −iσ₀√τ and both legs' grids on two lines with the
+same real parts, which a solver-backed CF solves and interpolates together;
+a solver-backed model gets every slice's grid in one CF call per surface, a
+closed form one call per slice.  The uniform nodes then factor each
+strike's phase sum over a coarse × fine grid, for about 2√n complex
+exponentials instead of n (the fractional FFT's algebra, Bailey &
+Swarztrauber 1991, without an FFT, so strikes stay arbitrary).
 The implied vols of a whole surface take one array solve of fixed length,
 with one tenor per quote, not one solve per tenor: each quote's normalized
 out-of-the-money price is inverted from Jäckel's rational initial guess
@@ -134,10 +135,9 @@ def _surface_u_max(cf: Callable, sigma0: float, taus) -> tuple:
     tenor by tenor, so each tenor stops exactly where it stops when probed
     alone.  Any other exception propagates.
 
-    The affine solve shares one adaptive step across the tenors of a call,
-    so an affine tenor's probe values move by about 1e-12 relative with the
-    set of tenors in its round; the grids are solved per tenor, so prices do
-    not move with it.
+    A solver-backed CF gives each tenor of a round the bits of a call of
+    its own (the affine solve steps each tenor on its own), so a tenor's
+    probe values do not move with the set of tenors in its round.
     """
     taus = [float(t) for t in taus]
     shifts = [-1j * sigma0 * math.sqrt(t) for t in taus]
@@ -163,18 +163,38 @@ def _surface_u_max(cf: Callable, sigma0: float, taus) -> tuple:
 
 def _probe_round(cf: Callable, chunk, shifts: list, taus: list) -> np.ndarray:
     """|Ψ| on one probe chunk of each tenor, one row per tenor, from one CF
-    call; a round that raises is re-run tenor by tenor, and a tenor whose
-    own call raises gets a row of NaN."""
+    call (:func:`_tenor_values`); a tenor whose own call raises gets a row
+    of NaN."""
+    vals, _ = _tenor_values(cf, [chunk + s for s in shifts], taus)
+    return np.abs(vals).reshape(len(taus), chunk.size)
+
+
+def _tenor_values(cf: Callable, freqs: list, taus: list) -> tuple:
+    """``cf`` at each tenor's frequencies ``freqs`` from one CF call, with
+    one τ per frequency (a lone tenor passes its scalar τ).  Returns the
+    values, concatenated in tenor order, and a dict from the index of each
+    tenor whose values failed to its exception; its values are NaN.  A call
+    that raises ValueError, ArithmeticError or RuntimeError is re-run tenor
+    by tenor, so a tenor fails only where its own call raises; any other
+    exception propagates."""
     try:
         if len(taus) == 1:
-            vals = cf(chunk + shifts[0], taus[0])
-        else:
-            vals = cf(np.concatenate([chunk + s for s in shifts]), np.repeat(taus, chunk.size))
-        return np.abs(np.asarray(vals)).reshape(len(taus), chunk.size)
-    except (ValueError, ArithmeticError, RuntimeError):
+            return np.asarray(cf(freqs[0], taus[0])), {}
+        return np.asarray(cf(np.concatenate(freqs), np.repeat(taus, [f.size for f in freqs]))), {}
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         if len(taus) == 1:
-            return np.full((1, chunk.size), np.nan)
-    return np.concatenate([_probe_round(cf, chunk, [s], [t]) for s, t in zip(shifts, taus)])
+            return np.full(freqs[0].size, np.nan), {0: exc}
+    parts = [_tenor_values(cf, [f], [t]) for f, t in zip(freqs, taus)]
+    return (np.concatenate([vals for vals, _ in parts]),
+            {j: failed[0] for j, (_, failed) in enumerate(parts) if failed})
+
+
+def _slice_nodes(st: float, n: int, u_max: float) -> tuple:
+    """The midpoint nodes u_k = (k + ½)u_max/n of a slice, and the 2n + 2
+    frequencies of its CF call: the normalizer −iσ₀√τ (``st`` = σ₀√τ), the
+    shifted grid, u = 0 and the plain grid."""
+    u = (u_max / n) * (np.arange(n) + 0.5)
+    return u, np.concatenate([[-1j * st], u - 1j * st, [0.0], u])
 
 
 def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: float,
@@ -206,11 +226,11 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     st = sigma0 * math.sqrt(tau)
     n = quad.node_count
     step = u_max / n
-    u = step * (np.arange(n) + 0.5)
     # one call: the normalizer Ψ(−iσ₀√τ) sits on the shifted leg's line, at
     # Re u = 0, and the plain leg carries u = 0 (Ψ = 1, unused), so both
     # lines have the same real parts
-    psi = np.asarray(cf(np.concatenate([[-1j * st], u - 1j * st, [0.0], u])))
+    u, freqs = _slice_nodes(st, n, u_max)
+    psi = np.asarray(cf(freqs))
     psi_norm, psi_shift, psi_plain = complex(psi[0]), psi[1:n + 1], psi[n + 2:]
     if abs(psi_norm) < _DECAY_THRESHOLD:
         raise CFNormalizationError(
@@ -245,27 +265,50 @@ def _slice_calls(cf: Callable, sigma0: float, tau: float, spot: float, rate: flo
     return np.minimum(np.maximum(raw, np.maximum(spot - disc_k, 0.0)), spot), negative
 
 
-def _surface_calls(cf: Callable, sigma0: float, spot: float, rate: float, taus, strikes,
+def _surface_calls(model, theta, spot: float, rate: float, taus, strikes,
                    quad: QuadratureConfig) -> tuple:
-    """Calls of a surface's tenor slices: one u_max probe pass over ``taus``
-    (:func:`_surface_u_max`), then one :func:`_slice_calls` per tenor on its
-    array of ``strikes``.  ``cf(u, tau)`` takes τ as a scalar or one tenor
-    per frequency.
+    """Calls of a surface's tenor slices under ``model`` at ``theta``: one
+    u_max probe pass over ``taus`` (:func:`_surface_u_max`), then one
+    :func:`_slice_calls` per tenor on its array of ``strikes``.  The model's
+    ``cf_standardized`` takes τ as a scalar or one tenor per frequency.
 
-    A tenor whose slice raises ValueError, ArithmeticError or RuntimeError
-    fails alone: its calls are NaN and each of its strikes gets the
-    exception; any other exception propagates.  Returns ``(calls, errors,
-    truncated)``: the calls of every tenor's strikes concatenated in tenor
-    order, a dict from the index in ``calls`` of each failed strike to its
-    exception, in index order, and each tenor's u_max truncation flag.
+    A model whose ``_solver_backed`` is true (the registry's affine and
+    rough models) gets every tenor's slice frequencies in one CF call, one τ
+    per frequency, and each slice prices its part: its solver then runs
+    once per order round of the whole surface, and gives each tenor the
+    same values as a call of its own.  Any other model (the closed forms,
+    whose one big grid costs more to build than it saves) makes one CF call
+    per slice.  A tenor whose CF values or slice raise ValueError,
+    ArithmeticError or RuntimeError fails alone (:func:`_tenor_values`):
+    its calls are NaN and each of its strikes gets the exception; any other
+    exception propagates.  Returns ``(calls, errors, truncated)``: the calls
+    of every tenor's strikes concatenated in tenor order, a dict from the
+    index in ``calls`` of each failed strike to its exception, in index
+    order, and each tenor's u_max truncation flag.
     """
+    sigma0 = model.spot_vol(theta)
+
+    def cf(u, tau):
+        return model.cf_standardized(u, tau, theta)
+
     u_max, truncated = _surface_u_max(cf, sigma0, taus)
+    tenor_cfs = [lambda u, tau=tau: cf(u, tau) for tau in taus]
+    cf_failed = {}
+    if getattr(model, "_solver_backed", False):
+        # each slice's kernel then takes its part of the one CF call
+        grid_n = 2 * quad.node_count + 2
+        values, cf_failed = _tenor_values(
+            cf, [_slice_nodes(sigma0 * math.sqrt(t), quad.node_count, top)[1]
+                 for t, top in zip(taus, u_max)], taus)
+        tenor_cfs = [lambda u, lo=i * grid_n: values[lo:lo + grid_n] for i in range(len(taus))]
     sizes = [len(k) for k in strikes]
     calls, errors, offset = np.empty(sum(sizes)), {}, 0
-    for tau, slice_strikes, size, top in zip(taus, strikes, sizes, u_max):
+    for i, (tau, slice_strikes, size, top) in enumerate(zip(taus, strikes, sizes, u_max)):
         try:
-            part, failed = _slice_calls(lambda u, tau=tau: cf(u, tau), sigma0, tau, spot, rate,
-                                        slice_strikes, quad, top)
+            if i in cf_failed:  # its part of the one CF call failed
+                raise cf_failed[i]
+            part, failed = _slice_calls(tenor_cfs[i], sigma0, tau, spot, rate, slice_strikes, quad,
+                                        top)
         except (ValueError, ArithmeticError, RuntimeError) as exc:  # fails its tenor only
             part, failed = np.nan, dict.fromkeys(range(size), exc)
         calls[offset:offset + size] = part
@@ -530,7 +573,8 @@ def price_surface(
     ``spot_vol(params)`` (the registry model bundles do); the CF takes τ as
     a scalar or one tenor per frequency.  One probe pass sets every tenor's
     u_max and the strikes of each tenor are priced as one array from a
-    single set of CF grids (:func:`_surface_calls`); the puts then come from
+    single set of CF grids, one CF call per surface for a solver-backed
+    model (:func:`_surface_calls`); the puts then come from
     one parity pass and every contract of the surface is inverted by one
     array solve, one tenor per quote.  Per-contract failures are collected
     in the result's ``error`` field: an invalid contract, a negative raw
@@ -545,7 +589,6 @@ def price_surface(
     rejected before pricing).
     """
     quad = quad or QuadratureConfig()
-    sigma0 = model.spot_vol(params)
     results: dict = {}
     for k, t in surface_grid:
         results.setdefault((k, t), {"strike": k, "tau": t, "call": None, "iv": None,
@@ -565,8 +608,7 @@ def price_surface(
         recs = [rec for tenor_recs in slices.values() for rec in tenor_recs]
         strikes = np.array([rec["strike"] for rec in recs], dtype=float)
         calls, errors, truncated = _surface_calls(
-            lambda u, t: model.cf_standardized(u, t, params), sigma0, spot, rate, taus,
-            np.split(strikes, np.cumsum(counts)[:-1]), quad)
+            model, params, spot, rate, taus, np.split(strikes, np.cumsum(counts)[:-1]), quad)
         # e^{−rτ} and e^{rτ} by math once per tenor: a contract's bits must
         # not depend on the other tenors of its surface
         disc = np.repeat([math.exp(-rate * t) for t in taus], counts)

@@ -101,6 +101,9 @@ class ModelSpec:
     _base_start: Callable
     # surface tenor grid a native theta was unpacked on (() without one)
     _tenors: Callable
+    # the CF comes from a numerical solver (the affine and rough models):
+    # the pricer then puts all of a surface's slice grids into one CF call
+    _solver_backed: bool = False
 
     def param_names(self, n_tenors: int) -> tuple:
         """Ordered vector entry names for an n-tenor surface."""
@@ -132,10 +135,9 @@ class ModelSpec:
         """CF of the standardized return at tenor tau (pricer interface).
 
         ``tau`` is a scalar, or an array of one tenor per frequency of ``u``
-        (the pricer's surface u_max probe); a frequency's value is then the
-        one it has at its tenor alone, except that the affine solve shares
-        its adaptive step across the tenors of a call (about 1e-12
-        relative)."""
+        (the pricer's surface u_max probe, and its grid call of a
+        solver-backed surface); a frequency's value is then the one it has
+        at its tenor alone, bit for bit."""
         return self._cf(u, tau, theta)
 
     def spot_vol(self, theta) -> float:
@@ -349,6 +351,7 @@ def _hm_spec(model_id, names, bounds, factor_count, shifted, start) -> ModelSpec
         _shift_bounds=_VAR_SHIFT_BOUNDS if shifted else None,
         _base_start=start,
         _tenors=lambda th: th.shifts.tenors if shifted else (),
+        _solver_backed=True,
     )
 
 
@@ -397,6 +400,7 @@ def _rough_spec(model_id, names, bounds, start) -> ModelSpec:
         _shift_bounds=_XI_BOUNDS,
         _base_start=start,
         _tenors=lambda th: th.xi_tenors,
+        _solver_backed=True,
     )
 
 

@@ -185,15 +185,19 @@ def test_dopri_matches_exponential_of_complex_diagonal_system():
     y0 = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
     rtol, atol, t1 = 1e-10, 1e-12, 0.7
 
-    def rhs(t, y, out):
-        np.multiply(lam, y, out=out)
+    def rhs_for(cols):
+        def rhs(y, out, factor):
+            np.multiply(lam[:, cols], y, out=out)
+            out *= factor
+        return rhs
 
-    got = benchmarks._dop853(rhs, y0, 0.0, t1, rtol=rtol, atol=atol)
+    # one group over [0, t1]: scaled time s/t1, the right-hand side times t1
+    got = benchmarks._dop853(rhs_for, y0, t1, rtol=rtol, atol=atol)[0]
     want = np.exp(lam * t1) * y0
     # the global error of the 8(5,3) pair stays within a few local tolerances
     assert np.max(np.abs(got - want) / (atol + rtol * np.abs(want))) < 10.0
     # and the solve follows the requested tolerance
-    loose = benchmarks._dop853(rhs, y0, 0.0, t1, rtol=1e-6, atol=1e-8)
+    loose = benchmarks._dop853(rhs_for, y0, t1, rtol=1e-6, atol=1e-8)[0]
     assert 1e-10 < np.max(np.abs(loose - want)) < 1e-5
 
 
@@ -502,30 +506,44 @@ def _probe_chunks(theta, chunks):
 
 @pytest.mark.parametrize("model_id", ["heston_merton_1f", "heston_merton_2f"])
 def test_scaled_time_affine_solve_matches_per_tau_solves(model_id, monkeypatch):
-    # the first two probe chunks of all six tenors in one shared-step solve in
-    # s/tau, within 1e-11 relative of each tenor's own solve of its exponent
+    # the first two probe chunks of all six tenors in one solve in s/tau,
+    # each tenor a group on its own step: the same bits as each tenor's own
+    # solve of its exponent
     _, theta = _at_start(model_id)
-    ends = []
+    solves = []
 
-    def spy(f, y0, t0, t1, *args, _real=benchmarks._dop853, **kwargs):
-        ends.append((t0, t1))
-        return _real(f, y0, t0, t1, *args, **kwargs)
+    def spy(rhs_for, y0, scale, sizes=None, *args, _real=benchmarks._dop853, **kwargs):
+        solves.append((np.size(scale), sizes))
+        return _real(rhs_for, y0, scale, sizes, *args, **kwargs)
 
     monkeypatch.setattr(benchmarks, "_dop853", spy)
     w, taus = _probe_chunks(theta, 2)
     got = benchmarks._heston_merton_exponent(w, taus, theta)
-    assert ends == [(0.0, 1.0)]  # one solve over the scaled time
+    assert solves == [(6, [16] * 6)]  # one solve, one group of 16 columns per tenor
     want = np.concatenate([benchmarks._heston_merton_exponent(w[taus == t], t, theta)
                            for t in BENCH_TENORS])
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+    assert np.array_equal(got, want)
 
 
-def test_rough_cf_with_one_tau_per_frequency_equals_per_tau_calls():
-    # one Adams solve with one step per column, each tenor's omega on its columns
+@pytest.mark.parametrize(("limit", "solves"), [(None, [48]), (20, [16, 16, 16])],
+                         ids=["one-solve", "runs-of-tenors"])
+def test_rough_cf_with_one_tau_per_frequency_equals_per_tau_calls(limit, solves, monkeypatch):
+    # one Adams solve with one step per column, each tenor's omega on its
+    # columns; past _ADAMS_COLUMNS columns, one solve per run of whole tenors
     _, theta = _at_start("rough_heston_merton_pp")
     w, taus = _probe_chunks(theta, 1)
     want = np.concatenate([rough_heston_cf(w[taus == t], t, theta) for t in BENCH_TENORS])
+    columns = []
+
+    def spy(outer, *args, _real=benchmarks._fractional_adams):
+        columns.append(outer.size)
+        return _real(outer, *args)
+
+    monkeypatch.setattr(benchmarks, "_fractional_adams", spy)
+    if limit is not None:
+        monkeypatch.setattr(benchmarks, "_ADAMS_COLUMNS", limit)
     assert np.array_equal(rough_heston_cf(w, taus, theta), want)
+    assert columns == solves
 
 
 # ---------------------------------------------------------------------------
@@ -673,22 +691,31 @@ def test_slice_makes_its_probe_calls_then_one_call_of_both_legs(model_id, tau, s
     assert solved[len(sizes) - 1] == 2 * benchmarks._CHEB_ORDER
 
 
-@pytest.mark.parametrize(("tau", "evals_5_4", "grid_solves"),
-                         [(BENCH_TENORS[0], 453, 2), (BENCH_TENORS[-1], 1298, 1)],
-                         ids=["5.5h", "7d"])
-def test_affine_slice_takes_few_riccati_evaluations(tau, evals_5_4, grid_solves, solved,
+@pytest.mark.parametrize(("model_id", "tau", "max_evals", "grid_solves"), [
+    # 60% of what the Dormand-Prince 5(4) pair took
+    ("heston_merton_2f", BENCH_TENORS[0], 0.6 * 453, 2),
+    ("heston_merton_2f", BENCH_TENORS[-1], 0.6 * 1298, 1),
+    # 80% of what the 8(5,3) pair took when each of the six displacement
+    # segments restarted from a first step of span/100 (498 + 486); each
+    # now starts from the step that ended the segment before it
+    ("heston_merton_2f_pp", BENCH_TENORS[-1], 0.8 * (498 + 486), 1),
+], ids=["5.5h", "7d", "pp-7d"])
+def test_affine_slice_takes_few_riccati_evaluations(model_id, tau, max_evals, grid_solves, solved,
                                                     monkeypatch):
-    # probe + grid right-hand-side evaluations of a 2000-node heston_merton_2f
-    # slice at its start: at most 60% of what the Dormand-Prince 5(4) pair
-    # took, without more order rounds of the grid call's line interpolant
-    model, theta = _at_start("heston_merton_2f")
+    # probe + grid right-hand-side evaluations of a 2000-node slice at its
+    # start, without more order rounds of the grid call's line interpolant
+    model, theta = _at_start(model_id)
     evals, grid_start = [0], []
 
-    def spy(f, y0, *args, _real=benchmarks._dop853, **kwargs):
-        def counted(t, y, out):
-            evals[0] += 1
-            f(t, y, out)
-        return _real(counted, y0, *args, **kwargs)
+    def spy(rhs_for, *args, _real=benchmarks._dop853, **kwargs):
+        def counted_for(cols):
+            rhs = rhs_for(cols)
+
+            def counted(y, out, factor):
+                evals[0] += 1
+                rhs(y, out, factor)
+            return counted
+        return _real(counted_for, *args, **kwargs)
 
     def cf(u):
         if np.size(u) > 8:
@@ -700,7 +727,7 @@ def test_affine_slice_takes_few_riccati_evaluations(tau, evals_5_4, grid_solves,
     strikes = 100.0 * np.exp(np.linspace(-3.0, 3.0, 7) * sigma0 * math.sqrt(tau))
     u_max = _surface_u_max(lambda u, _t: cf(u), sigma0, [tau])[0][0]
     _slice_calls(cf, sigma0, tau, 100.0, 0.0, strikes, QuadratureConfig(node_count=2000), u_max)
-    assert evals[0] <= 0.6 * evals_5_4
+    assert evals[0] <= max_evals
     assert len(grid_start) == 1 and len(solved) - grid_start[0] <= grid_solves
 
 

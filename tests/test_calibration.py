@@ -28,6 +28,7 @@ from ustvol.market_data import (
     TenorSlice,
     filter_surface,
 )
+from ustvol.registry import model_ids
 
 QUAD = QuadratureConfig(node_count=2048)
 
@@ -393,3 +394,29 @@ def test_an_objective_evaluation_prices_distinct_strikes_and_inverts_once(monkey
     assert inverted == [quotes] * (evals + 1)
     distinct = [(sl.tau, sorted({q.strike for q in sl.quotes})) for sl in surf.slices]
     assert priced == distinct * evals
+
+
+@pytest.mark.parametrize("model_id", model_ids())
+def test_surface_passes_make_one_grid_call_per_solver_backed_surface(model_id):
+    # a price_surface pass and an objective evaluation over six tenors: a
+    # solver-backed model's slice grids go into one CF call with one tau per
+    # frequency, a closed form's into one call per tenor with its scalar tau
+    surf = _two_sided_surface(BENCH_TENORS, np.linspace(-2.0, 2.0, 3))
+    spec = calibration.get_model(model_id)
+    grids = []
+
+    def cf(u, tau, th):
+        if np.size(u) > 8 * len(BENCH_TENORS):  # more points than a probe round
+            grids.append(np.unique(tau).size if np.ndim(tau) else "scalar")
+        return spec._cf(u, tau, th)
+
+    model = dataclasses.replace(spec, _cf=cf)
+    theta = model.unpack(model.default_start(surf.tenors), surf.tenors)
+    want = [6] if model_id.startswith(("heston", "rough")) else ["scalar"] * 6
+    view = calibration._market_view(surf, RATE)
+    calibration._model_quotes(view, model, theta, surf.spot, RATE, QuadratureConfig(node_count=256))
+    assert grids == want
+    grids.clear()
+    rows = price_surface([(k, t) for t in surf.tenors for k in (99.0, 101.0)], model, theta,
+                         surf.spot, RATE, QuadratureConfig(node_count=256))
+    assert grids == want and all(r["error"] is None for r in rows)

@@ -70,17 +70,32 @@ def test_price_black_scholes_grid(tmp_path):
     ])
     assert code == 0
     header, rows = _read_csv(out)
-    assert header == ["tenor", "strike", "price", "iv"]
+    assert header == ["tenor", "strike", "price", "iv", "error", "u_max_truncated"]
     assert len(rows) == 6
-    for tau_s, k_s, price_s, iv_s in rows:
+    for tau_s, k_s, price_s, iv_s, error_s, truncated_s in rows:
         ref = bs_price(100.0, float(k_s), float(tau_s), 0.0, 0.2, True)
         assert abs(float(price_s) - ref) < 1e-4
         assert abs(float(iv_s) - 0.2) < 1e-3
+        assert error_s == "" and truncated_s == "0"
     man = _manifest(out)
     assert man["command"] == "price"
     assert len(man["config_hash"]) == 16
     assert man["versions"]["ustvol"]
+    assert man["versions"]["format"] == 2
     assert man["wall_time"] >= 0.0
+
+
+def test_price_csv_reports_a_failed_contract(tmp_path):
+    # at one day a strike of 80 is 21 standard deviations in the money: its
+    # call prices at the intrinsic floor and has no IV, so it fails alone,
+    # and the CSV keeps its reason next to the contract that priced
+    out = tmp_path / "prices.csv"
+    assert main(["price", "--model", "edgeworth", "--params", BS_VEC,
+                 "--tenors", f"{1 / 365}", "--strikes", "80,100", "--out", str(out)]) == 0
+    _, (deep, atm) = _read_csv(out)
+    assert float(deep[2]) == 20.0 and deep[3] == ""
+    assert deep[4].startswith("ArbitrageBoundsError: ") and deep[5] == "0"
+    assert abs(float(atm[3]) - 0.2) < 1e-3 and atm[4:] == ["", "0"]
 
 
 def test_price_rerun_byte_identical(tmp_path):

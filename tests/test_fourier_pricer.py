@@ -1,5 +1,6 @@
 """Tests for Fourier inversion pricing, Black-Scholes utilities and IV inversion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -576,13 +577,14 @@ def test_price_surface_slice_matches_single_strike_exactly():
             assert r["iv"] == one["iv"]
 
 
-@pytest.mark.parametrize("model_id, wing_fails",
-                         [("edgeworth_pp", True), ("bs_pp", True), ("heston_merton_2f", False)])
-def test_price_surface_rows_do_not_depend_on_the_surface(model_id, wing_fails, monkeypatch):
+@pytest.mark.parametrize("model_id", model_ids())
+def test_price_surface_rows_do_not_depend_on_the_surface(model_id, monkeypatch):
     # a six-tenor surface is priced and inverted as one flat pass, with one
-    # IV solve per price_surface call; each row must still be the same bits
-    # as in a surface of its tenor alone, the expansion models' deep-wing
-    # failures (no IV) included
+    # IV solve per price_surface call, and a solver-backed model's grids are
+    # solved in one CF call; each row must still be the same bits as in a
+    # surface of its tenor alone, the closed forms' deep-wing failures (no
+    # IV) included
+    wing_fails = model_id in ("edgeworth", "edgeworth_pp", "bs_pp")
     spec, theta = _at_start(model_id)
     sigma0 = spec.spot_vol(theta)
     solves = []
@@ -604,6 +606,36 @@ def test_price_surface_rows_do_not_depend_on_the_surface(model_id, wing_fails, m
     assert rows == alone
     assert any(r["error"] is None for r in rows)
     assert any(r["error"] is not None for r in rows) == wing_fails
+
+
+@pytest.mark.parametrize("model_id", ["heston_merton_2f", "rough_heston_pp", "bs_pp"])
+def test_a_tenor_whose_cf_raises_fails_alone(model_id):
+    # the CF raises on every grid call that holds the 2 d tenor: a batched
+    # grid call is then re-run tenor by tenor, so only that tenor's rows
+    # carry the error and every other row is its one-tenor price
+    spec, theta = _at_start(model_id)
+    bad = BENCH_TENORS[2]
+
+    def cf(u, tau, th):
+        if np.size(u) > 8 * len(BENCH_TENORS) and np.any(np.asarray(tau) == bad):
+            raise RuntimeError("solver failed on the 2 d grid")
+        return spec._cf(u, tau, th)
+
+    failing = dataclasses.replace(spec, _cf=cf)
+    sigma0 = spec.spot_vol(theta)
+    grid = [(100.0 * math.exp(z * sigma0 * math.sqrt(t)), t) for t in BENCH_TENORS
+            for z in (-2.0, 0.0, 2.0)]
+    quad = QuadratureConfig(node_count=256)
+    rows = price_surface(grid, failing, theta, 100.0, 0.03, quad)
+    for t in BENCH_TENORS:
+        got = [r for r in rows if r["tau"] == t]
+        if t == bad:
+            assert all(r["call"] is None and r["iv"] is None for r in got)
+            assert all(r["error"] == "RuntimeError: solver failed on the 2 d grid" for r in got)
+        else:
+            assert got == price_surface([g for g in grid if g[1] == t], spec, theta, 100.0, 0.03,
+                                        quad)
+            assert all(r["error"] is None for r in got)
 
 
 def test_price_surface_rows_report_u_max_truncation():
