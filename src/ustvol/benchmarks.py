@@ -14,9 +14,13 @@ pair in scaled time, one adaptive step per tenor, or the forward-variance
 integral omega · F of the fractional Riccati equation D^alpha psi = F(u, psi),
 alpha = H + 1/2, solved with the Adams predictor-corrector.
 
-A solve holds at most a few thousand frequencies, so its cost is the number
-of numpy calls per step, not their arithmetic; an eighth-order pair meets
-rtol 1e-10 in a few large steps.  The Dormand-Prince stages live in one
+A u_max probe solve holds 8 to 48 frequencies, and costs its numpy calls
+per step: six times its columns cost 8-10% more.  A surface's grid solve
+holds about 1500 frequencies per order round, and its arithmetic dominates:
+six slices' first round costs 3.0 (affine) and 3.5 (rough) times one
+slice's (one BLAS thread, 2-core host).  Either way few steps pay, and an
+eighth-order pair meets rtol 1e-10 in a few large steps.  The
+Dormand-Prince stages live in one
 (12, rows, m) array; the Butcher weights are real, so each stage state and
 both error estimates are one product of a weight block with the stages'
 float view.  The right-hand side writes into its stage row, treats B1 and
@@ -32,10 +36,20 @@ range, or at 257, 513, ... where the exponent needs them, and a barycentric
 interpolant carries the exponent to the caller's frequencies
 (``_exponent_on_line``).  The lines of a call share one solve per order
 round, with its short lines and scattered points solved directly in the
-same solve.  The pricer's two lines have the same real parts (its plain
-leg also carries u = 0), so they share their nodes, and the lines that
-converge in one round with the same real parts share one barycentric
-kernel, their values side by side.
+same solve.  The interpolant works on each line's coordinates normalized
+to [-1, 1].  A pricer slice's two lines have its layout, the range's lower
+end (the normalizer, and u = 0 on the plain leg) then n equally spaced
+midpoints, and take that layout's exact coordinates, so every such line of
+n midpoints that converges in a round, whatever its tenor and range,
+shares one barycentric kernel per block of points.  Each tenor's two lines
+take one product with it, their values side by side: the product they get
+in a call of their tenor alone.
+
+A failed solve names the tenors that failed, each with the exception its
+solve alone raises (``_tenor_errors``): the Dormand-Prince solve names
+every tenor failing the check that stopped it, the Adams solve every tenor
+whose columns turned non-finite in the history block where it stopped.
+The pricer then fails those tenors and solves the rest again in one call.
 
 Both CFs take one tenor per frequency, and a line is then a set of
 frequencies with one Im u and one tenor.  The pricer's u_max probe puts a
@@ -79,6 +93,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import gamma
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +125,26 @@ class RiccatiExplosionError(RuntimeError):
 
 class JumpTransformPoleError(RuntimeError):
     """The exponential variance-jump transform hit its pole 1 = m_v(iu rho0 + B1)."""
+
+
+def _naming(exc, errors: dict):
+    """``exc`` with ``errors`` as its ``_tenor_errors``: for each tenor of
+    a call (each group of a solve, by index) that failed, the exception it
+    raises when solved alone.  The pricer then fails those tenors and
+    solves the rest again in one call (``fourier_pricer._tenor_values``).
+    Raise the result in the raise statement that builds it: an exception
+    held in a local of a frame on its own traceback keeps that frame's
+    arrays alive until the cycle collector runs."""
+    exc._tenor_errors = errors
+    return exc
+
+
+def _explosion(failed: dict):
+    """The RiccatiExplosionError of a solve whose groups ``failed`` one
+    check, each group's (message, t) by index: the first group's, naming
+    each group's own (:func:`_naming`)."""
+    return _naming(RiccatiExplosionError(*next(iter(failed.values()))),
+                   {g: RiccatiExplosionError(*args) for g, args in failed.items()})
 
 
 @dataclass(frozen=True)
@@ -322,7 +357,9 @@ def _dop853(rhs_for, y0, scale, sizes=None, h0=0.01, t0=0.0, rtol=1e-10, atol=1e
     :class:`RiccatiExplosionError` (with the group's real time t) when a
     group's state norm passes its ``norm_cap`` (callers scale it with the
     forcing so that smooth high-frequency states are not mistaken for
-    blow-up), on a non-finite error or on step collapse.
+    blow-up), on a non-finite error or on step collapse.  Every group that
+    fails the same check at that step is named, with the error its solve
+    alone raises, by group index (:func:`_explosion`).
     """
     y = y0.astype(np.complex128)
     sizes = [y.shape[-1]] if sizes is None else [int(n) for n in sizes]
@@ -368,10 +405,13 @@ def _dop853(rhs_for, y0, scale, sizes=None, h0=0.01, t0=0.0, rtol=1e-10, atol=1e
         denom += np.finfo(float).tiny
         errs = np.maximum.reduceat((e5_sq / denom).reshape(y.shape).max(axis=0), starts).tolist()
         accepted = [err <= 1.0 for err in errs]
+        failed = {}  # (message, t) of each group failing a check
         for g, err in zip(live, errs):
             if not math.isfinite(err):
                 t = t0 + (s[g] + h[g]) * scale[g]
-                raise RiccatiExplosionError(f"non-finite Riccati state at t={t:.6g}", t=t)
+                failed[g] = (f"non-finite Riccati state at t={t:.6g}", t)
+        if failed:
+            raise _explosion(failed)
         if all(accepted):
             y, abs_y = yi, abs_y8
         elif any(accepted):
@@ -383,16 +423,19 @@ def _dop853(rhs_for, y0, scale, sizes=None, h0=0.01, t0=0.0, rtol=1e-10, atol=1e
             h[g] *= min(10.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 10.0
         over = abs_y > cap_cols
         if over.any():
-            first = np.flatnonzero(over.any(axis=0))[0]
-            g = live[int(np.searchsorted(starts, first, "right")) - 1]
-            t = t0 + s[g] * scale[g]
-            raise RiccatiExplosionError(
-                f"Riccati state norm exceeded {cap[g]:g} at t={t:.6g} (moment explosion)", t=t)
+            hits = np.logical_or.reduceat(over.any(axis=0), starts).tolist()
+            for g, hit in zip(live, hits):
+                if hit:
+                    t = t0 + s[g] * scale[g]
+                    failed[g] = (f"Riccati state norm exceeded {cap[g]:g} at t={t:.6g} "
+                                 "(moment explosion)", t)
+            raise _explosion(failed)
         for g in live:
             if h[g] < 1e-12:
                 t = t0 + s[g] * scale[g]
-                raise RiccatiExplosionError(
-                    f"step size collapsed at t={t:.6g} (moment explosion)", t=t)
+                failed[g] = (f"step size collapsed at t={t:.6g} (moment explosion)", t)
+        if failed:
+            raise _explosion(failed)
         done = [s[g] >= 1.0 - 1e-14 for g in live]
         if any(done):  # the finished groups leave the arrays
             keep = np.repeat(np.logical_not(done), widths)
@@ -420,6 +463,10 @@ _CHEB_TAIL_TOL = 1e-15
 # caller's frequencies per barycentric evaluation block, so that the
 # (block, order) kernel stays a few MB at any grid size
 _CHEB_BLOCK = 1024
+# a line whose normalized coordinates lie this close to those of the
+# pricer's slice layout takes the layout's exact ones; the pricer's own
+# lines lie within 3.5 ulp of them
+_LAYOUT_TOL = 16 * np.finfo(float).eps
 
 
 def _chebyshev_tail(vals) -> float:
@@ -431,42 +478,48 @@ def _chebyshev_tail(vals) -> float:
     return float(np.max(coef[-(vals.size // 8):])) / max(1.0, float(np.max(coef)))
 
 
-def _barycentric(x, nodes, vals):
-    """Interpolant through ``vals`` at the second-kind Chebyshev ``nodes``,
-    at the real points ``x``, in blocks of ``_CHEB_BLOCK`` points.  ``vals``
-    is one value per node, or one column of values per line that shares the
-    nodes; the result has one value, or one column, per point.
+def _barycentric(x, nodes, tables):
+    """Interpolants through each of ``tables`` at the second-kind Chebyshev
+    ``nodes``, at the real points ``x``, in blocks of ``_CHEB_BLOCK``
+    points.  Each table is one value per node, or one column of values per
+    line; its result has one row per point and one column per line.
 
-    Three passes over each (block, order) kernel: the differences x - x_j,
-    their reciprocals in place, and one product with the columns w Re f and
-    w Im f of every line and w, which gives every numerator and the shared
-    denominator of the second barycentric form.  A point on a node makes
-    its denominator infinite, and such a point takes the values of its
-    nearest node, which are that node's values exactly.
+    Each block builds one (block, order) kernel, the differences x - x_j
+    and their reciprocals in place, for every table.  Each table then takes
+    one product of that kernel with its columns w Re f and w Im f of every
+    line and w, which gives every numerator and the shared denominator of
+    the second barycentric form; a table's values are the same bits with
+    any other tables.  A point on a node makes its denominator infinite,
+    and such a point takes the values of its nearest node, which are that
+    node's values exactly.
     """
     # barycentric weights of second-kind points: (-1)^j, halved at the ends
     weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    table = vals.reshape(nodes.size, -1)
-    # columns w Re f and w Im f of each line, then w: one product gives
-    # every numerator and the denominator
-    cols = np.empty((nodes.size, 2 * table.shape[1] + 1))
-    cols[:, :-1] = weights[:, None] * table.view(np.float64)
-    cols[:, -1] = weights
-    out = np.empty((x.size, table.shape[1]), dtype=np.complex128)
-    out_flat = out.view(np.float64)
+    tables = [vals.reshape(nodes.size, -1) for vals in tables]
+    cols, outs = [], []
+    for table in tables:
+        # columns w Re f and w Im f of each line, then w
+        col = np.empty((nodes.size, 2 * table.shape[1] + 1))
+        col[:, :-1] = weights[:, None] * table.view(np.float64)
+        col[:, -1] = weights
+        cols.append(col)
+        outs.append(np.empty((x.size, table.shape[1]), dtype=np.complex128))
+    buffer = np.empty((min(x.size, _CHEB_BLOCK), nodes.size))  # one block's kernel at a time
     for start in range(0, x.size, _CHEB_BLOCK):
         blk = slice(start, start + _CHEB_BLOCK)
-        kernel = np.subtract.outer(x[blk], nodes)
+        kernel = np.subtract.outer(x[blk], nodes, out=buffer[: x[blk].size])
         with np.errstate(divide="ignore", invalid="ignore"):
             np.reciprocal(kernel, out=kernel)
-            sums = kernel @ cols
-            np.divide(sums[:, :-1], sums[:, -1:], out=out_flat[blk])
-        on_node = np.flatnonzero(~np.isfinite(sums[:, -1]))
-        if on_node.size:
-            near = np.argmin(np.abs(np.subtract.outer(x[blk][on_node], nodes)), axis=1)
-            out[blk][on_node] = table[near]
-    return out.reshape(x.shape + vals.shape[1:])
+        for table, col, out in zip(tables, cols, outs):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sums = kernel @ col
+                np.divide(sums[:, :-1], sums[:, -1:], out=out.view(np.float64)[blk])
+            on_node = np.flatnonzero(~np.isfinite(sums[:, -1]))
+            if on_node.size:
+                near = np.argmin(np.abs(np.subtract.outer(x[blk][on_node], nodes)), axis=1)
+                out[blk][on_node] = table[near]
+    return outs
 
 
 def _chebyshev_nodes(lo: float, hi: float, order: int):
@@ -474,6 +527,66 @@ def _chebyshev_nodes(lo: float, hi: float, order: int):
     x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(order) / (order - 1))
     x[[0, -1]] = hi, lo  # exact ends: the range is the caller's
     return x
+
+
+def _lines(uu, tau) -> list:
+    """Indices into ``uu`` of each of its lines, the frequencies with one
+    Im u (and one tenor where ``tau`` is one per frequency), in increasing
+    order of their (Im u, tau) keys: the lines, and their order, that
+    ``np.unique`` gives the keys.
+
+    A line's frequencies come in runs of equal keys (each line of a pricer
+    slice is one run), so one pass over the frequencies finds the runs, and
+    a stable sort of the runs' keys alone gathers each line's runs in
+    place order.
+    """
+    im = uu.imag
+    new = np.ones(uu.size, dtype=bool)
+    np.not_equal(im[1:], im[:-1], out=new[1:])
+    if np.ndim(tau):
+        new[1:] |= tau[1:] != tau[:-1]
+    starts = np.flatnonzero(new)
+    bounds = np.append(starts, uu.size)
+    run_im = im[starts]
+    run_tau = tau[starts] if np.ndim(tau) else np.zeros(starts.size)
+    order = np.lexsort((run_tau, run_im))
+    run_im, run_tau = run_im[order], run_tau[order]
+    joins = np.zeros(order.size, dtype=bool)
+    joins[1:] = (run_im[1:] == run_im[:-1]) & (run_tau[1:] == run_tau[:-1])
+    lines = []
+    for run, join in zip(order.tolist(), joins.tolist()):
+        idx = np.arange(bounds[run], bounds[run + 1])
+        if join:
+            lines[-1] = np.concatenate([lines[-1], idx])
+        else:
+            lines.append(idx)
+    return lines
+
+
+def _normalized(re, lo: float, hi: float, layouts: dict):
+    """The coordinates 2(re - lo)/(hi - lo) - 1 in [-1, 1] of a line's real
+    parts ``re``, its ends exactly -1 and 1.  Where ``re`` has the pricer's
+    slice layout, its range's lower end then n equally spaced midpoints
+    lo + (k + 1/2)(hi - lo)/(n - 1/2), they are the layout's exact
+    coordinates -1, (4k + 3 - 2n)/(2n - 1): one array per n, held in
+    ``layouts``, which every such line of n midpoints shares."""
+    t = (re - lo) * (2.0 / (hi - lo)) - 1.0
+    t[re == hi] = 1.0
+    n = re.size - 1
+    if n not in layouts:
+        layouts[n] = np.concatenate([[-1.0], (4.0 * np.arange(n) + 3.0 - 2.0 * n) / (2.0 * n - 1.0)])
+    return layouts[n] if np.max(np.abs(t - layouts[n])) <= _LAYOUT_TOL else t
+
+
+class _Line(NamedTuple):
+    """A line that :func:`_exponent_on_line` interpolates."""
+
+    idx: np.ndarray  # its indices into the caller's frequencies
+    im: float  # its Im u
+    lo: float  # its range of Re u
+    hi: float
+    coords: np.ndarray  # its normalized coordinates (:func:`_normalized`)
+    tenor: float | None  # its tenor, None where the call has one
 
 
 def _exponent_on_line(solve, uu, tau):
@@ -485,78 +598,83 @@ def _exponent_on_line(solve, uu, tau):
     frequencies, and a line is a set of frequencies with one Im u and one
     tenor.
 
-    The frequencies are grouped by their exact Im u (and tenor).  The
-    exponents are analytic in Re u along a line, so their barycentric
-    interpolant at
-    second-kind Chebyshev points of the line's [min Re u, max Re u]
-    recovers them to rounding (Berrut & Trefethen 2004).  Both ends of a
-    range are nodes, so no frequency outside the caller's range is solved,
-    a frequency at an end keeps its solved value, and each tenor's adaptive
-    step in the affine solve sees the same highest frequency as a direct
-    solve of ``uu``.  Lines of at most 2·``_CHEB_ORDER`` − 1 points and
-    scattered points are solved directly.
+    The frequencies are grouped by their exact Im u (and tenor,
+    :func:`_lines`).  The exponents are analytic in Re u along a line, so
+    their barycentric interpolant at second-kind Chebyshev points of the
+    line's [min Re u, max Re u] recovers them to rounding (Berrut &
+    Trefethen 2004).  Both ends of a range are nodes, so no frequency
+    outside the caller's range is solved, a frequency at an end keeps its
+    solved value, and each tenor's adaptive step in the affine solve sees
+    the same highest frequency as a direct solve of ``uu``.  Lines of at
+    most 2·``_CHEB_ORDER`` − 1 points and scattered points are solved
+    directly.
 
     Every order round is one ``solve`` call: the first holds the direct
     points and ``_CHEB_ORDER`` nodes of every long line; each later one
     doubles the order of the lines whose coefficient tail is still above
     ``_CHEB_TAIL_TOL``, solving only their new points, or solves a line at
-    its own points where the new order would reach its size.  The lines
-    that converge in a round share its order, so those with the same real
-    parts (the pricer's two legs) share their nodes, and one
-    :func:`_barycentric` kernel carries all of them, one value column each.
+    its own points where the new order would reach its size.  The
+    interpolant is evaluated on each line's normalized coordinates in
+    [-1, 1] (:func:`_normalized`), so the lines that converge in one round,
+    which share its order, share one :func:`_barycentric` kernel per block
+    where they share their coordinates: every line of the pricer's slice
+    layout with the same node count does, whatever its range.  Each tenor's
+    lines in a kernel take one product with it, one value column each, the
+    product they get in a call of their tenor alone.
     """
     per_point = np.ndim(tau) != 0
-    # numpy sorts complex numbers by real part first: Im u + i·tau orders
-    # the lines as the (Im u, tau) pairs would, without a row sort
-    key = uu.imag + 1j * tau if per_point else uu.imag
-    _, line_of, counts = np.unique(key, return_inverse=True, return_counts=True)
-    line_of = line_of.reshape(-1)
-    lines = []  # (indices into uu, Im u, lo, hi) of each interpolated line
+    lines, layouts = [], {}
     todo = np.ones(uu.size, dtype=bool)  # frequencies the next round solves directly
-    for k in np.flatnonzero(counts >= 2 * _CHEB_ORDER):
-        idx = np.flatnonzero(line_of == k)
-        lo, hi = float(np.min(uu.real[idx])), float(np.max(uu.real[idx]))
+    for idx in _lines(uu, tau):
+        if idx.size < 2 * _CHEB_ORDER:
+            continue
+        re = uu.real[idx]
+        lo, hi = float(np.min(re)), float(np.max(re))
         if lo < hi:
-            lines.append((idx, uu.imag[idx[0]], lo, hi))
+            lines.append(_Line(idx, uu.imag[idx[0]], lo, hi, _normalized(re, lo, hi, layouts),
+                               tau[idx[0]] if per_point else None))
             todo[idx] = False
     out = np.empty(uu.size, dtype=np.complex128)
     order, known = _CHEB_ORDER, [None] * len(lines)  # known: values at each line's nodes
     while todo.any() or lines:
         direct = np.flatnonzero(todo)
-        nodes = [_chebyshev_nodes(lo, hi, order) for _, _, lo, hi in lines]
+        nodes = [_chebyshev_nodes(line.lo, line.hi, order) for line in lines]
         # past the first round the previous order's nodes are every other node
         new = [x if old is None else x[1::2] for x, old in zip(nodes, known)]
-        points = np.concatenate([uu[direct]] + [x + 1j * line[1] for x, line in zip(new, lines)])
+        points = np.concatenate([uu[direct]] + [x + 1j * line.im for x, line in zip(new, lines)])
         if per_point:
             vals = solve(points, np.concatenate(
-                [tau[direct]] + [np.full(x.size, tau[line[0][0]]) for x, line in zip(new, lines)]))
+                [tau[direct]] + [np.full(x.size, line.tenor) for x, line in zip(new, lines)]))
         else:
             vals = solve(points, tau)
         out[direct] = vals[: direct.size]
         pieces = np.split(vals[direct.size:], np.cumsum([x.size for x in new], dtype=int)[:-1])
+        unit = _chebyshev_nodes(-1.0, 1.0, order)  # the round's nodes in normalized coordinates
         order, still, done = 2 * order - 1, [], []
         todo[:] = False
-        for line, x, piece, old in zip(lines, nodes, pieces, known):
+        for line, piece, old in zip(lines, pieces, known):
             if old is not None:
-                merged = np.empty(x.size, dtype=np.complex128)
+                merged = np.empty(2 * old.size - 1, dtype=np.complex128)
                 merged[::2], merged[1::2] = old, piece
                 piece = merged
             if _chebyshev_tail(piece) <= _CHEB_TAIL_TOL:
-                done.append((line[0], x, piece))
-            elif order >= line[0].size:  # the new order would reach the line's size
-                todo[line[0]] = True
+                done.append((line, piece))
+            elif order >= line.idx.size:  # the new order would reach the line's size
+                todo[line.idx] = True
             else:
                 still.append((line, piece))
-        # the converged lines of a round share their order, so lines with
-        # equal real parts share their nodes and one barycentric kernel
+        # one kernel per shared coordinate array, one product per tenor
         while done:
-            idx, x, _ = done[0]
-            same = [np.array_equal(uu.real[d[0]], uu.real[idx]) for d in done]
-            group = [d for d, s in zip(done, same) if s]
-            values = _barycentric(uu.real[idx], x, np.stack([d[2] for d in group], axis=1))
-            for k, d in enumerate(group):
-                out[d[0]] = values[:, k]
-            done = [d for d, s in zip(done, same) if not s]
+            coords = done[0][0].coords
+            shared = [d for d in done if d[0].coords is coords]
+            done = [d for d in done if d[0].coords is not coords]
+            groups = [[d for d in shared if d[0].tenor == t]
+                      for t in dict.fromkeys(d[0].tenor for d in shared)]
+            tables = _barycentric(coords, unit, [np.stack([piece for _, piece in group], axis=1)
+                                                 for group in groups])
+            for group, table in zip(groups, tables):
+                for k, (line, _) in enumerate(group):
+                    out[line.idx] = table[:, k]
         lines, known = [line for line, _ in still], [piece for _, piece in still]
     return out
 
@@ -592,17 +710,17 @@ def _tenor_columns(tau) -> list:
 
 
 def _tenor_chunks(groups: list, limit: int) -> list:
-    """The column indices of runs of whole tenors of ``groups`` (as from
-    :func:`_tenor_columns`), each run of at most ``limit`` columns or one
+    """Runs of whole tenors of ``groups`` (as from :func:`_tenor_columns`),
+    each run a list of its groups, of at most ``limit`` columns or one
     larger tenor alone."""
     chunks, run, size = [], [], 0
-    for _, cols in groups:
-        if run and size + cols.size > limit:
-            chunks.append(np.concatenate(run))
+    for group in groups:
+        if run and size + group[1].size > limit:
+            chunks.append(run)
             run, size = [], 0
-        run.append(cols)
-        size += cols.size
-    return chunks + [np.concatenate(run)]
+        run.append(group)
+        size += group[1].size
+    return chunks + [run]
 
 
 def heston_merton_cf(u, tau, params: HestonMertonParams):
@@ -647,7 +765,9 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
     RiccatiExplosionError reports its tenor's time to go.  With a
     displacement the tenors' segments differ, and they are solved one after
     another; each segment of a tenor is one solve over its own scaled time,
-    started from the step that ended the segment before it."""
+    started from the step that ended the segment before it.  A
+    RiccatiExplosionError names each failed tenor, with the error its solve
+    alone raises (:func:`_naming`)."""
     p = params
     taus, sizes, order = [tau], None, None
     if np.ndim(tau):
@@ -723,14 +843,19 @@ def _heston_merton_exponent(uu, tau, params: HestonMertonParams):
     norm_cap = [_EXPLOSION_NORM * max(1.0, top * t)
                 for top, t in zip(np.maximum.reduceat(np.abs(quad), starts).tolist(), taus)]
     y = np.zeros((1 + nf, uu.size), dtype=np.complex128)
-    if sizes is not None:
-        y = _dop853(rhs_at(0.0), y, taus, sizes, norm_cap=norm_cap)[0]
-    else:
-        step, span = 0.01, None  # the scaled step, and the span it is scaled by
-        for s_lo, s_hi, level in _shift_segments_time_to_go(p.shifts, tau):
-            first = step if span is None else step * span / (s_hi - s_lo)
-            span = s_hi - s_lo
-            y, (step,) = _dop853(rhs_at(level), y, span, h0=first, t0=s_lo, norm_cap=norm_cap)
+    try:
+        if sizes is not None:
+            y = _dop853(rhs_at(0.0), y, taus, sizes, norm_cap=norm_cap)[0]
+        else:
+            step, span = 0.01, None  # the scaled step, and the span it is scaled by
+            for s_lo, s_hi, level in _shift_segments_time_to_go(p.shifts, tau):
+                first = step if span is None else step * span / (s_hi - s_lo)
+                span = s_hi - s_lo
+                y, (step,) = _dop853(rhs_at(level), y, span, h0=first, t0=s_lo,
+                                     norm_cap=norm_cap)
+    except RiccatiExplosionError as exc:  # the solve's groups are its tenors
+        exc._tenor_errors = {taus[g]: err for g, err in exc._tenor_errors.items()}
+        raise
 
     exponent = y[0] + y[1] * p.v1_0
     if nf == 2:
@@ -753,6 +878,7 @@ _ADAMS_BLOCK = 32
 # rows of them, under the 4 MiB at which numpy asks for huge pages at 256
 # steps, so larger sets of tenors are solved in runs of whole tenors
 _ADAMS_COLUMNS = 1000
+_DIVERGED = "fractional Riccati solver diverged at step {}/{}"
 
 
 @functools.lru_cache(maxsize=4)
@@ -822,11 +948,13 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h, n_steps:
     P=outer and L=linear are 1-D arrays over the frequencies, Q=quad_coef a
     scalar; the solve takes ``n_steps`` steps of size ``h``, a scalar or one
     step per frequency: the weights do not depend on it, only the scales
-    h^alpha of each column's sums.  Returns the F
+    h^alpha of each column's sums.  Returns ``(f_hist, diverged)``: the F
     values f_j = F(u, psi(s_j)) on the uniform grid s_j = j h, shape
-    (n_steps + 1, frequencies), which is all the CF integral needs.  Raises
-    ``RuntimeError`` with the first step at which psi turns non-finite at
-    any frequency.
+    (n_steps + 1, frequencies), which is all the CF integral needs, and
+    None, or, where psi turned non-finite, each column's first non-finite
+    step (0 where psi is still finite): the solve then stops at the end of
+    the first block in which any column diverged, and the history is
+    incomplete.
 
     The history sums are blocked in time (Hairer, Lubich & Schlichte 1985):
     at the start of each block of ``_ADAMS_BLOCK`` steps one product of the
@@ -837,7 +965,7 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h, n_steps:
     its block, and makes two in-place evaluations of F = P + psi (L + Q psi):
     at the predictor, then at the corrected psi, which goes straight into
     the next history row.  The block's psi rows are checked for finiteness
-    once at its end; the first non-finite row names the step.
+    once at its end; each column's first non-finite row names its step.
     """
     weights = _adams_weights(alpha, n_steps)
     pred_scale, corr_scale = _per_tau(
@@ -876,13 +1004,10 @@ def _fractional_adams(outer, linear, quad_coef: float, alpha: float, h, n_steps:
                 psi += step_sums[1]
                 psi *= corr_scale
                 f_of(psi, f_hist[n + 1])
-            finite = np.isfinite(psi_rows[: stop - start]).all(axis=1)
-            if not finite.all():
-                raise RuntimeError(
-                    f"fractional Riccati solver diverged at step "
-                    f"{start + int(np.argmin(finite)) + 1}/{n_steps}"
-                )
-    return f_hist
+            bad = ~np.isfinite(psi_rows[: stop - start])
+            if bad.any():
+                return f_hist, np.where(bad.any(axis=0), start + 1 + np.argmax(bad, axis=0), 0)
+    return f_hist, None
 
 
 def rough_heston_cf(u, tau, params: RoughHestonParams, n_steps: int = 256):
@@ -916,38 +1041,36 @@ def _rough_heston_exponent(uu, tau, params: RoughHestonParams, n_steps: int):
     column steps by its own tau/n_steps, each tenor's columns side by side,
     and each tenor's omega multiplies its own block of columns; more than
     ``_ADAMS_COLUMNS`` columns are solved in runs of whole tenors
-    (:func:`_tenor_chunks`), which keeps each F history small."""
+    (:func:`_tenor_chunks`), which keeps each F history small.
+
+    A solve that diverges raises ``RuntimeError`` with the first diverging
+    step of its columns, naming each tenor that diverged in the solve's
+    last block with the error its solve alone raises (:func:`_naming`)."""
     p = params
-    order = None
-    if np.ndim(tau):
-        groups = _tenor_columns(tau)
-        chunks = _tenor_chunks(groups, _ADAMS_COLUMNS)
-        if len(chunks) > 1:
-            out = np.empty(uu.size, dtype=np.complex128)
-            for cols in chunks:
-                out[cols] = _rough_heston_exponent(uu[cols], tau[cols], p, n_steps)
-            return out
-        order = chunks[0]  # every tenor's columns, side by side
-        uu, tau = uu[order], tau[order]
-    f_hist = _fractional_adams(-0.5 * (uu * uu + 1j * uu), 1j * uu * p.rho * p.nu,
-                               0.5 * p.nu * p.nu, p.hurst + 0.5, tau / n_steps, n_steps)
-    f_flat = f_hist.view(np.float64)
-    if order is None:
-        exponent = (_xi_row_weights(p, tau, n_steps) @ f_flat).view(np.complex128)
-    else:
-        exponent, lo = np.empty(uu.size, dtype=np.complex128), 0
-        for t, cols in groups:
-            hi = lo + cols.size
-            exponent[lo:hi] = (_xi_row_weights(p, t, n_steps)
-                               @ f_flat[:, 2 * lo:2 * hi]).view(np.complex128)
-            lo = hi
+    groups = _tenor_columns(tau) if np.ndim(tau) else [(tau, np.arange(uu.size))]
+    out = np.empty(uu.size, dtype=np.complex128)
+    for chunk in _tenor_chunks(groups, _ADAMS_COLUMNS):
+        cols = np.concatenate([c for _, c in chunk])
+        w = uu[cols]
+        h = tau[cols] / n_steps if np.ndim(tau) else tau / n_steps
+        f_hist, diverged = _fractional_adams(-0.5 * (w * w + 1j * w), 1j * w * p.rho * p.nu,
+                                             0.5 * p.nu * p.nu, p.hurst + 0.5, h, n_steps)
+        bounds = np.cumsum([0] + [c.size for _, c in chunk]).tolist()
+        if diverged is not None:
+            steps = {}  # the first diverging step of each tenor that diverged
+            for (t, _), lo, hi in zip(chunk, bounds, bounds[1:]):
+                first = diverged[lo:hi][diverged[lo:hi] > 0]
+                if first.size:
+                    steps[t] = int(first.min())
+            raise _naming(RuntimeError(_DIVERGED.format(min(steps.values()), n_steps)),
+                          {t: RuntimeError(_DIVERGED.format(k, n_steps)) for t, k in steps.items()})
+        f_flat = f_hist.view(np.float64)
+        for (t, c), lo, hi in zip(chunk, bounds, bounds[1:]):
+            out[c] = (_xi_row_weights(p, t, n_steps) @ f_flat[:, 2 * lo:2 * hi]).view(np.complex128)
+        del f_hist, f_flat  # one F history at a time
     if p.lambda_j > 0.0:
         kbar = math.exp(p.mu_j + 0.5 * p.sigma_j**2) - 1.0
-        exponent = exponent + tau * p.lambda_j * (
+        out += tau * p.lambda_j * (
             np.exp(1j * uu * p.mu_j - 0.5 * uu * uu * p.sigma_j**2) - 1.0 - 1j * uu * kbar
         )
-    if order is None:
-        return exponent
-    out = np.empty(uu.size, dtype=np.complex128)
-    out[order] = exponent
     return out

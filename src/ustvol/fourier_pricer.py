@@ -131,9 +131,10 @@ def _surface_u_max(cf: Callable, sigma0: float, taus) -> tuple:
     anyway), so a tenor whose chunk raises ValueError, ArithmeticError or
     RuntimeError, or turns non-finite before it decays, stops at the end of
     its last healthy chunk (at the cap if there is none) instead of letting
-    one far-out failure poison its slice.  A round that raises is re-run
-    tenor by tenor, so each tenor stops exactly where it stops when probed
-    alone.  Any other exception propagates.
+    one far-out failure poison its slice.  A round that raises fails only
+    the tenors whose own calls raise (:func:`_tenor_values`), so each tenor
+    stops exactly where it stops when probed alone.  Any other exception
+    propagates.
 
     A solver-backed CF gives each tenor of a round the bits of a call of
     its own (the affine solve steps each tenor on its own), so a tenor's
@@ -165,28 +166,50 @@ def _probe_round(cf: Callable, chunk, shifts: list, taus: list) -> np.ndarray:
     """|Ψ| on one probe chunk of each tenor, one row per tenor, from one CF
     call (:func:`_tenor_values`); a tenor whose own call raises gets a row
     of NaN."""
-    vals, _ = _tenor_values(cf, [chunk + s for s in shifts], taus)
+    vals, _ = _tenor_values(cf, np.concatenate([chunk + s for s in shifts]),
+                            [chunk.size] * len(taus), taus)
     return np.abs(vals).reshape(len(taus), chunk.size)
 
 
-def _tenor_values(cf: Callable, freqs: list, taus: list) -> tuple:
-    """``cf`` at each tenor's frequencies ``freqs`` from one CF call, with
-    one τ per frequency (a lone tenor passes its scalar τ).  Returns the
-    values, concatenated in tenor order, and a dict from the index of each
-    tenor whose values failed to its exception; its values are NaN.  A call
-    that raises ValueError, ArithmeticError or RuntimeError is re-run tenor
-    by tenor, so a tenor fails only where its own call raises; any other
+def _tenor_values(cf: Callable, freqs, sizes: list, taus: list) -> tuple:
+    """``cf`` at ``freqs``, the frequencies of each tenor of ``taus`` side
+    by side, ``sizes`` of them per tenor, from one CF call with one τ per
+    frequency (a lone tenor passes its scalar τ).  Returns the values and a
+    dict from the index of each tenor whose values failed to its exception;
+    its values are NaN.
+
+    A call that raises ValueError, ArithmeticError or RuntimeError fails a
+    tenor only where its own call raises.  A solver-backed CF's exception
+    names the tenors that failed (``_tenor_errors``, from each such τ to
+    the exception its call alone raises): those tenors fail with those
+    exceptions, and the rest are solved again in one call.  An exception
+    that names none of them (a closed form's, or a
+    ``JumpTransformPoleError``) re-runs the call tenor by tenor.  Any other
     exception propagates."""
     try:
-        if len(taus) == 1:
-            return np.asarray(cf(freqs[0], taus[0])), {}
-        return np.asarray(cf(np.concatenate(freqs), np.repeat(taus, [f.size for f in freqs]))), {}
+        return np.asarray(cf(freqs, taus[0] if len(taus) == 1 else np.repeat(taus, sizes))), {}
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         if len(taus) == 1:
-            return np.full(freqs[0].size, np.nan), {0: exc}
-    parts = [_tenor_values(cf, [f], [t]) for f, t in zip(freqs, taus)]
-    return (np.concatenate([vals for vals, _ in parts]),
-            {j: failed[0] for j, (_, failed) in enumerate(parts) if failed})
+            return np.full(freqs.size, np.nan), {0: exc}
+        named = getattr(exc, "_tenor_errors", {})
+    failed = {j: named[t] for j, t in enumerate(taus) if t in named}
+    bounds = np.cumsum([0] + list(sizes)).tolist()
+    parts = [freqs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if not failed:  # re-run tenor by tenor
+        runs = [_tenor_values(cf, f, [f.size], [t]) for f, t in zip(parts, taus)]
+        return (np.concatenate([vals for vals, _ in runs]),
+                {j: errors[0] for j, (_, errors) in enumerate(runs) if errors})
+    values = np.full(freqs.size, np.nan, dtype=np.complex128)
+    rest = [j for j in range(len(taus)) if j not in failed]
+    if rest:
+        vals, more = _tenor_values(cf, np.concatenate([parts[j] for j in rest]),
+                                   [sizes[j] for j in rest], [taus[j] for j in rest])
+        offset = 0
+        for j in rest:
+            values[bounds[j]:bounds[j + 1]] = vals[offset:offset + sizes[j]]
+            offset += sizes[j]
+        failed.update((rest[k], exc) for k, exc in more.items())
+    return values, failed
 
 
 def _slice_nodes(st: float, n: int, u_max: float) -> tuple:
@@ -279,8 +302,9 @@ def _surface_calls(model, theta, spot: float, rate: float, taus, strikes,
     same values as a call of its own.  Any other model (the closed forms,
     whose one big grid costs more to build than it saves) makes one CF call
     per slice.  A tenor whose CF values or slice raise ValueError,
-    ArithmeticError or RuntimeError fails alone (:func:`_tenor_values`):
-    its calls are NaN and each of its strikes gets the exception; any other
+    ArithmeticError or RuntimeError fails alone (:func:`_tenor_values`, which
+    solves the rest of a failed grid call again in one call): its calls are
+    NaN and each of its strikes gets the exception; any other
     exception propagates.  Returns ``(calls, errors, truncated)``: the calls
     of every tenor's strikes concatenated in tenor order, a dict from the
     index in ``calls`` of each failed strike to its exception, in index
@@ -298,8 +322,8 @@ def _surface_calls(model, theta, spot: float, rate: float, taus, strikes,
         # each slice's kernel then takes its part of the one CF call
         grid_n = 2 * quad.node_count + 2
         values, cf_failed = _tenor_values(
-            cf, [_slice_nodes(sigma0 * math.sqrt(t), quad.node_count, top)[1]
-                 for t, top in zip(taus, u_max)], taus)
+            cf, np.concatenate([_slice_nodes(sigma0 * math.sqrt(t), quad.node_count, top)[1]
+                                for t, top in zip(taus, u_max)]), [grid_n] * len(taus), taus)
         tenor_cfs = [lambda u, lo=i * grid_n: values[lo:lo + grid_n] for i in range(len(taus))]
     sizes = [len(k) for k in strikes]
     calls, errors, offset = np.empty(sum(sizes)), {}, 0

@@ -70,11 +70,15 @@ def standardized_from_raw(cf_raw_at, u, tau, sigma0: float):
 
         Psi_Z(u) = exp(iu*sigma0*sqrt(tau)/2) * CF_raw(u/(sigma0*sqrt(tau))).
 
-    ``tau`` is a scalar or one tenor per frequency of ``u``.
+    ``tau`` is a scalar or one tenor per frequency of ``u``.  ``cf_raw_at``
+    returns a new array (or a scalar), which takes the phase in place: the
+    raw CF's solve runs before the phase array exists.
     """
     st = sigma0 * np.sqrt(tau)
     uu = np.asarray(u)
-    return np.exp(1j * uu * st / 2.0) * np.asarray(cf_raw_at(uu / st))
+    out = np.asarray(cf_raw_at(uu / st), dtype=np.complex128)
+    out *= np.exp(1j * uu * st / 2.0)
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)

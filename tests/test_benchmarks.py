@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     _fractional_adams as fractional_adams_per_step,
@@ -28,7 +29,14 @@ from ustvol.benchmarks import (
 )
 from ustvol.cf_edgeworth import Displacement
 from ustvol.diagnostics import BENCH_TENORS
-from ustvol.fourier_pricer import _PROBES, QuadratureConfig, _slice_calls, _surface_u_max
+from ustvol.fourier_pricer import (
+    _PROBES,
+    QuadratureConfig,
+    _slice_calls,
+    _slice_nodes,
+    _surface_u_max,
+    price_surface,
+)
 from ustvol.registry import get_model
 
 TAU = 2.0 / 365.0
@@ -340,8 +348,9 @@ def test_blocked_adams_matches_per_step_oracle(n_steps, hurst):
     outer, linear, quad_coef = -0.5 * (u * u + 1j * u), 1j * u * rho * nu, 0.5 * nu * nu
     per_column = np.where(np.arange(u.size) % 3, 7 / 365, 1 / 365)
     for tau in (7 / 365, per_column):
-        got = benchmarks._fractional_adams(outer, linear, quad_coef, hurst + 0.5,
-                                           tau / n_steps, n_steps)
+        got, diverged = benchmarks._fractional_adams(outer, linear, quad_coef, hurst + 0.5,
+                                                     tau / n_steps, n_steps)
+        assert diverged is None
         for t, cols in benchmarks._tenor_columns(np.broadcast_to(tau, u.shape)):
             want = fractional_adams_per_step(outer[cols], linear[cols],
                                              np.full(cols.size, quad_coef), hurst + 0.5, t,
@@ -580,18 +589,19 @@ def test_line_interpolant_matches_direct_solve(model_id, tau, n, solved, monkeyp
     grids, direct, kernels = [], [], []
     u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0, [tau])[0][0]
 
-    def spy(x, nodes, vals, _real=benchmarks._barycentric):
-        kernels.append(vals.shape)
-        return _real(x, nodes, vals)
+    def spy(x, nodes, tables, _real=benchmarks._barycentric):
+        kernels.append([vals.shape for vals in tables])
+        return _real(x, nodes, tables)
 
     monkeypatch.setattr(benchmarks, "_barycentric", spy)
     calls = _slice_calls(_recording(lambda u: model.cf_standardized(u, tau, theta), grids),
                          sigma0, tau, spot, 0.0, strikes, quad, u_max)[0]
     # the two legs' lines (the normalizer on the shifted one) took at most
     # 257 solved frequencies each, and share their real parts, so the round
-    # in which both converge evaluates one kernel with both value columns
+    # in which both converge builds one kernel and takes one product with
+    # both value columns
     assert sum(size for size in solved if size > 8) <= 2 * 257
-    assert [cols for _, cols in kernels] == [2]
+    assert [[cols for _, cols in products] for products in kernels] == [[2]]
     want = _slice_calls(_recording(lambda u: cf_standardized_direct(u, tau, theta), direct),
                         sigma0, tau, spot, 0.0, strikes, quad, u_max)[0]
     assert len(grids) == len(direct) == 1  # one call: the normalizer and both legs
@@ -608,13 +618,70 @@ def test_barycentric_matches_per_point_oracle_and_keeps_node_values():
     vals = benchmarks._heston_merton_exponent(nodes - 0.5j, BENCH_TENORS[-1], theta)
     on = [0, 1, nodes.size // 2, nodes.size - 2, nodes.size - 1]
     x = np.concatenate([np.linspace(0.0, 400.0, benchmarks._CHEB_BLOCK + 76), nodes[on]])
-    got = benchmarks._barycentric(x, nodes, vals)
+    got, = benchmarks._barycentric(x, nodes, [vals])
+    got = got[:, 0]
     want = barycentric_per_point(x, nodes, vals)
     # forward error relative to the largest node value (Higham 2004)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(vals))
     # points on interior nodes and on both ends return the node value exactly
     assert np.array_equal(got[-len(on):], vals[on])
     assert got[0] == vals[-1] and got[benchmarks._CHEB_BLOCK + 75] == vals[0]
+
+
+@pytest.mark.parametrize(("model_id", "builds"), [("heston_merton_2f", 2), ("rough_heston_pp", 1)])
+def test_surface_lines_share_one_kernel_per_order_round(model_id, builds, monkeypatch):
+    # an ode_surface-shaped surface: every slice line has the pricer's
+    # layout of 2000 midpoints, so the lines converging in an order round
+    # share one kernel (heston_merton_2f's 5.5 h lines take a second round),
+    # and each tenor's grid values are the bits of its call alone
+    model, theta = _at_start(model_id)
+    sigma0, quad = model.spot_vol(theta), QuadratureConfig(node_count=2000)
+    kernels = []
+
+    def spy(x, nodes, tables, _real=benchmarks._barycentric):
+        kernels.append([vals.shape[1] for vals in tables])
+        return _real(x, nodes, tables)
+
+    monkeypatch.setattr(benchmarks, "_barycentric", spy)
+    grid = [(100.0 * math.exp(z * sigma0 * math.sqrt(t)), t) for t in BENCH_TENORS
+            for z in np.linspace(-8.0, 5.0, 27)]
+    price_surface(grid, model, theta, 100.0, 0.0, quad)
+    # one product per tenor, with both legs' value columns
+    assert len(kernels) == builds and sum(kernels, []) == [2] * len(BENCH_TENORS)
+    u_max = _surface_u_max(lambda u, t: model.cf_standardized(u, t, theta), sigma0,
+                           BENCH_TENORS)[0]
+    parts = [_slice_nodes(sigma0 * math.sqrt(t), quad.node_count, top)[1]
+             for t, top in zip(BENCH_TENORS, u_max)]
+    batched = model.cf_standardized(np.concatenate(parts),
+                                    np.repeat(BENCH_TENORS, [u.size for u in parts]), theta)
+    alone = [model.cf_standardized(u, t, theta) for u, t in zip(parts, BENCH_TENORS)]
+    assert np.array_equal(batched, np.concatenate(alone))
+
+
+@st.composite
+def _runs(draw):
+    """Frequencies in runs of equal (Im u, tau) keys, drawn from a few Im u
+    and tenors so that keys repeat, interleave and take one-point runs, and
+    their tenors: one per frequency, or one scalar."""
+    keys = draw(st.lists(st.tuples(st.sampled_from([-1.0, -0.5, 0.0, 0.25]),
+                                   st.sampled_from([0.5, 1.0, 2.0]),
+                                   st.integers(1, 4)), min_size=1, max_size=12))
+    im = np.repeat([k[0] for k in keys], [k[2] for k in keys])
+    tau = np.repeat([k[1] for k in keys], [k[2] for k in keys])
+    re = np.arange(im.size, dtype=float)
+    return re + 1j * im, (tau if draw(st.booleans()) else 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs())
+def test_lines_from_runs_match_np_unique_on_the_key(case):
+    uu, tau = case
+    key = uu.imag + 1j * tau if np.ndim(tau) else uu.imag
+    _, line_of, counts = np.unique(key, return_inverse=True, return_counts=True)
+    lines = benchmarks._lines(uu, tau)
+    assert [idx.size for idx in lines] == counts.tolist()
+    for k, idx in enumerate(lines):
+        assert np.array_equal(idx, np.flatnonzero(line_of.reshape(-1) == k))
 
 
 def _pricer_line(theta, tau: float):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import adaptive_u_max, bs_price_highprec, checked_slice_calls, slice_calls_direct
 from test_acceptance import CAL_SHIFTS, CAL_TRUTH
 from ustvol import fourier_pricer
+from ustvol.benchmarks import HestonMertonParams, heston_merton_cf
 from ustvol.bspp_bootstrap import bspp_atm_vol
 from ustvol.cf_edgeworth import Displacement, EdgeworthParams, psi_c_no_shift, psi_full
 from ustvol.diagnostics import BENCH_TENORS
@@ -23,6 +25,7 @@ from ustvol.fourier_pricer import (
     _put_from_call,
     _slice_calls,
     _surface_u_max,
+    _tenor_values,
     bs_price,
     implied_vol,
     price_surface,
@@ -207,12 +210,15 @@ def test_surface_probe_flags_truncations_not_decay_points():
 @pytest.mark.parametrize("model_id", model_ids())
 def test_surface_makes_one_probe_call_per_round(model_id):
     # a 6-tenor price_surface: each probe round is one CF call holding the
-    # chunk of every tenor still scanning; only a round that raised is re-run,
-    # once per tenor, each with its scalar tau.  The rough models raise in
-    # their second round (four tenors diverge there); every other model's
-    # tenors decay in the first.  A CF whose one-tau-per-frequency path
-    # raised by mistake would show here as a re-run round
-    rounds, calls = (2, 2 + 6) if model_id.startswith("rough") else (1, 1)
+    # chunk of every tenor still scanning.  A call that raised names the
+    # tenors that failed, and the rest take one more call, with one tau per
+    # frequency unless one tenor is left.  The rough models raise in their
+    # second round: four tenors diverge there, three in the first history
+    # block and the 2 d one in the second, so the round is three calls of
+    # 6, 3 and 2 tenors.  Every other model's tenors decay in the first
+    # round.  A CF whose one-tau-per-frequency path raised by mistake would
+    # show here as a re-solved round
+    rounds, calls = (2, 2 + 2) if model_id.startswith("rough") else (1, 1)
     spec, theta = _at_start(model_id)
     probes = []  # [round, distinct tenors, scalar tau, raised] per probe call
 
@@ -240,12 +246,16 @@ def test_surface_makes_one_probe_call_per_round(model_id):
     assert sorted({call[0] for call in probes}) == list(range(rounds)) and len(probes) == calls
     scanning = tuple(BENCH_TENORS)
     for k in range(rounds):
-        (tenors, scalar, raised), *rest = [call[1:] for call in probes if call[0] == k]
-        assert set(tenors) <= set(scanning) and (k or tenors == scanning)
-        assert scalar == (len(tenors) == 1)
-        retried = [((t,), True) for t in tenors] if raised and len(tenors) > 1 else []
-        assert [(t, one) for t, one, _ in rest] == retried
-        scanning = tenors
+        first, *rest = [call[1:] for call in probes if call[0] == k]
+        assert set(first[0]) <= set(scanning) and (k or first[0] == scanning)
+        scanning, before = first[0], first
+        for call in [first] + rest:
+            assert call[1] == (len(call[0]) == 1)
+        for call in rest:  # each a strict subset of a call that raised
+            assert before[2] and set(call[0]) < set(before[0])
+            before = call
+    if rounds == 2:
+        assert [len(call[1]) for call in probes if call[0] == 1] == [6, 3, 2]
 
 
 def test_negative_price_error_on_misconfigured_quadrature():
@@ -636,6 +646,81 @@ def test_a_tenor_whose_cf_raises_fails_alone(model_id):
             assert got == price_surface([g for g in grid if g[1] == t], spec, theta, 100.0, 0.03,
                                         quad)
             assert all(r["error"] is None for r in got)
+
+
+def _failing_batches():
+    # Heston's fifth moment explodes at t = 0.82 (tenors of a year and more
+    # fail, 0.25 and 0.5 do not), each tenor at its own step, so each call
+    # names one more failed tenor
+    heston = HestonMertonParams(v1_0=0.04, kappa1=1.0, theta1=0.04, zeta1=1.0, rho1=0.0)
+    u = np.array([-5j, -4.5j, -3j, 1.0 - 2j])
+    taus = [0.5, 1.0, 0.25, 3.0, 5.0]
+    yield pytest.param(lambda w, t: heston_merton_cf(w, t, heston), [u] * len(taus), taus,
+                       [5, 4, 3, 2], id="affine")
+    # rough_heston_pp's second u_max probe chunk: the tenors of 2 d and more
+    # diverge, three in the first history block and the 2 d one in the second
+    spec, theta = _at_start("rough_heston_pp")
+    sigma0 = spec.spot_vol(theta)
+    parts = [_PROBES[8:16] - 1j * sigma0 * math.sqrt(t) for t in BENCH_TENORS]
+    yield pytest.param(lambda w, t: spec.cf_standardized(w, t, theta), parts, list(BENCH_TENORS),
+                       [6, 3, 2], id="rough")
+    # a jump-transform pole (the first tenor's u = -1.2i) names no tenor:
+    # the call is re-run tenor by tenor
+    pole = HestonMertonParams(v1_0=0.04, kappa1=2.0, theta1=0.04, zeta1=0.3, rho1=-0.5,
+                              m_v=0.9, rho_jump=0.9, sigma_x=0.02, c0=5.0, c1=20.0)
+    yield pytest.param(lambda w, t: heston_merton_cf(w, t, pole),
+                       [np.array([-1.2j, 0.5]), np.array([0.5, 1.0]), np.array([0.25])],
+                       [1.0, 0.01, 0.1], [3, 1, 1, 1], id="pole-names-no-tenor")
+
+
+@pytest.mark.parametrize(("cf", "parts", "taus", "tenors_per_call"), _failing_batches())
+def test_a_failed_batched_call_fails_the_tenors_its_exception_names(cf, parts, taus,
+                                                                    tenors_per_call):
+    # each failed tenor gets the exception its call alone raises, every
+    # other tenor its values alone, bit for bit; a solver's exception names
+    # the tenors that failed, and the rest take one more call
+    calls = []
+
+    def counted(u, tau):
+        calls.append(np.unique(tau).size)
+        return cf(u, tau)
+
+    sizes = [part.size for part in parts]
+    values, failed = _tenor_values(counted, np.concatenate(parts), sizes, taus)
+    assert calls == tenors_per_call
+    bounds = np.cumsum([0] + sizes)
+    for j, (part, t) in enumerate(zip(parts, taus)):
+        got = values[bounds[j]:bounds[j + 1]]
+        try:
+            want = cf(part, t)
+        except RuntimeError as exc:
+            assert type(failed[j]) is type(exc) and str(failed[j]) == str(exc)
+            assert getattr(failed[j], "t", None) == getattr(exc, "t", None)
+            assert np.all(np.isnan(got))
+        else:
+            assert j not in failed and np.array_equal(got, want)
+    assert 0 < len(failed) < len(taus)
+
+
+def test_solver_backed_surface_pass_peak_memory():
+    # tracemalloc's peak over one ode_surface-shaped heston_merton_2f pass,
+    # 6 tenors x 27 strikes at 2000 nodes: the raw CF is solved before the
+    # standardizing phase array exists, the slice grids live only in their
+    # concatenation, and one barycentric kernel block is alive at a time
+    # (7.5 MB before; 4.74 MB)
+    spec, theta = _at_start("heston_merton_2f")
+    sigma0 = spec.spot_vol(theta)
+    grid = [(100.0 * math.exp(z * sigma0 * math.sqrt(t)), t) for t in BENCH_TENORS
+            for z in np.linspace(-8.0, 5.0, 27)]
+    quad = QuadratureConfig(node_count=2000)
+    price_surface(grid, spec, theta, 100.0, 0.0, quad)
+    tracemalloc.start()
+    try:
+        price_surface(grid, spec, theta, 100.0, 0.0, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.8e6
 
 
 def test_price_surface_rows_report_u_max_truncation():
